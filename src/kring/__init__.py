@@ -25,6 +25,7 @@ from .adams import (
     gamma_series,
     kind_product,
     kind_unit,
+    lambda_op,
     log_class,
     nth_root,
 )

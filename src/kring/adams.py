@@ -15,11 +15,14 @@ t -> t/(1-t); no alternating-power semantics exists in the model.  For the
 star family the products inside the exponential are convolution products,
 for the others the ordinary one.
 
-Gamma operations of an eigenvector are universal polynomials in its powers;
-``universal_gamma_coefficients`` computes those coefficients once in the
-scratch algebra Q[x]/(x^{m_max+1}) and ``gamma_images`` uses them (together
-with the multiplicativity of the gamma series over sums) as a fast exact
-route that the series-engine route must agree with.
+Gamma operations of an eigenvector are universal polynomials in its powers.
+For an eigenvector x of weight d the substituted log-lambda series is
+S_d(t) x with S_d(t) = sum_n (-1)^{n-1} n^{d-1} (t/(1-t))^n, so the gamma
+series exp(S_d(t) x) has the closed form sum_m S_d(t)^m x^m / m!, and
+``universal_gamma_coefficients`` reads a(i; d, m) = [t^i] S_d(t)^m / m!
+off the powers of one rational series.  ``gamma_images`` uses those
+coefficients (together with the multiplicativity of the gamma series over
+sums) as a fast exact route that the series-engine route must agree with.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
@@ -93,12 +96,19 @@ def kind_unit(model: ModelAlgebra, kind: str) -> Element:
     return model.star_unit() if kind == "star" else model.one()
 
 
-def kind_power(model: ModelAlgebra, kind: str, x: Element, m: int) -> Element:
-    product = kind_product(model, kind)
-    result = kind_unit(model, kind)
-    for _ in range(m):
-        result = product(result, x)
-    return result
+def _log_lambda(
+    model: ModelAlgebra, kind: str, x: Element, order: int
+) -> TruncatedSeries:
+    """The weighted Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, the
+    logarithm of the lambda series of x in the family's product."""
+    zero = model.zero()
+    coeffs = [zero] + [
+        Fraction((-1) ** (n - 1), n) * adams(model, kind, n, x)
+        for n in range(1, order + 1)
+    ]
+    return TruncatedSeries(
+        coeffs, mul=kind_product(model, kind), zero=zero, one=kind_unit(model, kind)
+    )
 
 
 def gamma_series(
@@ -111,19 +121,13 @@ def gamma_series(
     """
     if order < 1:
         raise DomainError("series order must be at least 1")
-    zero = model.zero()
-    log_coeffs = [zero]
-    for n in range(1, order + 1):
-        log_coeffs.append(
-            Fraction((-1) ** (n - 1), n) * adams(model, kind, n, x)
-        )
-    log_lambda = TruncatedSeries(
-        log_coeffs,
-        mul=kind_product(model, kind),
-        zero=zero,
-        one=kind_unit(model, kind),
-    )
-    return log_lambda.substitute_gamma().exp()
+    return _log_lambda(model, kind, x, order).substitute_gamma().exp()
+
+
+def lambda_op(model: ModelAlgebra, kind: str, i: int, x: Element) -> Element:
+    """Coefficient of t^i in the lambda series of x: exp of the weighted
+    Adams series, without the gamma substitution."""
+    return _log_lambda(model, kind, x, max(i, 1)).exp().coefficient(i)
 
 
 def gamma_op(
@@ -141,80 +145,31 @@ def gamma_op(
     return gamma_series(model, kind, x, order).coefficient(i)
 
 
-class _Poly:
-    """Truncated polynomial in one nilpotent variable, Q[x]/(x^width)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    def __add__(self, other):
-        return _Poly(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __rmul__(self, q):
-        q = Fraction(q)
-        return _Poly(q * c for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, _Poly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def mul(self, other):
-        width = len(self.coeffs)
-        out = [Fraction(0)] * width
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                if not bj or i + j >= width:
-                    continue
-                out[i + j] += ai * bj
-        return _Poly(out)
+def _substituted_log(exponent: int, order: int) -> TruncatedSeries:
+    """sum_n (-1)^{n-1} n^exponent t^n with t/(1-t) substituted for t."""
+    return TruncatedSeries.rational(
+        [0] + [(-1) ** (n - 1) * Fraction(n) ** exponent for n in range(1, order + 1)]
+    ).substitute_gamma()
 
 
 @lru_cache(maxsize=None)
 def universal_gamma_coefficients(
     d: int, order: int, m_max: int
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficients a(i; d, m) of x^m in the i-th gamma operation of an
-    eigenvector x of weight d, computed in Q[x]/(x^{m_max+1}).
+    """Coefficients a(i; d, m) = [t^i] S_d(t)^m / m! of x^m in the i-th gamma
+    operation of an eigenvector x of weight d.
 
     Entry [i][m] is a(i; d, m) for 0 <= i <= order, 0 <= m <= m_max.
     """
     if order < 1 or m_max < 1:
         raise DomainError("order and m_max must be at least 1")
-    # log-lambda in t has coefficient (-1)^{n-1} n^{d-1} x at t^n
-    log_xcoeff = [Fraction(0)]
-    for n in range(1, order + 1):
-        c = Fraction((-1) ** (n - 1))
-        c *= Fraction(n) ** (d - 1)
-        log_xcoeff.append(c)
-    # substitute t/(1-t) (linear on the logarithm)
-    sub = [Fraction(0)]
-    for m in range(1, order + 1):
-        sub.append(
-            sum(
-                (comb(m - 1, n - 1) * log_xcoeff[n] for n in range(1, m + 1)),
-                Fraction(0),
-            )
-        )
-    width = m_max + 1
-    zero_poly = _Poly([Fraction(0)] * width)
-    one_poly = _Poly([Fraction(1)] + [Fraction(0)] * m_max)
-    log_series = TruncatedSeries(
-        [zero_poly]
-        + [
-            _Poly([Fraction(0), sub[n]] + [Fraction(0)] * (m_max - 1))
-            for n in range(1, order + 1)
-        ],
-        mul=lambda a, b: a.mul(b),
-        zero=zero_poly,
-        one=one_poly,
-    )
-    expanded = log_series.exp()
-    return tuple(expanded.coefficient(i).coeffs for i in range(order + 1))
+    s = _substituted_log(d - 1, order)
+    power = s.constant(Fraction(1))
+    columns = [power.coeffs]
+    for m in range(1, m_max + 1):
+        power = power * s
+        columns.append(tuple(c / factorial(m) for c in power.coeffs))
+    return tuple(zip(*columns))
 
 
 def gamma_pi_coeff(i: int, d: int, m: int) -> Fraction:
@@ -432,18 +387,8 @@ def gamma_normalization_report(
     matches: dict[str, bool] = {}
     targets = tuple(harmonic_firstkind(n) for n in range(1, order + 1))
     for name, shift in (("standard", -1), ("unscaled", 0)):
-        log_coeffs = [
-            Fraction((-1) ** (n - 1)) * Fraction(n) ** (weight + shift)
-            for n in range(1, order + 1)
-        ]
-        # substitute t/(1-t); x^2 = 0 makes the logarithm exact as stated
-        substituted = tuple(
-            sum(
-                (comb(m - 1, n - 1) * log_coeffs[n - 1] for n in range(1, m + 1)),
-                Fraction(0),
-            )
-            for m in range(1, order + 1)
-        )
+        # x^2 = 0 makes the substituted logarithm exact as stated
+        substituted = _substituted_log(weight + shift, order).coeffs[1:]
         numerators = tuple(
             c * factorial(m) for m, c in enumerate(substituted, start=1)
         )

@@ -60,11 +60,16 @@ def _resolve_model(args) -> tuple:
     return modelio.build_model(args.builder, args.g), f"{args.builder}(g={args.g})"
 
 
-def _check_order(args, model) -> int | None:
+def _check_order(args, deepest: int) -> int | None:
+    """``--order`` must reach the deepest filtration stage the command computes."""
     if args.order is None:
         return None
-    if args.order < model.g + 1:
-        raise ModelParseError("--order must be at least g + 1", "order")
+    if args.order < deepest:
+        raise ModelParseError(
+            f"--order must be at least {deepest}, the deepest filtration stage "
+            "this command computes",
+            "order",
+        )
     return args.order
 
 
@@ -105,7 +110,7 @@ def _cmd_verify(args) -> int:
     model, source = _resolve_model(args)
     report = reports.run_verify_suite(
         model, source,
-        order=_check_order(args, model),
+        order=_check_order(args, model.g + 2),
         seed=args.seed, max_rounds=args.max_rounds, with_timings=args.timings,
     )
     return _emit_report(args, report)
@@ -115,7 +120,7 @@ def _cmd_conjecture(args) -> int:
     model, source = _resolve_model(args)
     report = reports.run_conjecture_suite(
         model, source,
-        order=_check_order(args, model),
+        order=_check_order(args, model.g + 2),
         seed=args.seed, max_rounds=args.max_rounds, with_timings=args.timings,
     )
     return _emit_report(args, report)
@@ -127,9 +132,10 @@ def _cmd_filtration(args) -> int:
     methods = (
         ("saturation", "eigen_sum") if args.method == "both" else (args.method,)
     )
+    deepest = model.g + 2 if args.n_max is None else max(args.n_max, 1)
     report = reports.run_filtration_tables(
         model, source, kinds=kinds, methods=methods, n_max=args.n_max,
-        order=_check_order(args, model), seed=args.seed, max_rounds=args.max_rounds,
+        order=_check_order(args, deepest), seed=args.seed, max_rounds=args.max_rounds,
     )
     return _emit_report(args, report)
 

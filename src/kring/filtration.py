@@ -32,21 +32,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Sequence
 
 from .adams import (
-    adams,
     adams_weight,
     complete_chern,
     gamma_images,
     kind_product,
-    kind_unit,
+    lambda_op,
 )
 from .errors import ConvergenceError, DomainError, SeriesOrderError
 from .linalg import Subspace
 from .model import Element, ModelAlgebra
-from .operators import euler_char, rank
-from .series import TruncatedSeries
 
 FILTRATION_KINDS = ("gamma", "star", "pi", "Gamma")
 
@@ -71,37 +69,23 @@ class FiltrationSpec:
         p, q = model.bidegrees[i]
         return adams_weight(self.family, p, q, model.g)
 
-    def kernel_indices(self, model: ModelAlgebra) -> tuple[int, ...]:
-        if self.kind == "gamma":
-            return tuple(i for i in range(model.dim) if i != model.unit_index)
-        if self.kind == "star":
-            return tuple(i for i in range(model.dim) if i != model.star_unit_index)
-        if self.kind == "pi":
-            return tuple(
-                i for i in range(model.dim) if model.bidegrees[i].q != model.g
-            )
-        return tuple(
-            i for i in range(model.dim) if model.beauville_index_of(i) != 0
-        )
-
     def subring_indices(self, model: ModelAlgebra) -> tuple[int, ...]:
+        """Basis of the augmentation subring: the unit line (gamma), the
+        origin line (star), or the family's weight-0 block (pi: q = g,
+        Gamma: index 0)."""
         if self.kind == "gamma":
             return (model.unit_index,)
         if self.kind == "star":
             return (model.star_unit_index,)
-        if self.kind == "pi":
-            return tuple(
-                i for i in range(model.dim) if model.bidegrees[i].q == model.g
-            )
-        return tuple(
-            i for i in range(model.dim) if model.beauville_index_of(i) == 0
-        )
+        return tuple(i for i in range(model.dim) if self.weight(model, i) == 0)
+
+    def kernel_indices(self, model: ModelAlgebra) -> tuple[int, ...]:
+        subring = set(self.subring_indices(model))
+        return tuple(i for i in range(model.dim) if i not in subring)
 
     def augmentation(self, model: ModelAlgebra, x: Element) -> Element:
-        if self.kind == "gamma":
-            return rank(x) * model.one()
-        if self.kind == "star":
-            return euler_char(x) * model.star_unit()
+        """Projection onto the subring; for gamma this is rank(x) . 1, for
+        star the Euler characteristic times the origin class."""
         return model.project(x, self.subring_indices(model))
 
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
@@ -137,6 +121,14 @@ class FiltrationResult:
 
     def stage(self, n: int) -> Subspace:
         return self.stages[n]
+
+
+def _with_pairwise_sums(vectors: Sequence[Element]) -> list[Element]:
+    return list(vectors) + [
+        vectors[i] + vectors[j]
+        for i in range(len(vectors))
+        for j in range(i + 1, len(vectors))
+    ]
 
 
 def _random_combination(
@@ -285,10 +277,7 @@ def compute_filtration(
     rng = random.Random(seed)
     image_cache: dict[tuple, list[Element]] = {}
 
-    enrichment = list(kernel_basis)
-    for i in range(len(kernel_basis)):
-        for j in range(i + 1, len(kernel_basis)):
-            enrichment.append(kernel_basis[i] + kernel_basis[j])
+    enrichment = _with_pairwise_sums(kernel_basis)
 
     rounds: list[tuple[int, ...]] = []
     stages = None
@@ -446,7 +435,10 @@ def check_lemma_equivalences(
 
 
 @dataclass(frozen=True)
-class StatementResult:
+class Statement:
+    """One verdict of a report, keyed by a stable identifier."""
+
+    id: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
     witness: str = ""
@@ -461,7 +453,7 @@ class ComposedStructureReport:
     """Verdicts for the composed-structure statements on one model."""
 
     g: int
-    statements: dict[str, StatementResult]
+    statements: dict[str, Statement]
     stage_dims: tuple[int, ...]
     kernel_dim: int
 
@@ -470,7 +462,7 @@ class ComposedStructureReport:
         return all(s.ok for s in self.statements.values())
 
 
-def _index_product_check(model: ModelAlgebra) -> StatementResult:
+def _index_product_check(model: ModelAlgebra) -> Statement:
     for i in range(model.dim):
         ji = model.beauville_index_of(i)
         if ji <= 0:
@@ -481,17 +473,18 @@ def _index_product_check(model: ModelAlgebra) -> StatementResult:
                 continue
             prod = model.basis_element(i) * model.basis_element(k)
             if not prod.is_zero():
-                return StatementResult(
+                return Statement(
+                    "conj-2-products",
                     "fail",
                     detail=(
                         f"index {ji} class times index {jk} class is nonzero"
                     ),
                     witness=f"({model.labels[i]}, {model.labels[k]})",
                 )
-    return StatementResult("pass")
+    return Statement("conj-2-products", "pass")
 
 
-def _bloch_product_check(model: ModelAlgebra) -> StatementResult:
+def _bloch_product_check(model: ModelAlgebra) -> Statement:
     g = model.g
     for i in range(model.dim):
         p1, q1 = model.bidegrees[i]
@@ -502,12 +495,13 @@ def _bloch_product_check(model: ModelAlgebra) -> StatementResult:
             if p1 >= q2 + 1:
                 prod = model.basis_element(i) * model.basis_element(k)
                 if not prod.is_zero():
-                    return StatementResult(
+                    return Statement(
+                        "bloch-products",
                         "fail",
                         detail="a K^r_g class with r > n meets a K^s_n class",
                         witness=f"({model.labels[i]}, {model.labels[k]})",
                     )
-    return StatementResult("pass")
+    return Statement("bloch-products", "pass")
 
 
 def _binomial_lambda(model: ModelAlgebra, y: Element, i: int) -> Element:
@@ -515,14 +509,7 @@ def _binomial_lambda(model: ModelAlgebra, y: Element, i: int) -> Element:
     result = model.one()
     for t in range(i):
         result = result * (y - t * model.one())
-    return Fraction(1, _factorial(i)) * result
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return Fraction(1, factorial(i)) * result
 
 
 def check_composed_structure(
@@ -540,13 +527,14 @@ def check_composed_structure(
     )
     stages = list(result.stages)
     spec = FiltrationSpec("Gamma")
-    statements: dict[str, StatementResult] = {}
+    statements: dict[str, Statement] = {}
 
     statements["conj-2-products"] = _index_product_check(model)
     conj2_ok = statements["conj-2-products"].status == "pass"
 
     if not conj2_ok:
-        statements["lem-epsilon-gamma-morphism"] = StatementResult(
+        statements["lem-epsilon-gamma-morphism"] = Statement(
+            "lem-epsilon-gamma-morphism",
             "skipped",
             detail=(
                 "hypothesis violated: nonzero product of positive- and "
@@ -565,7 +553,7 @@ def check_composed_structure(
                 x = model.basis_element(i)
                 for idx in range(1, g + 1):
                     # lambda of the composed structure, then project
-                    lam = _composed_lambda(model, idx, x)
+                    lam = lambda_op(model, "composed", idx, x)
                     lhs = lam.beauville_component(0)
                     rhs = _binomial_lambda(
                         model, x.beauville_component(0), idx
@@ -575,8 +563,8 @@ def check_composed_structure(
                         break
                 if not ok:
                     break
-        statements["lem-epsilon-gamma-morphism"] = StatementResult(
-            "pass" if ok else "fail", witness=witness
+        statements["lem-epsilon-gamma-morphism"] = Statement(
+            "lem-epsilon-gamma-morphism", "pass" if ok else "fail", witness=witness
         )
 
     # stage 1 of the composed filtration sits inside the rank kernel
@@ -584,12 +572,11 @@ def check_composed_structure(
         model.dim,
         [
             model.basis_element(i).coords
-            for i in range(model.dim)
-            if i != model.unit_index
+            for i in FiltrationSpec("gamma").kernel_indices(model)
         ],
     )
     fil1_ok = stages[1].is_subspace_of(kernel_gamma)
-    statements["lem-fil1"] = StatementResult("pass" if fil1_ok else "fail")
+    statements["lem-fil1"] = Statement("lem-fil1", "pass" if fil1_ok else "fail")
 
     # index blocks lie deep in the filtration: K[j] in stage r for j<0 or j>=r
     fil2_ok = True
@@ -609,8 +596,8 @@ def check_composed_structure(
                     break
         if not fil2_ok:
             break
-    statements["lem-fil2"] = StatementResult(
-        "pass" if fil2_ok else "fail", witness=fil2_witness
+    statements["lem-fil2"] = Statement(
+        "lem-fil2", "pass" if fil2_ok else "fail", witness=fil2_witness
     )
 
     # the complete-Chern kernel, computed two independent ways
@@ -619,13 +606,9 @@ def check_composed_structure(
         intersection = intersection.intersect(s)
     stabilised = stages[g + 1] == stages[g + 2]
 
-    kernel_indices = spec.kernel_indices(model)
-    candidates = [model.basis_element(i) for i in kernel_indices]
-    for a in range(len(kernel_indices)):
-        for b in range(a + 1, len(kernel_indices)):
-            candidates.append(candidates[a] + candidates[b])
+    base = [model.basis_element(i) for i in spec.kernel_indices(model)]
+    candidates = _with_pairwise_sums(base)
     rng = random.Random(seed)
-    base = [model.basis_element(i) for i in kernel_indices]
     for _ in range(2 * model.dim):
         combo = _random_combination(model, rng, base)
         if not combo.is_zero():
@@ -639,7 +622,8 @@ def check_composed_structure(
 
     agree = searched == intersection and stabilised
     top_equal = intersection == stages[g + 1]
-    statements["prop-kernel-c"] = StatementResult(
+    statements["prop-kernel-c"] = Statement(
+        "prop-kernel-c",
         "pass" if (agree and top_equal) else "fail",
         detail=(
             f"intersection dim {intersection.dim}, spanning-search dim "
@@ -653,8 +637,8 @@ def check_composed_structure(
     conj3_witness = ""
     if not conj3_ok:
         conj3_witness = str(model.from_coords(stages[g + 1].basis_vectors()[0]))
-    statements["conj-3-vanishing"] = StatementResult(
-        "pass" if conj3_ok else "fail", witness=conj3_witness
+    statements["conj-3-vanishing"] = Statement(
+        "conj-3-vanishing", "pass" if conj3_ok else "fail", witness=conj3_witness
     )
 
     statements["bloch-products"] = _bloch_product_check(model)
@@ -663,17 +647,3 @@ def check_composed_structure(
         g, statements, tuple(s.dim for s in stages), stages[1].dim
     )
 
-
-def _composed_lambda(model: ModelAlgebra, i: int, x: Element) -> Element:
-    """lambda^i of the composed structure: exp of the weighted Adams series
-    without the gamma substitution."""
-    zero = model.zero()
-    order = max(i, 1)
-    coeffs = [zero]
-    for n in range(1, order + 1):
-        coeffs.append(Fraction((-1) ** (n - 1), n) * adams(model, "composed", n, x))
-    series = TruncatedSeries(
-        coeffs, mul=kind_product(model, "composed"), zero=zero,
-        one=kind_unit(model, "composed"),
-    )
-    return series.exp().coefficient(i)

@@ -443,6 +443,58 @@ def _self_check(model: ModelAlgebra, name: str) -> ModelAlgebra:
     return model
 
 
+def _build(
+    name: str,
+    g: int,
+    *,
+    antisym: bool,
+    pairs: Sequence[tuple[str, str, tuple[int, int]]],
+    defect: bool,
+) -> ModelAlgebra:
+    """Shared core of the bundled builders.
+
+    The theta block e_0 .. e_g (e_p in K^p_{g-p}) and, with ``antisym``,
+    the anti-symmetric block a_0 = a, a_1 .. a_{g-1} (a_p in K^{p+1}_{g-p})
+    are divided-power chains: the p-th entry times e_r is C(p+r, p) times
+    the (p+r)-th entry, and the Fourier operator sends the p-th entry of a
+    chain of length L to (-1)^{g-p} times its (L-1-p)-th entry.  Each pair
+    (label, dual, (p, q)) adds a Fourier-paired couple in K^p_q and K^q_p
+    that annihilates every non-unit class; fm(label) = dual, and fm(dual)
+    carries the sign (-1)^{p-q} the Fourier square law forces.  ``defect``
+    seeds a . v = z (or e_2 when there is no z).
+    """
+    basis = [(f"e{p}", (p, g - p)) for p in range(g + 1)]
+    chains = [list(range(g + 1))]
+    if antisym:
+        basis.append(("a", (1, g)))
+        basis += [(f"a{p}", (p + 1, g - p)) for p in range(1, g)]
+        chains.append(list(range(g + 1, 2 * g + 1)))
+    mul: dict[tuple[int, int], dict[int, Fraction]] = {}
+    fm_entries: list[tuple[int, int, int]] = []
+    for chain in chains:
+        for x, i in enumerate(chain):
+            for y in range(len(chain) - x):
+                mul[(i, y)] = mul[(y, i)] = {chain[x + y]: Fraction(comb(x + y, x))}
+            fm_entries.append((i, chain[-1 - x], (-1) ** (g - x)))
+    for label, dual, (p, q) in pairs:
+        i = len(basis)
+        basis += [(label, (p, q)), (dual, (q, p))]
+        for k in (i, i + 1):
+            mul[(0, k)] = mul[(k, 0)] = {k: Fraction(1)}
+        fm_entries += [(i, i + 1, 1), (i + 1, i, (-1) ** (p - q))]
+    labels = [label for label, _ in basis]
+    if defect:
+        # the seeded defect: an index-1 class meets an index-(-1) class
+        a, v = labels.index("a"), labels.index("v")
+        target = labels.index("z") if "z" in labels else g
+        mul[(a, v)] = mul[(v, a)] = {target: Fraction(1)}
+    fm_rows = [[Fraction(0)] * len(basis) for _ in basis]
+    for row, col, sign in fm_entries:
+        fm_rows[row][col] = Fraction(sign)
+    model = ModelAlgebra(g, basis, mul, fm_rows, unit_index=0, star_unit_index=g)
+    return _self_check(model, name)
+
+
 def theta_model(g: int) -> ModelAlgebra:
     """Divided-power model generated by a symmetric line-bundle class.
 
@@ -454,17 +506,7 @@ def theta_model(g: int) -> ModelAlgebra:
     """
     if g < 1:
         raise DomainError("g must be at least 1")
-    basis = [(f"e{p}", (p, g - p)) for p in range(g + 1)]
-    mul: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(g + 1):
-        for b in range(g + 1):
-            if a + b <= g:
-                mul[(a, b)] = {a + b: Fraction(comb(a + b, a))}
-    fm_rows = [[Fraction(0)] * (g + 1) for _ in range(g + 1)]
-    for p in range(g + 1):
-        fm_rows[p][g - p] = Fraction((-1) ** (g - p))
-    model = ModelAlgebra(g, basis, mul, fm_rows, unit_index=0, star_unit_index=g)
-    return _self_check(model, "theta")
+    return _build("theta", g, antisym=False, pairs=(), defect=False)
 
 
 def antisym_model(g: int) -> ModelAlgebra:
@@ -477,30 +519,7 @@ def antisym_model(g: int) -> ModelAlgebra:
     """
     if g < 2:
         raise DomainError("g must be at least 2")
-    basis = [(f"e{p}", (p, g - p)) for p in range(g + 1)]
-    a_index = {p: g + 1 + p for p in range(g)}
-    basis.append(("a", (1, g)))
-    for p in range(1, g):
-        basis.append((f"a{p}", (p + 1, g - p)))
-    dim = len(basis)
-    mul: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for x in range(g + 1):
-        for y in range(g + 1):
-            if x + y <= g:
-                mul[(x, y)] = {x + y: Fraction(comb(x + y, x))}
-    for p in range(g):
-        for r in range(g + 1):
-            if p + r <= g - 1:
-                entry = {a_index[p + r]: Fraction(comb(p + r, p))}
-                mul[(a_index[p], r)] = dict(entry)
-                mul[(r, a_index[p])] = dict(entry)
-    fm_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for p in range(g + 1):
-        fm_rows[p][g - p] = Fraction((-1) ** (g - p))
-    for p in range(g):
-        fm_rows[a_index[p]][a_index[g - 1 - p]] = Fraction((-1) ** (g - p))
-    model = ModelAlgebra(g, basis, mul, fm_rows, unit_index=0, star_unit_index=g)
-    return _self_check(model, "antisym")
+    return _build("antisym", g, antisym=True, pairs=(), defect=False)
 
 
 def pathological_model(g: int) -> ModelAlgebra:
@@ -514,26 +533,8 @@ def pathological_model(g: int) -> ModelAlgebra:
     """
     if g < 2:
         raise DomainError("g must be at least 2")
-    basis = [(f"e{p}", (p, g - p)) for p in range(g + 1)]
-    v_idx, w_idx = g + 1, g + 2
-    basis.append(("v", (1, g - 2)))
-    basis.append(("w", (g - 2, 1)))
-    dim = len(basis)
-    mul: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(g + 1):
-        for b in range(g + 1):
-            if a + b <= g:
-                mul[(a, b)] = {a + b: Fraction(comb(a + b, a))}
-    for idx in (v_idx, w_idx):
-        mul[(0, idx)] = {idx: Fraction(1)}
-        mul[(idx, 0)] = {idx: Fraction(1)}
-    fm_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for p in range(g + 1):
-        fm_rows[p][g - p] = Fraction((-1) ** (g - p))
-    fm_rows[v_idx][w_idx] = Fraction(1)
-    fm_rows[w_idx][v_idx] = Fraction((-1) ** (g + 1))
-    model = ModelAlgebra(g, basis, mul, fm_rows, unit_index=0, star_unit_index=g)
-    return _self_check(model, "pathological")
+    pairs = [("v", "w", (1, g - 2))]
+    return _build("pathological", g, antisym=False, pairs=pairs, defect=False)
 
 
 def violator_model(g: int) -> ModelAlgebra:
@@ -548,54 +549,7 @@ def violator_model(g: int) -> ModelAlgebra:
     """
     if g < 2:
         raise DomainError("g must be at least 2")
-    basis = [(f"e{p}", (p, g - p)) for p in range(g + 1)]
-    a_index = {p: g + 1 + p for p in range(g)}
-    basis.append(("a", (1, g)))
-    for p in range(1, g):
-        basis.append((f"a{p}", (p + 1, g - p)))
-    v_idx = len(basis)
-    basis.append(("v", (1, g - 2)))
-    w_idx = len(basis)
-    basis.append(("w", (g - 2, 1)))
-    if g == 2:
-        target_idx = 2  # e_2, the unique class of bidegree (2, 0)
-        z_idx = zdual_idx = None
-    else:
-        z_idx = len(basis)
-        basis.append(("z", (2, g - 2)))
-        zdual_idx = len(basis)
-        basis.append(("zdual", (g - 2, 2)))
-        target_idx = z_idx
-    dim = len(basis)
-
-    mul: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for x in range(g + 1):
-        for y in range(g + 1):
-            if x + y <= g:
-                mul[(x, y)] = {x + y: Fraction(comb(x + y, x))}
-    for p in range(g):
-        for r in range(g + 1):
-            if p + r <= g - 1:
-                entry = {a_index[p + r]: Fraction(comb(p + r, p))}
-                mul[(a_index[p], r)] = dict(entry)
-                mul[(r, a_index[p])] = dict(entry)
-    extras = [v_idx, w_idx] + ([z_idx, zdual_idx] if z_idx is not None else [])
-    for idx in extras:
-        mul[(0, idx)] = {idx: Fraction(1)}
-        mul[(idx, 0)] = {idx: Fraction(1)}
-    # the seeded defect: an index-1 class meets an index-(-1) class
-    mul[(a_index[0], v_idx)] = {target_idx: Fraction(1)}
-    mul[(v_idx, a_index[0])] = {target_idx: Fraction(1)}
-
-    fm_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for p in range(g + 1):
-        fm_rows[p][g - p] = Fraction((-1) ** (g - p))
-    for p in range(g):
-        fm_rows[a_index[p]][a_index[g - 1 - p]] = Fraction((-1) ** (g - p))
-    fm_rows[v_idx][w_idx] = Fraction(1)
-    fm_rows[w_idx][v_idx] = Fraction((-1) ** (g + 1))
-    if z_idx is not None:
-        fm_rows[z_idx][zdual_idx] = Fraction(1)
-        fm_rows[zdual_idx][z_idx] = Fraction((-1) ** g)
-    model = ModelAlgebra(g, basis, mul, fm_rows, unit_index=0, star_unit_index=g)
-    return _self_check(model, "violator")
+    pairs = [("v", "w", (1, g - 2))]
+    if g >= 3:
+        pairs.append(("z", "zdual", (2, g - 2)))
+    return _build("violator", g, antisym=True, pairs=pairs, defect=True)

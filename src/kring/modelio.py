@@ -43,6 +43,13 @@ def build_model(name: str, g: int) -> ModelAlgebra:
     return builder(g)
 
 
+def _strict_int(value, field: str) -> int:
+    """A JSON integer; ``bool`` is an ``int`` subclass, so check the type."""
+    if type(value) is not int:
+        raise ModelParseError(f"{field}: expected a JSON integer, got {value!r}", field)
+    return value
+
+
 def _format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -96,25 +103,20 @@ def import_model(text: str) -> ModelAlgebra:
         raise ModelParseError(
             f"unsupported schema {doc.get('schema')!r}", field="schema"
         )
-    try:
-        g = int(doc["g"])
-    except (KeyError, TypeError, ValueError):
-        raise ModelParseError("missing or malformed field 'g'", field="g") from None
+    g = _strict_int(doc.get("g"), "g")
     basis_raw = doc.get("basis")
     if not isinstance(basis_raw, list) or not basis_raw:
         raise ModelParseError("missing or empty 'basis'", field="basis")
     basis = []
     for n, entry in enumerate(basis_raw):
-        try:
-            basis.append((str(entry["label"]), (int(entry["p"]), int(entry["q"]))))
-        except (KeyError, TypeError, ValueError):
-            raise ModelParseError(
-                f"basis entry {n} is malformed", field=f"basis[{n}]"
-            ) from None
+        if not (isinstance(entry, dict) and "label" in entry):
+            raise ModelParseError(f"basis entry {n} is malformed", field=f"basis[{n}]")
+        p, q = (_strict_int(entry.get(k), f"basis[{n}].{k}") for k in ("p", "q"))
+        basis.append((str(entry["label"]), (p, q)))
     dim = len(basis)
     for key in ("unit", "star_unit"):
-        if not isinstance(doc.get(key), int) or not 0 <= doc[key] < dim:
-            raise ModelParseError(f"missing or out-of-range '{key}'", field=key)
+        if not 0 <= _strict_int(doc.get(key), key) < dim:
+            raise ModelParseError(f"out-of-range '{key}'", field=key)
     mul_raw = doc.get("mul")
     if not isinstance(mul_raw, list):
         raise ModelParseError("missing 'mul'", field="mul")
@@ -125,7 +127,7 @@ def import_model(text: str) -> ModelAlgebra:
             raise ModelParseError(f"{field}: expected [i, j, k, rational]", field)
         i, j, k, raw = triple
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not 0 <= _strict_int(idx, field) < dim:
                 raise ModelParseError(f"{field}: index out of range", field)
         if i > j:
             raise ModelParseError(f"{field}: triples must have i <= j", field)

@@ -13,6 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Callable
 
 from . import modelio
@@ -27,6 +28,7 @@ from .adams import (
 )
 from .filtration import (
     FiltrationResult,
+    Statement,
     check_composed_structure,
     check_lemma_equivalences,
     check_pi_subset_gamma,
@@ -47,18 +49,6 @@ from .operators import (
 from .series import stirling2
 
 REPORT_SCHEMA = "kring-report/1"
-
-
-@dataclass(frozen=True)
-class Statement:
-    id: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str = ""
-    witness: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
 
 
 @dataclass
@@ -504,7 +494,7 @@ def run_verify_suite(
                 return Statement(
                     "line-bundle-suite", "fail", detail=f"convolution Adams, n={n}"
                 )
-        top = Fraction(1, _fact(g)) * (L - model.one()) ** g
+        top = Fraction(1, factorial(g)) * (L - model.one()) ** g
         if top != chi * model.star_unit():
             return Statement(
                 "line-bundle-suite", "fail", detail="top self-intersection"
@@ -530,7 +520,7 @@ def run_verify_suite(
         table = gamma_coeff_table(6, 6, 1)
         for i in range(1, 7):
             for d in range(1, 7):
-                want = Fraction((-1) ** (i - 1) * _fact(i - 1) * stirling2(d, i))
+                want = Fraction((-1) ** (i - 1) * factorial(i - 1) * stirling2(d, i))
                 if table.value(i, d, 1) != want:
                     return Statement(
                         "gamma-coeff-stirling", "fail", detail=f"i={i}, d={d}"
@@ -542,13 +532,6 @@ def run_verify_suite(
     if with_timings:
         report.timings = timer.laps
     return report
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def run_conjecture_suite(
@@ -634,18 +617,11 @@ def run_conjecture_suite(
     report.add(equivalences())
     timer.lap("lem-conjecture-equivalences", start)
 
-    composed = check_composed_structure(model, seed=seed)
-    for stmt_id in (
-        "conj-2-products",
-        "lem-epsilon-gamma-morphism",
-        "lem-fil1",
-        "lem-fil2",
-        "prop-kernel-c",
-        "conj-3-vanishing",
-        "bloch-products",
-    ):
-        res = composed.statements[stmt_id]
-        report.add(Statement(stmt_id, res.status, res.detail, res.witness))
+    gamma_big = compute_filtration(
+        model, "Gamma", g + 2, order=order, seed=seed, max_rounds=max_rounds
+    )
+    composed = check_composed_structure(model, gamma_big_result=gamma_big, seed=seed)
+    report.statements.extend(composed.statements.values())
 
     timer.lap("total", start_all)
     if with_timings:
@@ -665,14 +641,15 @@ def run_filtration_tables(
     max_rounds: int = 8,
 ) -> VerificationReport:
     """Dimension tables per kind and method, plus the containment comparison."""
-    g = model.g
     if n_max is None:
-        n_max = g + 2
+        n_max = model.g + 2
+    if order is None:
+        order = model.default_series_order
     report = VerificationReport(
         command="filtration",
         model=_model_descriptor(model, source),
         config={
-            "order": order or model.default_series_order,
+            "order": order,
             "seed": seed,
             "max_rounds": max_rounds,
             "n_max": n_max,

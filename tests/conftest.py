@@ -6,11 +6,32 @@ once and sharing it across test modules keeps the whole suite fast.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import kring
 from kring import build_model, compute_filtration
+
+# the directory this kring was imported from, for child interpreters
+SRC = str(Path(kring.__file__).resolve().parent.parent)
+
+
+def run_cli(*args, timeout: int = 300):
+    """Run ``python -m kring`` in a child interpreter that imports the same
+    kring as the tests, whether or not PYTHONPATH names it."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "kring", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,6 @@ is exact; the only tolerances are the two wall-clock budgets stated inline.
 """
 
 import json
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import comb, factorial
@@ -38,7 +36,7 @@ from kring import (
     stirling2,
     theta_model,
 )
-from tests.conftest import bundled_models, filtration, model
+from tests.conftest import bundled_models, filtration, model, run_cli
 
 F = Fraction
 
@@ -342,10 +340,7 @@ def test_criterion_10_series_example_report():
     ):
         assert n * num == target
     # the command-line surface reports the same finding
-    res = subprocess.run(
-        [sys.executable, "-m", "kring", "series", "--order", "5", "--format", "structured"],
-        capture_output=True, text=True, timeout=120,
-    )
+    res = run_cli("series", "--order", "5", "--format", "structured", timeout=120)
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     by_id = {s["id"]: s for s in doc["statements"]}

@@ -20,6 +20,7 @@ from kring import (
     gamma_pi_coeff,
     gamma_series,
     harmonic_firstkind,
+    lambda_op,
     log_class,
     nth_root,
     pushforward,
@@ -342,6 +343,17 @@ def test_gamma_coeff_table_object():
 
 
 # -- line bundles ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_lambda_op_of_a_line_bundle(g):
+    # psi^n(L) = L^n for L = exp(e1), so lambda_t(L) = 1 + L t exactly
+    m = model("theta", g)
+    L = exp_class(m.basis_element(1))
+    assert lambda_op(m, "usual", 0, L) == m.one()
+    assert lambda_op(m, "usual", 1, L) == L
+    for i in range(2, g + 3):
+        assert lambda_op(m, "usual", i, L).is_zero()
 
 
 def test_log_exp_inverse(theta2):

@@ -1,23 +1,13 @@
 """Command-line behaviour: exit codes, determinism, and model round-trips."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
 from kring import export_model, fingerprint, import_model, theta_model, validate
 from kring.errors import ModelParseError
 from kring.reports import VerificationReport
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "kring", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+from tests.conftest import run_cli
 
 
 def test_verify_theta_passes():
@@ -54,6 +44,21 @@ def test_order_below_minimum_is_usage_error():
     res = run_cli("verify", "--builder", "theta", "--g", "2", "--order", "2")
     assert res.returncode == 2
     assert "order" in res.stderr
+    # g + 1 is still below the deepest stage g + 2 every suite computes
+    for command in ("verify", "conjecture", "filtration"):
+        res = run_cli(command, "--builder", "theta", "--g", "2", "--order", "3")
+        assert res.returncode == 2
+        assert "--order must be at least 4" in res.stderr
+
+
+def test_filtration_order_minimum_follows_n_max():
+    args = ("filtration", "--builder", "theta", "--g", "2", "--kind", "pi")
+    res = run_cli(*args, "--n-max", "2", "--order", "2")
+    assert res.returncode == 0
+    assert "dims [3, 2, 1]" in res.stdout
+    res = run_cli(*args, "--n-max", "3", "--order", "2")
+    assert res.returncode == 2
+    assert "--order must be at least 3" in res.stderr
 
 
 def test_inadmissible_model_file_fails_validation(tmp_path):
@@ -127,6 +132,41 @@ def test_model_parse_error_names_field(tmp_path):
 
     with pytest.raises(ModelParseError):
         import_model("{not json")
+
+
+@pytest.mark.parametrize(
+    "path,value,field",
+    [
+        pytest.param(("g",), "2", "g", id="g-string"),
+        pytest.param(("g",), 2.7, "g", id="g-float"),
+        pytest.param(("g",), True, "g", id="g-bool"),
+        pytest.param(("unit",), False, "unit", id="unit-bool"),
+        pytest.param(("star_unit",), True, "star_unit", id="star_unit-bool"),
+        pytest.param(("basis", 1, "p"), "1", "basis[1].p", id="p-string"),
+        pytest.param(("basis", 1, "q"), 1.0, "basis[1].q", id="q-float"),
+        pytest.param(("mul", 0, 0), False, "mul[0]", id="mul-i-bool"),
+        pytest.param(("mul", 0, 2), True, "mul[0]", id="mul-k-bool"),
+    ],
+)
+def test_import_requires_json_integers(path, value, field):
+    doc = json.loads(export_model(theta_model(2)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ModelParseError) as info:
+        import_model(json.dumps(doc))
+    assert info.value.field == field
+
+
+def test_model_file_with_string_g_is_usage_error(tmp_path):
+    doc = json.loads(export_model(theta_model(2)))
+    doc["g"] = "2"
+    path = tmp_path / "string_g.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("model", "--model-file", str(path))
+    assert res.returncode == 2
+    assert "error [g]" in res.stderr
 
 
 def test_gamma_coeffs_subcommand():

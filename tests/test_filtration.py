@@ -1,5 +1,6 @@
 """Filtration computation (both methods) and the conjecture checkers."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,9 @@ from kring import (
     check_pi_subset_gamma,
     compute_filtration,
     fourier,
+    run_conjecture_suite,
+    run_filtration_tables,
+    run_verify_suite,
 )
 from kring.errors import ConvergenceError, DomainError, SeriesOrderError
 from tests.conftest import bundled_models, filtration, model
@@ -304,3 +308,23 @@ def test_chern_classes_on_models(antisym2, pathological2):
     chern_y = complete_chern(antisym2, y, stages)
     assert chern_y.augmentation == y
     assert all(c.is_zero() for c in chern_y.components)
+
+
+@pytest.mark.parametrize(
+    "runner", [run_verify_suite, run_conjecture_suite, run_filtration_tables]
+)
+def test_suites_pass_their_config_to_every_filtration(monkeypatch, runner):
+    calls = []
+    real = compute_filtration
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    for module in ("kring.filtration", "kring.reports"):
+        monkeypatch.setattr(importlib.import_module(module), "compute_filtration", spy)
+    report = runner(model("theta", 2), "theta(g=2)", order=5, seed=0, max_rounds=7)
+    assert (report.config["order"], report.config["max_rounds"]) == (5, 7)
+    assert calls
+    for kwargs in calls:
+        assert (kwargs.get("order"), kwargs.get("max_rounds")) == (5, 7)
