@@ -335,15 +335,23 @@ def chern_gamma(
     if i + 1 >= len(stages):
         raise DomainError("need filtration stages up to i+1")
     reduced = x - x.beauville_component(0)
-    value = gamma_op(model, "composed", i, reduced)
+    value = gamma_op(model, "composed", i, reduced, order=i)
     return model.from_coords(stages[i + 1].reduce(value.coords))
 
 
 def complete_chern(
     model: ModelAlgebra, x: Element, stages: list[Subspace]
 ) -> ChernClass:
+    """All Chern components 1..g of x from one gamma series of order g:
+    coefficient i of a truncated series only depends on terms up to t^i."""
+    g = model.g
+    if g + 1 >= len(stages):
+        raise DomainError("need filtration stages up to g+1")
+    reduced = x - x.beauville_component(0)
+    series = gamma_series(model, "composed", reduced, g)
     comps = tuple(
-        chern_gamma(model, i, x, stages) for i in range(1, model.g + 1)
+        model.from_coords(stages[i + 1].reduce(series.coefficient(i).coords))
+        for i in range(1, g + 1)
     )
     return ChernClass(x.beauville_component(0), comps)
 

@@ -23,7 +23,7 @@ Vector = tuple[Fraction, ...]
 
 
 def vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:

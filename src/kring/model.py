@@ -72,7 +72,7 @@ class Element:
     __slots__ = ("model", "coords")
 
     def __init__(self, model: "ModelAlgebra", coords: Sequence):
-        cs = tuple(Fraction(c) for c in coords)
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(cs) != model.dim:
             raise StructureError("coordinate length does not match the model")
         self.model = model
@@ -271,27 +271,59 @@ class ModelAlgebra:
         return self._mul.get((i, j), ())
 
     def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                entries = self._mul.get((i, j))
-                if not entries:
-                    continue
-                f = xi * yj
-                for k, c in entries:
-                    out[k] += f * c
-        return tuple(out)
+        return _bilinear(self._mul, x, y)
+
+    def star_multiply(
+        self, x: Sequence[Fraction], y: Sequence[Fraction]
+    ) -> tuple[Fraction, ...]:
+        """Convolution product of coordinate vectors, read off ``star_table``."""
+        return _bilinear(self.star_table, x, y)
 
     @cached_property
     def fm_inverse(self) -> Matrix:
         return self.fm.inverse()
 
+    @cached_property
+    def star_table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+        """Structure constants of the convolution product, stored like the
+        multiplication table: entry (i, j) holds the nonzero coordinates of
+        F^-1(F e_i . F e_j).  Both sides are bilinear, so the convolution of
+        any two elements is exactly the table's bilinear form.  Built on
+        first use and owned by the model, so it lives as long as the model."""
+        fm = self.fm.rows
+        table = {}
+        for i in range(self.dim):
+            for j in range(self.dim):
+                coords = self.fm_inverse.vec_mul(_bilinear(self._mul, fm[i], fm[j]))
+                entries = tuple((k, c) for k, c in enumerate(coords) if c)
+                if entries:
+                    table[(i, j)] = entries
+        return table
+
     def __repr__(self) -> str:
         return f"ModelAlgebra(g={self.g}, dim={self.dim})"
+
+
+def _bilinear(
+    table: Mapping[tuple[int, int], Sequence[tuple[int, Fraction]]],
+    x: Sequence[Fraction],
+    y: Sequence[Fraction],
+) -> tuple[Fraction, ...]:
+    """The bilinear form with sparse structure constants ``table``:
+    sum over i, j of x_i y_j table[(i, j)], skipping zero coordinates."""
+    out = [Fraction(0)] * len(x)
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in ys:
+            entries = table.get((i, j))
+            if not entries:
+                continue
+            f = xi * yj
+            for k, c in entries:
+                out[k] += f * c
+    return tuple(out)
 
 
 def _inversion_sign(model: ModelAlgebra, i: int) -> int:

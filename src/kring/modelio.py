@@ -111,8 +111,12 @@ def import_model(text: str) -> ModelAlgebra:
     for n, entry in enumerate(basis_raw):
         if not (isinstance(entry, dict) and "label" in entry):
             raise ModelParseError(f"basis entry {n} is malformed", field=f"basis[{n}]")
+        label = entry["label"]
+        if type(label) is not str:
+            field = f"basis[{n}].label"
+            raise ModelParseError(f"{field}: expected a JSON string, got {label!r}", field)
         p, q = (_strict_int(entry.get(k), f"basis[{n}].{k}") for k in ("p", "q"))
-        basis.append((str(entry["label"]), (p, q)))
+        basis.append((label, (p, q)))
     dim = len(basis)
     for key in ("unit", "star_unit"):
         if not 0 <= _strict_int(doc.get(key), key) < dim:

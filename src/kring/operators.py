@@ -13,6 +13,13 @@ functionals, and the universal relations of the pushforward family:
 
 Operators are materialised once per model and cached; the caches are
 read-only after construction, so concurrent readers are safe.
+
+The convolution product never runs the three Fourier passes it is defined
+by.  Its structure constants F^-1(F e_i . F e_j) are computed once per
+model, on first use, into ``ModelAlgebra.star_table``; a star product is
+then one sparse bilinear multiply, the same kernel as the ordinary
+product.  The table is an attribute of the model, not a module-level
+cache, so it is freed with the model.
 """
 
 from __future__ import annotations
@@ -90,10 +97,11 @@ def fourier_inverse(x: Element) -> Element:
 
 
 def star_product(x: Element, y: Element) -> Element:
-    """Convolution product: the ordinary product conjugated by Fourier."""
+    """Convolution product: the ordinary product conjugated by Fourier,
+    F^-1(F x . F y), read off the model's precomputed ``star_table``."""
     if x.model is not y.model:
         raise DomainError("star product needs elements of one model")
-    return fourier_inverse(fourier(x) * fourier(y))
+    return Element(x.model, x.model.star_multiply(x.coords, y.coords))
 
 
 def star_power(x: Element, n: int) -> Element:

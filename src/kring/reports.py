@@ -400,9 +400,11 @@ def run_verify_suite(
     negative = _has_negative_index(model)
     fil: dict[str, FiltrationResult] = {}
     for kind in ("gamma", "star", "pi", "Gamma"):
+        start = time.perf_counter()
         fil[kind] = compute_filtration(
             model, kind, g + 2, order=order, seed=seed, max_rounds=max_rounds
         )
+        timer.lap(f"filtration-{kind}", start)
 
     def star_vanishing() -> Statement:
         if negative:

@@ -8,6 +8,13 @@ multiplication by ``Fraction``; the ring product is pluggable so the same
 engine serves both the ordinary and the convolution-style multiplications
 of a model algebra.
 
+``exp`` runs the linear recurrence m a_m = sum_k k f_k a_{m-k} (Brent and
+Kung, "Fast algorithms for manipulating formal power series", JACM 1978)
+in O(N^2) ring products.  The recurrence holds because the product is
+commutative, associative and unital, which ``model.validate`` checks for
+both model products; on a product without those laws its result can differ
+from the sum of powers f^k / k!.
+
 The module also hosts the combinatorial tables the gamma calculus leans
 on: Stirling numbers of both kinds and the scaled harmonic numbers
 n! * (1 + 1/2 + ... + 1/n) = |s(n+1, 2)|.
@@ -117,17 +124,34 @@ class TruncatedSeries:
         return self.like(out)
 
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with vanishing constant term."""
+        """exp of a series with vanishing constant term.
+
+        Uses the recurrence a_0 = one, m a_m = sum_{k=1..m} k f_k a_{m-k}
+        (differentiate exp(f) = a to get a' = f' a), so it takes O(N^2)
+        ring products where summing the powers f^k / k! takes O(N^3).  The
+        k = m term is m f_m, as a_0 is the unit; zero f_k and zero a_{m-k}
+        are skipped.  The recurrence assumes a commutative, associative,
+        unital product, which ``validate`` guarantees for model products.
+        """
         if self.coeffs[0] != self.zero:
             raise DomainError("exp needs a zero constant term")
-        result = self.constant(self.one)
-        term = result
-        for k in range(1, self.order + 1):
-            term = (term * self).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            result = result + term
-        return result
+        weighted = [
+            (k, Fraction(k) * f)
+            for k, f in enumerate(self.coeffs)
+            if k and f != self.zero
+        ]
+        out = [self.one]
+        for m in range(1, self.order + 1):
+            acc = self.zero
+            for k, kf in weighted:
+                if k > m:
+                    break
+                if k == m:  # a_0 is the unit
+                    acc = acc + kf
+                elif out[m - k] != self.zero:
+                    acc = acc + self.mul(kf, out[m - k])
+            out.append(Fraction(1, m) * acc)
+        return self.like(out)
 
     def log(self) -> "TruncatedSeries":
         """log of a series whose constant term is the unit."""

@@ -159,6 +159,29 @@ def test_import_requires_json_integers(path, value, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("value", [5, True, None], ids=["int", "bool", "null"])
+def test_import_requires_string_labels(value):
+    doc = json.loads(export_model(theta_model(2)))
+    doc["basis"][1]["label"] = value
+    with pytest.raises(ModelParseError) as info:
+        import_model(json.dumps(doc))
+    assert info.value.field == "basis[1].label"
+
+
+def test_verify_timings_cover_statements_and_filtrations():
+    res = run_cli(
+        "verify", "--builder", "theta", "--g", "2", "--format", "structured",
+        "--timings",
+    )
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    laps = doc["timings"]
+    for statement in doc["statements"]:
+        assert statement["id"] in laps
+    for kind in ("gamma", "star", "pi", "Gamma"):
+        assert f"filtration-{kind}" in laps
+
+
 def test_model_file_with_string_g_is_usage_error(tmp_path):
     doc = json.loads(export_model(theta_model(2)))
     doc["g"] = "2"

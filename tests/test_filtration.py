@@ -328,3 +328,18 @@ def test_suites_pass_their_config_to_every_filtration(monkeypatch, runner):
     assert calls
     for kwargs in calls:
         assert (kwargs.get("order"), kwargs.get("max_rounds")) == (5, 7)
+
+
+def test_conjecture_suite_expands_no_gamma_series_beyond_its_order(monkeypatch):
+    adams_module = importlib.import_module("kring.adams")
+    real = adams_module.gamma_series
+    orders = []
+
+    def spy(model_, kind, x, order):
+        orders.append(order)
+        return real(model_, kind, x, order)
+
+    monkeypatch.setattr(adams_module, "gamma_series", spy)
+    run_conjecture_suite(model("antisym", 2), "antisym(g=2)", order=4)
+    assert orders
+    assert max(orders) <= 4

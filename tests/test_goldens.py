@@ -14,9 +14,19 @@ GOLDENS = json.loads(
 )
 
 
-def _report_sha(runner, builder: str, g: int) -> str:
+# the benchmark's filtration job runs every kind by both methods: the defaults
+RUNNERS = {
+    "verify": reports.run_verify_suite,
+    "conjecture": reports.run_conjecture_suite,
+    "filtration": reports.run_filtration_tables,
+}
+
+
+def _report_sha(suite: str, builder: str, g: int) -> str:
     model = modelio.build_model(builder, g)
-    report = runner(model, f"{builder}(g={g})", order=None, seed=0, max_rounds=8)
+    report = RUNNERS[suite](
+        model, f"{builder}(g={g})", order=None, seed=0, max_rounds=8
+    )
     return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
 
 
@@ -34,12 +44,35 @@ def test_builder_fingerprint(builder, g):
     assert modelio.fingerprint(model) == GOLDENS["fingerprints"][f"{builder}/{g}"]
 
 
+def _assert_golden(suite: str, builder: str, g: int) -> None:
+    want = GOLDENS["reports"][f"{suite}/{builder}/{g}/seed0"]
+    assert _report_sha(suite, builder, g) == want
+
+
 @pytest.mark.parametrize("builder", sorted(modelio.BUILDERS))
 def test_verify_report_hash(builder):
-    want = GOLDENS["reports"][f"verify/{builder}/2/seed0"]
-    assert _report_sha(reports.run_verify_suite, builder, 2) == want
+    _assert_golden("verify", builder, 2)
 
 
 def test_conjecture_violator_report_hash():
-    want = GOLDENS["reports"]["conjecture/violator/3/seed0"]
-    assert _report_sha(reports.run_conjecture_suite, "violator", 3) == want
+    _assert_golden("conjecture", "violator", 3)
+
+
+# the other seed-0 jobs of the benchmark's workloads
+BENCHMARK_JOBS = [
+    ("verify", "theta", 4),
+    ("verify", "antisym", 3),
+    ("verify", "violator", 3),
+    ("conjecture", "antisym", 3),
+    ("conjecture", "pathological", 3),
+    ("filtration", "antisym", 4),
+    ("filtration", "violator", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,builder,g", BENCHMARK_JOBS,
+    ids=[f"{s}-{b}-{g}" for s, b, g in BENCHMARK_JOBS],
+)
+def test_benchmark_job_report_hash(suite, builder, g):
+    _assert_golden(suite, builder, g)

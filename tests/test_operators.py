@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from kring import (
+    Element,
     euler_char,
     fm_composite_check,
     fourier,
@@ -255,3 +256,22 @@ def test_composite_check_reports_first_failing_vector():
     res = fm_composite_check(bad, 1, 1)
     assert not res.ok
     assert res.witness == "e0"
+
+
+@pytest.mark.parametrize("name,g", bundled_models(4))
+def test_star_table_matches_fourier_definition(name, g):
+    m = model(name, g)
+    basis = m.basis_elements()
+    samples = [
+        m.from_coords([(-1) ** i * (i + 1) for i in range(m.dim)]),
+        m.from_coords([F(i % 3, 2) for i in range(m.dim)]),
+    ]
+    pairs = [(x, y) for x in basis for y in basis] + [tuple(samples)]
+    for x, y in pairs:
+        assert star_product(x, y) == fourier_inverse(fourier(x) * fourier(y))
+
+
+def test_element_coerces_int_and_str_coordinates(theta2):
+    x = Element(theta2, [1, "1/2", F(-3, 4)])
+    assert x.coords == (F(1), F(1, 2), F(-3, 4))
+    assert all(type(c) is Fraction for c in x.coords)

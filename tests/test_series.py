@@ -18,7 +18,9 @@ from kring import (
     substitute_gamma,
     theta_model,
 )
+from kring.adams import ADAMS_KINDS, adams, kind_product, kind_unit
 from kring.errors import DomainError, SeriesOrderError
+from tests.conftest import bundled_models, model
 
 F = Fraction
 
@@ -96,6 +98,41 @@ def test_substitution_respects_products(a, b):
 def test_exp_after_substitution_commutes(s):
     nil = s.like([F(0)] + list(s.coeffs[1:]))
     assert substitute_gamma(series_exp(nil)) == series_exp(substitute_gamma(nil))
+
+
+def _exp_by_powers(s: TruncatedSeries) -> TruncatedSeries:
+    """Reference exp: the sum of the truncated powers s^k / k!."""
+    result = s.constant(s.one)
+    term = result
+    for k in range(1, s.order + 1):
+        term = (term * s).scale(F(1, k))
+        result = result + term
+    return result
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_series())
+def test_exp_recurrence_matches_power_sum_on_rationals(s):
+    nil = s.like([F(0)] + list(s.coeffs[1:]))
+    assert series_exp(nil) == _exp_by_powers(nil)
+
+
+@pytest.mark.parametrize("name,g", bundled_models(3))
+@pytest.mark.parametrize("kind", ADAMS_KINDS)
+def test_exp_recurrence_matches_power_sum_on_elements(name, g, kind):
+    m = model(name, g)
+    zero = m.zero()
+    mixed = m.from_coords([(-1) ** i * (i + 1) for i in range(m.dim)])
+    for x in (mixed, m.basis_element(1), m.basis_element(m.dim - 1)):
+        log_lambda = TruncatedSeries(
+            [zero]
+            + [F((-1) ** (n - 1), n) * adams(m, kind, n, x) for n in range(1, g + 3)],
+            mul=kind_product(m, kind),
+            zero=zero,
+            one=kind_unit(m, kind),
+        )
+        for s in (log_lambda, log_lambda.substitute_gamma()):
+            assert series_exp(s) == _exp_by_powers(s)
 
 
 def test_coefficient_beyond_order_raises():
