@@ -30,7 +30,6 @@ from .adams import (
     nth_root,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     KringError,
     ModelParseError,

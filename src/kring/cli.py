@@ -3,10 +3,12 @@
 Subcommands: model (build/validate/export), verify (proved-identity suite),
 filtration (dimension tables), conjecture (conjecture checkers),
 gamma-coeffs (universal coefficient tables), series (index -1 expansion
-under both logarithm normalizations).
+under both logarithm normalizations).  The filtrations are exact and
+deterministic, so no option seeds them or bounds their rounds.
 
 Exit codes: 0 all requested checks pass (skips do not fail), 1 a check
-failed, 2 usage or parse error, 3 filtration saturation did not converge.
+failed, 2 usage or parse error, including a size above one of the input
+caps below.
 """
 
 from __future__ import annotations
@@ -16,13 +18,20 @@ import sys
 from pathlib import Path
 
 from . import modelio, reports
-from .errors import ConvergenceError, KringError, ModelParseError
+from .errors import KringError, ModelParseError
 from .model import validate
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_NO_CONVERGENCE = 3
+
+# Input caps.  Each lies above every size the tests, the README and the
+# benchmark use (builders up to g = 6, default order g^2 + 2 = 38); a larger
+# value exits with EXIT_USAGE before any work starts.  --g and series --j
+# share modelio.MAX_G with imported documents.
+MAX_ORDER = modelio.MAX_G**2 + 2  # the default series order at MAX_G
+MAX_SERIES_ORDER = 128  # series --order
+MAX_COEFF_INDEX = 32  # gamma-coeffs --d, --i and --m-max
 
 
 def _add_model_source(parser: argparse.ArgumentParser) -> None:
@@ -35,10 +44,6 @@ def _add_model_source(parser: argparse.ArgumentParser) -> None:
 
 def _add_run_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, help="series truncation order override")
-    parser.add_argument("--seed", type=int, default=0, help="saturation seed")
-    parser.add_argument(
-        "--max-rounds", type=int, default=8, help="saturation round budget"
-    )
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text", dest="fmt"
     )
@@ -57,7 +62,16 @@ def _resolve_model(args) -> tuple:
         raise ModelParseError("need --builder with --g, or --model-file", "builder")
     if args.g is None or args.g < 1:
         raise ModelParseError("--g must be an integer >= 1", "g")
+    _check_cap(args.g, modelio.MAX_G, "--g", "MAX_G")
     return modelio.build_model(args.builder, args.g), f"{args.builder}(g={args.g})"
+
+
+def _check_cap(value: int, cap: int, what: str, name: str) -> None:
+    if value > cap:
+        raise ModelParseError(
+            f"{what} must be at most {cap} (the input cap {name})",
+            what.split()[0].lstrip("-"),
+        )
 
 
 def _check_order(args, deepest: int) -> int | None:
@@ -70,6 +84,7 @@ def _check_order(args, deepest: int) -> int | None:
             "this command computes",
             "order",
         )
+    _check_cap(args.order, MAX_ORDER, "--order", "MAX_ORDER")
     return args.order
 
 
@@ -110,8 +125,7 @@ def _cmd_verify(args) -> int:
     model, source = _resolve_model(args)
     report = reports.run_verify_suite(
         model, source,
-        order=_check_order(args, model.g + 2),
-        seed=args.seed, max_rounds=args.max_rounds, with_timings=args.timings,
+        order=_check_order(args, model.g + 2), with_timings=args.timings,
     )
     return _emit_report(args, report)
 
@@ -120,8 +134,7 @@ def _cmd_conjecture(args) -> int:
     model, source = _resolve_model(args)
     report = reports.run_conjecture_suite(
         model, source,
-        order=_check_order(args, model.g + 2),
-        seed=args.seed, max_rounds=args.max_rounds, with_timings=args.timings,
+        order=_check_order(args, model.g + 2), with_timings=args.timings,
     )
     return _emit_report(args, report)
 
@@ -135,7 +148,7 @@ def _cmd_filtration(args) -> int:
     deepest = model.g + 2 if args.n_max is None else max(args.n_max, 1)
     report = reports.run_filtration_tables(
         model, source, kinds=kinds, methods=methods, n_max=args.n_max,
-        order=_check_order(args, deepest), seed=args.seed, max_rounds=args.max_rounds,
+        order=_check_order(args, deepest),
     )
     return _emit_report(args, report)
 
@@ -143,12 +156,17 @@ def _cmd_filtration(args) -> int:
 def _cmd_gamma_coeffs(args) -> int:
     if args.d < 1 or args.i < 1 or args.m_max < 1:
         raise ModelParseError("--d, --i and --m-max must be >= 1", "gamma-coeffs")
+    for flag, value in (("--d", args.d), ("--i", args.i), ("--m-max", args.m_max)):
+        _check_cap(value, MAX_COEFF_INDEX, flag, "MAX_COEFF_INDEX")
     report = reports.run_gamma_coeff_report(args.i, args.d, args.m_max)
     return _emit_report(args, report)
 
 
 def _cmd_series(args) -> int:
-    report = reports.run_series_report(args.j, args.order or 5)
+    _check_cap(args.order, MAX_SERIES_ORDER, "--order", "MAX_SERIES_ORDER")
+    # a derived index lies in -g..g
+    _check_cap(abs(args.j), modelio.MAX_G, "--j in absolute value", "MAX_G")
+    report = reports.run_series_report(args.j, args.order)
     return _emit_report(args, report)
 
 
@@ -217,11 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.fn(args)
-    except ConvergenceError as exc:
-        sys.stderr.write(
-            f"error: {exc} (dimension vectors {exc.previous_dims} -> {exc.last_dims})\n"
-        )
-        return EXIT_NO_CONVERGENCE
     except ModelParseError as exc:
         sys.stderr.write(f"error [{exc.field}]: {exc}\n")
         return EXIT_USAGE

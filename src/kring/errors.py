@@ -17,15 +17,6 @@ class SeriesOrderError(KringError):
     """A coefficient beyond the configured truncation order was requested."""
 
 
-class ConvergenceError(KringError):
-    """Filtration saturation failed to stabilise within the round budget."""
-
-    def __init__(self, message, previous_dims, last_dims):
-        super().__init__(message)
-        self.previous_dims = tuple(previous_dims)
-        self.last_dims = tuple(last_dims)
-
-
 class ModelParseError(KringError):
     """A model document could not be parsed; carries the offending field."""
 

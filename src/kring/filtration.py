@@ -13,10 +13,10 @@ structure:
 Stage 1 of each filtration is the augmentation kernel; stage n >= 2 is the
 span, over the augmentation subring, of all products of gamma operations of
 kernel elements with total weight at least n.  The saturation method builds
-that span from an enriched generator set (kernel basis, pairwise sums, and
-seeded random rational combinations), iterating until two consecutive
-rounds leave every stage dimension unchanged.  The eigen_sum method sums
-the Adams eigenspaces of weight >= n, stage by stage.
+that span exactly, in one deterministic pass, from the gamma images of the
+scaled kernel basis vectors c . e_k, c = 1 .. nu_k (see
+``compute_filtration``).  The eigen_sum method sums the Adams eigenspaces
+of weight >= n, stage by stage.
 
 The checkers cover the inclusion of the pi filtration in the gamma one
 (with the unconditionally provable cases flagged separately), the
@@ -29,7 +29,6 @@ the top-stage vanishing statements.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -42,7 +41,7 @@ from .adams import (
     kind_product,
     lambda_op,
 )
-from .errors import ConvergenceError, DomainError, SeriesOrderError
+from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
 from .model import Element, ModelAlgebra
 
@@ -113,7 +112,6 @@ class FiltrationResult:
     axiom_ok: bool
     axiom_witness: str | None
     order: int
-    seed: int
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -129,18 +127,6 @@ def _with_pairwise_sums(vectors: Sequence[Element]) -> list[Element]:
         for i in range(len(vectors))
         for j in range(i + 1, len(vectors))
     ]
-
-
-def _random_combination(
-    model: ModelAlgebra, rng: random.Random, kernel_basis: Sequence[Element]
-) -> Element:
-    out = model.zero()
-    for b in kernel_basis:
-        num = rng.randint(-6, 6)
-        den = rng.randint(1, 3)
-        if num:
-            out = out + Fraction(num, den) * b
-    return out
 
 
 def _close_under_products(
@@ -164,23 +150,36 @@ def _close_under_products(
         space = space + Subspace.span(model.dim, [v.coords for v in new_vectors])
 
 
+def _scaled_kernel_basis(
+    model: ModelAlgebra, spec: FiltrationSpec, order: int
+) -> list[Element]:
+    """The vectors c . e_k for each kernel basis vector e_k and c = 1 .. nu_k,
+    where nu_k counts the nonzero powers of e_k, capped at ``order``."""
+    product = kind_product(model, spec.kind)
+    out = []
+    for k in spec.kernel_indices(model):
+        e = model.basis_element(k)
+        nu, power = 0, e
+        while nu < order and not power.is_zero():
+            nu += 1
+            power = product(power, e)
+        out.extend(c * e for c in range(1, nu + 1))
+    return out
+
+
 def _saturation_stages(
     model: ModelAlgebra,
     spec: FiltrationSpec,
-    enrichment: list[Element],
-    image_cache: dict[tuple, list[Element]],
+    generators: Sequence[Element],
     n_max: int,
     order: int,
 ) -> list[Subspace]:
+    """Stages 0..n_max spanned by products of the gamma images of
+    ``generators`` (and of their products with the augmentation subring)."""
     product = kind_product(model, spec.kind)
     dim = model.dim
 
-    images = []
-    for x in enrichment:
-        key = x.coords
-        if key not in image_cache:
-            image_cache[key] = gamma_images(model, spec.family, x, order)
-        images.append(image_cache[key])
+    images = [gamma_images(model, spec.family, x, order) for x in generators]
 
     # span of the gamma images per weight i
     weight_spans: list[Subspace] = [Subspace.zero(dim)]
@@ -236,10 +235,20 @@ def compute_filtration(
     method: str = "saturation",
     *,
     order: int | None = None,
-    seed: int = 0,
-    max_rounds: int = 8,
 ) -> FiltrationResult:
-    """Compute stages 0..n_max of the filtration as canonical subspaces."""
+    """Compute stages 0..n_max of the filtration as canonical subspaces.
+
+    The saturation method is exact.  Every Adams family is diagonal on the
+    bigraded basis, and gamma_t(x + y) = gamma_t(x) gamma_t(y) (Fulton &
+    Lang, Riemann-Roch Algebra, 1985), so gamma_t of a kernel element
+    sum_k c_k e_k is the product of the gamma_t(c_k e_k); and for e of
+    weight w, gamma^i(c e) = sum_m c^m a(i; w, m) e^m over the nu nonzero
+    powers e^m of e.  The scalings c = 1 .. nu give an invertible
+    Vandermonde system, so the gamma^i(c e) span the same space as the
+    separate terms a(i; w, m) e^m.  Products of those terms therefore span
+    the same stages as the gamma images of all kernel elements, and one
+    pass over the generators c . e_k yields the stages.
+    """
     if isinstance(spec, str):
         spec = FiltrationSpec(spec)
     if n_max < 0:
@@ -250,9 +259,10 @@ def compute_filtration(
         raise SeriesOrderError(
             f"series order {order} is below the requested stage {n_max}"
         )
-    axiom_ok, axiom_witness = spec.augmentation_is_morphism(model)
-
-    if method == "eigen_sum":
+    if method == "saturation":
+        generators = _scaled_kernel_basis(model, spec, order)
+        stages = _saturation_stages(model, spec, generators, n_max, order)
+    elif method == "eigen_sum":
         stages = [Subspace.full(model.dim)]
         for n in range(1, n_max + 1):
             idx = [
@@ -263,43 +273,12 @@ def compute_filtration(
                     model.dim, [model.basis_element(i).coords for i in idx]
                 )
             )
-        dims = tuple(s.dim for s in stages)
-        return FiltrationResult(
-            spec.kind, method, tuple(stages), (dims,), axiom_ok, axiom_witness,
-            order, seed,
-        )
-    if method != "saturation":
+    else:
         raise DomainError(f"unknown filtration method {method!r}")
-
-    kernel_basis = [
-        model.basis_element(i) for i in spec.kernel_indices(model)
-    ]
-    rng = random.Random(seed)
-    image_cache: dict[tuple, list[Element]] = {}
-
-    enrichment = _with_pairwise_sums(kernel_basis)
-
-    rounds: list[tuple[int, ...]] = []
-    stages = None
-    for _ in range(max_rounds):
-        stages = _saturation_stages(
-            model, spec, enrichment, image_cache, n_max, order
-        )
-        dims = tuple(s.dim for s in stages)
-        rounds.append(dims)
-        if len(rounds) >= 2 and rounds[-1] == rounds[-2]:
-            return FiltrationResult(
-                spec.kind, "saturation", tuple(stages), tuple(rounds),
-                axiom_ok, axiom_witness, order, seed,
-            )
-        for _ in range(2 * model.dim):
-            combo = _random_combination(model, rng, kernel_basis)
-            if not combo.is_zero():
-                enrichment.append(combo)
-    raise ConvergenceError(
-        f"saturation did not stabilise within {max_rounds} rounds",
-        rounds[-2] if len(rounds) >= 2 else (),
-        rounds[-1],
+    axiom_ok, axiom_witness = spec.augmentation_is_morphism(model)
+    dims = tuple(s.dim for s in stages)
+    return FiltrationResult(
+        spec.kind, method, tuple(stages), (dims,), axiom_ok, axiom_witness, order
     )
 
 
@@ -355,15 +334,14 @@ def check_pi_subset_gamma(
     *,
     pi_result: FiltrationResult | None = None,
     gamma_result: FiltrationResult | None = None,
-    seed: int = 0,
 ) -> PiGammaReport:
     """Check stage-wise containment of the pi filtration in the gamma one."""
     g = model.g
     q_max = g if up_to is None else min(up_to, g)
     if pi_result is None:
-        pi_result = compute_filtration(model, "pi", q_max, seed=seed)
+        pi_result = compute_filtration(model, "pi", q_max)
     if gamma_result is None:
-        gamma_result = compute_filtration(model, "gamma", q_max, seed=seed)
+        gamma_result = compute_filtration(model, "gamma", q_max)
     verdicts = []
     for q in range(q_max + 1):
         missing = _first_missing(
@@ -405,7 +383,6 @@ def check_lemma_equivalences(
     *,
     gamma_result: FiltrationResult | None = None,
     order: int | None = None,
-    seed: int = 0,
 ) -> LemmaEquivalenceReport:
     if order is None:
         order = model.default_series_order
@@ -417,9 +394,7 @@ def check_lemma_equivalences(
     if p <= 0 or g - q <= 0:
         raise DomainError("the equivalence criteria need p > 0 and q < g")
     if gamma_result is None:
-        gamma_result = compute_filtration(
-            model, "gamma", order, order=order, seed=seed
-        )
+        gamma_result = compute_filtration(model, "gamma", order, order=order)
     images = gamma_images(model, "pi", x, order)
     in_stage = [
         gamma_result.stage(i).contains(images[i].coords)
@@ -516,14 +491,13 @@ def check_composed_structure(
     model: ModelAlgebra,
     *,
     gamma_big_result: FiltrationResult | None = None,
-    seed: int = 0,
 ) -> ComposedStructureReport:
     g = model.g
     n_max = g + 2
     result = (
         gamma_big_result
         if gamma_big_result is not None
-        else compute_filtration(model, "Gamma", n_max, seed=seed)
+        else compute_filtration(model, "Gamma", n_max)
     )
     stages = list(result.stages)
     spec = FiltrationSpec("Gamma")
@@ -607,14 +581,8 @@ def check_composed_structure(
     stabilised = stages[g + 1] == stages[g + 2]
 
     base = [model.basis_element(i) for i in spec.kernel_indices(model)]
-    candidates = _with_pairwise_sums(base)
-    rng = random.Random(seed)
-    for _ in range(2 * model.dim):
-        combo = _random_combination(model, rng, base)
-        if not combo.is_zero():
-            candidates.append(combo)
     survivors = []
-    for x in candidates:
+    for x in _with_pairwise_sums(base):
         chern = complete_chern(model, x, stages)
         if chern.is_zero:
             survivors.append(x)

@@ -82,13 +82,20 @@ class Element:
         if self.model is not other.model:
             raise StructureError("elements belong to different models")
 
+    # most coordinate pairs have a zero side; only the rest need arithmetic
     def __add__(self, other: "Element") -> "Element":
         self._check_model(other)
-        return Element(self.model, [a + b for a, b in zip(self.coords, other.coords)])
+        return Element(
+            self.model,
+            [a + b if a and b else a or b for a, b in zip(self.coords, other.coords)],
+        )
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_model(other)
-        return Element(self.model, [a - b for a, b in zip(self.coords, other.coords)])
+        return Element(
+            self.model,
+            [(a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)],
+        )
 
     def __neg__(self) -> "Element":
         return Element(self.model, [-a for a in self.coords])

@@ -31,6 +31,12 @@ BUILDERS = {
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
+# Size caps on documents (MAX_G also bounds the CLI's --g): the bundled
+# builders reach dim 17 at g = 6, the largest size the tests and the
+# benchmark build; the default series order g^2 + 2 grows with g.
+MAX_G = 8
+MAX_MODEL_DIM = 64
+
 
 def build_model(name: str, g: int) -> ModelAlgebra:
     try:
@@ -104,9 +110,16 @@ def import_model(text: str) -> ModelAlgebra:
             f"unsupported schema {doc.get('schema')!r}", field="schema"
         )
     g = _strict_int(doc.get("g"), "g")
+    if g > MAX_G:
+        raise ModelParseError(f"g must be at most {MAX_G} (the cap MAX_G)", field="g")
     basis_raw = doc.get("basis")
     if not isinstance(basis_raw, list) or not basis_raw:
         raise ModelParseError("missing or empty 'basis'", field="basis")
+    if len(basis_raw) > MAX_MODEL_DIM:
+        raise ModelParseError(
+            f"dim must be at most {MAX_MODEL_DIM} (the cap MAX_MODEL_DIM)",
+            field="basis",
+        )
     basis = []
     for n, entry in enumerate(basis_raw):
         if not (isinstance(entry, dict) and "label" in entry):

@@ -5,6 +5,10 @@ keyed by stable identifiers, plus the model fingerprint and the run
 configuration.  Structured output is deterministic: two runs with the same
 model document and configuration produce byte-identical JSON (timings are
 opt-in precisely because they would break that).
+
+The model suites still accept ``seed`` and ``max_rounds`` and quote them in
+the report's ``config``, so recorded reports keep their bytes; the
+filtrations are exact and deterministic, and read neither value.
 """
 
 from __future__ import annotations
@@ -401,9 +405,7 @@ def run_verify_suite(
     fil: dict[str, FiltrationResult] = {}
     for kind in ("gamma", "star", "pi", "Gamma"):
         start = time.perf_counter()
-        fil[kind] = compute_filtration(
-            model, kind, g + 2, order=order, seed=seed, max_rounds=max_rounds
-        )
+        fil[kind] = compute_filtration(model, kind, g + 2, order=order)
         timer.lap(f"filtration-{kind}", start)
 
     def star_vanishing() -> Statement:
@@ -557,11 +559,16 @@ def run_conjecture_suite(
     timer = _Timer()
     start_all = time.perf_counter()
 
-    pi_res = compute_filtration(model, "pi", g, order=order, seed=seed, max_rounds=max_rounds)
-    gamma_small = compute_filtration(model, "gamma", g, order=order, seed=seed, max_rounds=max_rounds)
-    pg = check_pi_subset_gamma(
-        model, pi_result=pi_res, gamma_result=gamma_small, seed=seed
-    )
+    def filtration(lap: str, kind: str, n_max: int) -> FiltrationResult:
+        start = time.perf_counter()
+        result = compute_filtration(model, kind, n_max, order=order)
+        timer.lap(lap, start)
+        return result
+
+    pi_res = filtration("filtration-pi", "pi", g)
+    gamma_small = filtration("filtration-gamma", "gamma", g)
+    start = time.perf_counter()
+    pg = check_pi_subset_gamma(model, pi_result=pi_res, gamma_result=gamma_small)
     if pg.ok:
         report.add(Statement("conj-pi-subset-gamma", "pass"))
     else:
@@ -593,10 +600,9 @@ def run_conjecture_suite(
                 witness=str(bad.witness) if bad.witness is not None else "",
             )
         )
+    timer.lap("conj-pi-subset-gamma", start)
 
-    gamma_deep = compute_filtration(
-        model, "gamma", order, order=order, seed=seed, max_rounds=max_rounds
-    )
+    gamma_deep = filtration("filtration-gamma-deep", "gamma", order)
 
     def equivalences() -> Statement:
         for i in range(model.dim):
@@ -619,11 +625,11 @@ def run_conjecture_suite(
     report.add(equivalences())
     timer.lap("lem-conjecture-equivalences", start)
 
-    gamma_big = compute_filtration(
-        model, "Gamma", g + 2, order=order, seed=seed, max_rounds=max_rounds
-    )
-    composed = check_composed_structure(model, gamma_big_result=gamma_big, seed=seed)
+    gamma_big = filtration("filtration-Gamma", "Gamma", g + 2)
+    start = time.perf_counter()
+    composed = check_composed_structure(model, gamma_big_result=gamma_big)
     report.statements.extend(composed.statements.values())
+    timer.lap("composed-structure", start)
 
     timer.lap("total", start_all)
     if with_timings:
@@ -660,10 +666,7 @@ def run_filtration_tables(
     for kind in kinds:
         results = {}
         for method in methods:
-            res = compute_filtration(
-                model, kind, n_max, method,
-                order=order, seed=seed, max_rounds=max_rounds,
-            )
+            res = compute_filtration(model, kind, n_max, method, order=order)
             results[method] = res
             detail = f"dims {list(res.dims)}"
             if not res.axiom_ok:

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from kring import export_model, fingerprint, import_model, theta_model, validate
+from kring.cli import MAX_COEFF_INDEX, MAX_ORDER, MAX_SERIES_ORDER
 from kring.errors import ModelParseError
+from kring.modelio import MAX_G, MAX_MODEL_DIM
 from kring.reports import VerificationReport
 from tests.conftest import run_cli
 
@@ -37,6 +39,8 @@ def test_usage_error_exit_code():
     res = run_cli("verify", "--builder", "theta")  # missing --g
     assert res.returncode == 2
     res = run_cli("verify", "--nonsense")
+    assert res.returncode == 2
+    res = run_cli("series", "--order", "0")  # not silently replaced by 5
     assert res.returncode == 2
 
 
@@ -71,12 +75,72 @@ def test_inadmissible_model_file_fails_validation(tmp_path):
     assert "fm-involution" in res.stdout
 
 
-def test_convergence_exit_code():
-    res = run_cli(
-        "filtration", "--builder", "theta", "--g", "2", "--max-rounds", "1"
-    )
-    assert res.returncode == 3
-    assert "error" in res.stderr
+@pytest.mark.parametrize("flag", ["--seed", "--max-rounds"])
+def test_saturation_flags_are_gone(flag):
+    # the saturation is exact, so its seed and round budget are no options
+    for command in ("verify", "conjecture", "filtration"):
+        res = run_cli(command, "--builder", "theta", "--g", "2", flag, "1")
+        assert res.returncode == 2
+        assert flag in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args,cap,name",
+    [
+        pytest.param(
+            ("verify", "--builder", "theta", "--g", str(MAX_G + 1)),
+            MAX_G, "MAX_G", id="g",
+        ),
+        pytest.param(
+            ("conjecture", "--builder", "theta", "--g", "2",
+             "--order", str(MAX_ORDER + 1)),
+            MAX_ORDER, "MAX_ORDER", id="order",
+        ),
+        pytest.param(
+            ("series", "--order", str(MAX_SERIES_ORDER + 1)),
+            MAX_SERIES_ORDER, "MAX_SERIES_ORDER", id="series-order",
+        ),
+        pytest.param(
+            ("series", "--j", str(-MAX_G - 1)), MAX_G, "MAX_G", id="series-j",
+        ),
+        pytest.param(
+            ("gamma-coeffs", "--d", str(MAX_COEFF_INDEX + 1), "--i", "1"),
+            MAX_COEFF_INDEX, "MAX_COEFF_INDEX", id="d",
+        ),
+        pytest.param(
+            ("gamma-coeffs", "--d", "1", "--i", str(MAX_COEFF_INDEX + 1)),
+            MAX_COEFF_INDEX, "MAX_COEFF_INDEX", id="i",
+        ),
+        pytest.param(
+            ("gamma-coeffs", "--d", "1", "--i", "1",
+             "--m-max", str(MAX_COEFF_INDEX + 1)),
+            MAX_COEFF_INDEX, "MAX_COEFF_INDEX", id="m-max",
+        ),
+    ],
+)
+def test_inputs_above_their_cap_are_usage_errors(args, cap, name):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert f"at most {cap}" in res.stderr and name in res.stderr
+
+
+def test_model_documents_above_the_caps_are_rejected(tmp_path):
+    doc = json.loads(export_model(theta_model(2)))
+    doc["g"] = MAX_G + 1
+    path = tmp_path / "big_g.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("verify", "--model-file", str(path))
+    assert res.returncode == 2
+    assert "error [g]" in res.stderr and "MAX_G" in res.stderr
+
+    doc = json.loads(export_model(theta_model(2)))
+    doc["basis"] = [
+        {"label": f"b{n}", "p": 0, "q": 2} for n in range(MAX_MODEL_DIM + 1)
+    ]
+    with pytest.raises(ModelParseError) as info:
+        import_model(json.dumps(doc))
+    assert info.value.field == "basis"
+    assert f"at most {MAX_MODEL_DIM}" in str(info.value)
 
 
 def test_structured_output_is_byte_deterministic():
@@ -180,6 +244,23 @@ def test_verify_timings_cover_statements_and_filtrations():
         assert statement["id"] in laps
     for kind in ("gamma", "star", "pi", "Gamma"):
         assert f"filtration-{kind}" in laps
+
+
+def test_conjecture_timings_cover_the_total():
+    res = run_cli(
+        "conjecture", "--builder", "antisym", "--g", "2", "--format", "structured",
+        "--timings",
+    )
+    assert res.returncode == 0
+    laps = json.loads(res.stdout)["timings"]
+    for lap in (
+        "filtration-pi", "filtration-gamma", "conj-pi-subset-gamma",
+        "filtration-gamma-deep", "lem-conjecture-equivalences",
+        "filtration-Gamma", "composed-structure",
+    ):
+        assert lap in laps
+    total = laps.pop("total")
+    assert sum(laps.values()) >= 0.95 * total
 
 
 def test_model_file_with_string_g_is_usage_error(tmp_path):

@@ -1,6 +1,7 @@
 """Filtration computation (both methods) and the conjecture checkers."""
 
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from kring import (
     run_filtration_tables,
     run_verify_suite,
 )
-from kring.errors import ConvergenceError, DomainError, SeriesOrderError
+from kring.errors import DomainError, SeriesOrderError
+from kring.filtration import _saturation_stages, _with_pairwise_sums
 from tests.conftest import bundled_models, filtration, model
 
 F = Fraction
@@ -137,10 +139,41 @@ def test_star_vanishing_fails_on_g2_negative_controls(name):
     assert res.stage(3).dim >= 1
 
 
-def test_convergence_error_carries_dimension_vectors(theta2):
-    with pytest.raises(ConvergenceError) as err:
-        compute_filtration(theta2, "gamma", 3, max_rounds=1)
-    assert err.value.last_dims
+def _randomised_saturation(m, kind, n_max, seed=0, max_rounds=8):
+    """The saturation as it was computed before it was made exact: the
+    gamma images of the kernel basis and its pairwise sums, enriched round
+    after round by seeded random rational combinations of the kernel basis
+    until two rounds give the same dimension vector."""
+    spec = FiltrationSpec(kind)
+    kernel = [m.basis_element(i) for i in spec.kernel_indices(m)]
+    rng = random.Random(seed)
+    enrichment = _with_pairwise_sums(kernel)
+    previous = None
+    for _ in range(max_rounds):
+        stages = _saturation_stages(m, spec, enrichment, n_max, m.default_series_order)
+        dims = tuple(s.dim for s in stages)
+        if dims == previous:
+            return tuple(stages)
+        previous = dims
+        for _ in range(2 * m.dim):
+            combo = m.zero()
+            for b in kernel:
+                num, den = rng.randint(-6, 6), rng.randint(1, 3)
+                if num:
+                    combo = combo + Fraction(num, den) * b
+            if not combo.is_zero():
+                enrichment.append(combo)
+    raise AssertionError("the randomised saturation did not stabilise")
+
+
+@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
+@pytest.mark.parametrize("name,g", bundled_models(3))
+@pytest.mark.parametrize("extra", [0, 2], ids=["n_max=g", "n_max=g+2"])
+def test_exact_saturation_equals_randomised_saturation(name, g, kind, extra):
+    m = model(name, g)
+    res = filtration(name, g, kind, g + extra)
+    assert res.stages == _randomised_saturation(m, kind, g + extra)
+    assert res.rounds == (res.dims,)
 
 
 def test_order_below_stage_raises(theta2):
@@ -156,8 +189,8 @@ def test_unknown_kind_and_method(theta2):
 
 
 def test_saturation_is_deterministic(theta2):
-    a = compute_filtration(theta2, "pi", 4, seed=0)
-    b = compute_filtration(theta2, "pi", 4, seed=0)
+    a = compute_filtration(theta2, "pi", 4)
+    b = compute_filtration(theta2, "pi", 4)
     assert a.stages == b.stages and a.rounds == b.rounds
 
 
@@ -323,11 +356,11 @@ def test_suites_pass_their_config_to_every_filtration(monkeypatch, runner):
 
     for module in ("kring.filtration", "kring.reports"):
         monkeypatch.setattr(importlib.import_module(module), "compute_filtration", spy)
-    report = runner(model("theta", 2), "theta(g=2)", order=5, seed=0, max_rounds=7)
-    assert (report.config["order"], report.config["max_rounds"]) == (5, 7)
+    report = runner(model("theta", 2), "theta(g=2)", order=5)
+    assert report.config["order"] == 5
     assert calls
     for kwargs in calls:
-        assert (kwargs.get("order"), kwargs.get("max_rounds")) == (5, 7)
+        assert kwargs.get("order") == 5
 
 
 def test_conjecture_suite_expands_no_gamma_series_beyond_its_order(monkeypatch):
