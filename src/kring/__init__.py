@@ -10,21 +10,16 @@ conjecture reformulations on bundled compliant and pathological models.
 
 from .adams import (
     ADAMS_KINDS,
-    AdamsFamily,
-    GammaCoeffTable,
     adams,
     adams_operator,
-    chern_gamma,
     complete_chern,
     exp_class,
-    gamma_coeff_table,
     gamma_images,
     gamma_normalization_report,
     gamma_op,
     gamma_pi_coeff,
     gamma_series,
-    kind_product,
-    kind_unit,
+    kind_ring,
     lambda_op,
     log_class,
     nth_root,
@@ -78,7 +73,6 @@ from .operators import (
     pushforward_identity_check,
     pushforward_relation,
     rank,
-    star_power,
     star_product,
 )
 from .reports import (
@@ -91,12 +85,11 @@ from .reports import (
     run_verify_suite,
 )
 from .series import (
-    StirlingTable,
+    Ring,
     TruncatedSeries,
     harmonic_firstkind,
     series_exp,
     series_log,
-    series_mul,
     stirling1_unsigned,
     stirling2,
     substitute_gamma,

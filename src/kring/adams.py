@@ -11,9 +11,9 @@ Five diagonal Adams families act on a model, with eigenvalue n^w on K^p_q:
 
 All lambda and gamma operations are produced from the Adams action through
 the exponential of the weighted power series and the substitution
-t -> t/(1-t); no alternating-power semantics exists in the model.  For the
-star family the products inside the exponential are convolution products,
-for the others the ordinary one.
+t -> t/(1-t); no alternating-power semantics exists in the model.  The
+products inside the exponential are those of the family's ``kind_ring``:
+convolution products for the star family, the ordinary one for the others.
 
 Gamma operations of an eigenvector are universal polynomials in its powers.
 For an eigenvector x of weight d the substituted log-lambda series is
@@ -27,6 +27,7 @@ sums) as a fast exact route that the series-engine route must agree with.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +37,7 @@ from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
 from .model import Element, ModelAlgebra
 from .operators import DiagonalOperator, star_product
-from .series import TruncatedSeries, harmonic_firstkind
+from .series import Ring, TruncatedSeries, harmonic_firstkind
 
 ADAMS_KINDS = ("usual", "star", "pi", "composed", "pi_star")
 
@@ -55,21 +56,6 @@ def adams_weight(kind: str, p: int, q: int, g: int) -> int:
     raise DomainError(f"unknown Adams family {kind!r}")
 
 
-@dataclass(frozen=True)
-class AdamsFamily:
-    """One of the five diagonal Adams families on a model."""
-
-    kind: str
-    model: ModelAlgebra
-
-    def weight(self, i: int) -> int:
-        p, q = self.model.bidegrees[i]
-        return adams_weight(self.kind, p, q, self.model.g)
-
-    def operator(self, n: int) -> DiagonalOperator:
-        return adams_operator(self.model, self.kind, n)
-
-
 @lru_cache(maxsize=None)
 def adams_operator(model: ModelAlgebra, kind: str, n: int) -> DiagonalOperator:
     if n <= 0:
@@ -86,14 +72,12 @@ def adams(model: ModelAlgebra, kind: str, n: int, x: Element) -> Element:
     return adams_operator(model, kind, n).apply(x)
 
 
-def kind_product(model: ModelAlgebra, kind: str):
+def kind_ring(model: ModelAlgebra, kind: str) -> Ring:
+    """The product the Adams family is a ring map for: the convolution
+    product for ``star``, the ordinary product for every other family."""
     if kind == "star":
-        return star_product
-    return lambda a, b: a * b
-
-
-def kind_unit(model: ModelAlgebra, kind: str) -> Element:
-    return model.star_unit() if kind == "star" else model.one()
+        return Ring(star_product, model.zero(), model.star_unit())
+    return Ring(operator.mul, model.zero(), model.one())
 
 
 def _log_lambda(
@@ -101,14 +85,12 @@ def _log_lambda(
 ) -> TruncatedSeries:
     """The weighted Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, the
     logarithm of the lambda series of x in the family's product."""
-    zero = model.zero()
-    coeffs = [zero] + [
+    ring = kind_ring(model, kind)
+    coeffs = [ring.zero] + [
         Fraction((-1) ** (n - 1), n) * adams(model, kind, n, x)
         for n in range(1, order + 1)
     ]
-    return TruncatedSeries(
-        coeffs, mul=kind_product(model, kind), zero=zero, one=kind_unit(model, kind)
-    )
+    return TruncatedSeries(coeffs, ring)
 
 
 def gamma_series(
@@ -141,7 +123,7 @@ def gamma_op(
             f"gamma index {i} exceeds the series order {order}"
         )
     if i == 0:
-        return kind_unit(model, kind)
+        return kind_ring(model, kind).one
     return gamma_series(model, kind, x, order).coefficient(i)
 
 
@@ -183,29 +165,6 @@ def gamma_pi_coeff(i: int, d: int, m: int) -> Fraction:
     return table[i][m]
 
 
-@dataclass(frozen=True)
-class GammaCoeffTable:
-    """Exact table of a(i; d, m) over a rectangular range of indices."""
-
-    i_max: int
-    d_max: int
-    m_max: int
-    values: dict[tuple[int, int, int], Fraction]
-
-    def value(self, i: int, d: int, m: int) -> Fraction:
-        return self.values[(i, d, m)]
-
-
-def gamma_coeff_table(i_max: int, d_max: int, m_max: int) -> GammaCoeffTable:
-    values: dict[tuple[int, int, int], Fraction] = {}
-    for d in range(1, d_max + 1):
-        table = universal_gamma_coefficients(d, i_max, m_max)
-        for i in range(1, i_max + 1):
-            for m in range(1, m_max + 1):
-                values[(i, d, m)] = table[i][m]
-    return GammaCoeffTable(i_max, d_max, m_max, values)
-
-
 def _weight_components(model: ModelAlgebra, kind: str, x: Element):
     by_weight: dict[int, list[Fraction]] = {}
     g = model.g
@@ -229,22 +188,14 @@ def gamma_images(
     multiply the component gamma series (the gamma series of a sum is the
     product of the gamma series).  Agrees with the series-engine route.
     """
-    product = kind_product(model, kind)
-    unit = kind_unit(model, kind)
-    zero = model.zero()
-    components = _weight_components(model, kind, x)
-    result = TruncatedSeries(
-        [unit] + [zero] * order, mul=product, zero=zero, one=unit
-    )
+    ring = kind_ring(model, kind)
+    unit, zero = ring.one, ring.zero
+    result = TruncatedSeries([unit] + [zero] * order, ring)
     # a(i; d, m) vanishes for m > i, so powers beyond the order never enter;
     # components off the unit line die even earlier by nilpotency
-    for w, comp in components.items():
-        powers = []
-        current = comp
-        while not current.is_zero() and len(powers) < order:
-            powers.append(current)
-            current = product(current, comp)
-        if not powers:
+    for w, comp in _weight_components(model, kind, x).items():
+        powers = ring.powers(comp, order)
+        if not powers:  # order 0
             continue
         table = universal_gamma_coefficients(w, order, len(powers))
         coeffs = [unit]
@@ -255,12 +206,20 @@ def gamma_images(
                 if a:
                     acc = acc + a * xm
             coeffs.append(acc)
-        comp_series = TruncatedSeries(coeffs, mul=product, zero=zero, one=unit)
-        result = result * comp_series
-    return [result.coefficient(i) for i in range(order + 1)]
+        result = result * TruncatedSeries(coeffs, ring)
+    return list(result.coeffs)
 
 
 # -- line-bundle calculus ----------------------------------------------------
+
+
+def _nilpotent_powers(x: Element, what: str) -> list[Element]:
+    """The nonzero powers of x, which must end before x^(2g+1)."""
+    limit = 2 * x.model.g + 1
+    powers = kind_ring(x.model, "usual").powers(x, limit)
+    if len(powers) == limit:
+        raise DomainError(f"argument is not {what}")
+    return powers
 
 
 def log_class(L: Element) -> Element:
@@ -268,17 +227,9 @@ def log_class(L: Element) -> Element:
     model = L.model
     if L.coords[model.unit_index] != 1:
         raise DomainError("log needs a class of the form 1 + nilpotent")
-    u = L - model.one()
     result = model.zero()
-    power = model.one()
-    for n in range(1, 2 * model.g + 2):
-        power = power * u
-        if power.is_zero():
-            break
+    for n, power in enumerate(_nilpotent_powers(L - model.one(), "unipotent"), 1):
         result = result + Fraction((-1) ** (n - 1), n) * power
-    else:
-        if not power.is_zero():
-            raise DomainError("argument is not unipotent")
     return result
 
 
@@ -288,15 +239,8 @@ def exp_class(x: Element) -> Element:
     if x.coords[model.unit_index] != 0:
         raise DomainError("exp needs a nilpotent argument")
     result = model.one()
-    term = model.one()
-    for n in range(1, 2 * model.g + 2):
-        term = Fraction(1, n) * (term * x)
-        if term.is_zero():
-            break
-        result = result + term
-    else:
-        if not term.is_zero():
-            raise DomainError("argument is not nilpotent")
+    for n, power in enumerate(_nilpotent_powers(x, "nilpotent"), 1):
+        result = result + Fraction(1, factorial(n)) * power
     return result
 
 
@@ -323,20 +267,6 @@ class ChernClass:
         return self.augmentation.is_zero() and all(
             c.is_zero() for c in self.components
         )
-
-
-def chern_gamma(
-    model: ModelAlgebra, i: int, x: Element, stages: list[Subspace]
-) -> Element:
-    """i-th Chern component: gamma^i of the augmentation-reduced part of x,
-    represented canonically modulo stage i+1 of the composed filtration."""
-    if i < 1:
-        raise DomainError("Chern components are indexed from 1")
-    if i + 1 >= len(stages):
-        raise DomainError("need filtration stages up to i+1")
-    reduced = x - x.beauville_component(0)
-    value = gamma_op(model, "composed", i, reduced, order=i)
-    return model.from_coords(stages[i + 1].reduce(value.coords))
 
 
 def complete_chern(

@@ -34,13 +34,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .adams import (
-    adams_weight,
-    complete_chern,
-    gamma_images,
-    kind_product,
-    lambda_op,
-)
+from .adams import adams_weight, complete_chern, gamma_images, kind_ring, lambda_op
 from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
 from .model import Element, ModelAlgebra
@@ -88,9 +82,9 @@ class FiltrationSpec:
         return model.project(x, self.subring_indices(model))
 
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
-        """Whether the augmentation respects the kind's product on the basis;
-        returns a witness pair when it does not."""
-        product = kind_product(model, self.kind)
+        """Whether the augmentation respects the family's product on the
+        basis; returns a witness pair when it does not."""
+        product = kind_ring(model, self.family).mul
         for i in range(model.dim):
             for j in range(i, model.dim):
                 x, y = model.basis_element(i), model.basis_element(j)
@@ -155,15 +149,11 @@ def _scaled_kernel_basis(
 ) -> list[Element]:
     """The vectors c . e_k for each kernel basis vector e_k and c = 1 .. nu_k,
     where nu_k counts the nonzero powers of e_k, capped at ``order``."""
-    product = kind_product(model, spec.kind)
+    ring = kind_ring(model, spec.family)
     out = []
     for k in spec.kernel_indices(model):
         e = model.basis_element(k)
-        nu, power = 0, e
-        while nu < order and not power.is_zero():
-            nu += 1
-            power = product(power, e)
-        out.extend(c * e for c in range(1, nu + 1))
+        out.extend(c * e for c in range(1, len(ring.powers(e, order)) + 1))
     return out
 
 
@@ -176,7 +166,7 @@ def _saturation_stages(
 ) -> list[Subspace]:
     """Stages 0..n_max spanned by products of the gamma images of
     ``generators`` (and of their products with the augmentation subring)."""
-    product = kind_product(model, spec.kind)
+    product = kind_ring(model, spec.family).mul
     dim = model.dim
 
     images = [gamma_images(model, spec.family, x, order) for x in generators]
@@ -328,27 +318,27 @@ def _first_missing(
     return None
 
 
+def _stages(result: FiltrationResult, kind: str, n_max: int) -> tuple[Subspace, ...]:
+    """The stages of a filtration handed to a checker, which must be the
+    ``kind`` filtration and reach stage ``n_max``."""
+    if result.kind != kind or len(result.stages) <= n_max:
+        raise DomainError(f"need the {kind} filtration up to stage {n_max}")
+    return result.stages
+
+
 def check_pi_subset_gamma(
-    model: ModelAlgebra,
-    up_to: int | None = None,
-    *,
-    pi_result: FiltrationResult | None = None,
-    gamma_result: FiltrationResult | None = None,
+    model: ModelAlgebra, *, pi_result: FiltrationResult, gamma_result: FiltrationResult
 ) -> PiGammaReport:
-    """Check stage-wise containment of the pi filtration in the gamma one."""
+    """Check stage-wise containment of the pi filtration in the gamma one,
+    at q = 0 .. g."""
     g = model.g
-    q_max = g if up_to is None else min(up_to, g)
-    if pi_result is None:
-        pi_result = compute_filtration(model, "pi", q_max)
-    if gamma_result is None:
-        gamma_result = compute_filtration(model, "gamma", q_max)
+    pi_stages = _stages(pi_result, "pi", g)
+    gamma_stages = _stages(gamma_result, "gamma", g)
     verdicts = []
-    for q in range(q_max + 1):
-        missing = _first_missing(
-            model, pi_result.stage(q), gamma_result.stage(q)
-        )
+    for q in range(g + 1):
+        missing = _first_missing(model, pi_stages[q], gamma_stages[q])
         verdicts.append(QVerdict(q, missing is None, missing))
-    proved = tuple(sorted({0, 1, g - 1, g} & set(range(q_max + 1))))
+    proved = tuple(sorted({0, 1, g - 1, g}))
     failures = tuple(v for v in verdicts if v.q in proved and not v.ok)
     return PiGammaReport(g, tuple(verdicts), proved, failures)
 
@@ -378,14 +368,9 @@ class LemmaEquivalenceReport:
 
 
 def check_lemma_equivalences(
-    model: ModelAlgebra,
-    x: Element,
-    *,
-    gamma_result: FiltrationResult | None = None,
-    order: int | None = None,
+    model: ModelAlgebra, x: Element, *, gamma_result: FiltrationResult
 ) -> LemmaEquivalenceReport:
-    if order is None:
-        order = model.default_series_order
+    """The four criteria for x, at the series order of ``gamma_result``."""
     support_bd = {model.bidegrees[i] for i, c in enumerate(x.coords) if c}
     if len(support_bd) != 1:
         raise DomainError("the equivalence criteria need a homogeneous class")
@@ -393,13 +378,10 @@ def check_lemma_equivalences(
     g = model.g
     if p <= 0 or g - q <= 0:
         raise DomainError("the equivalence criteria need p > 0 and q < g")
-    if gamma_result is None:
-        gamma_result = compute_filtration(model, "gamma", order, order=order)
+    order = gamma_result.order
+    stages = _stages(gamma_result, "gamma", order)
     images = gamma_images(model, "pi", x, order)
-    in_stage = [
-        gamma_result.stage(i).contains(images[i].coords)
-        for i in range(order + 1)
-    ]
+    in_stage = [stages[i].contains(images[i].coords) for i in range(order + 1)]
     statements = {
         1: p >= g - q,
         2: all(in_stage[1:]),
@@ -488,18 +470,11 @@ def _binomial_lambda(model: ModelAlgebra, y: Element, i: int) -> Element:
 
 
 def check_composed_structure(
-    model: ModelAlgebra,
-    *,
-    gamma_big_result: FiltrationResult | None = None,
+    model: ModelAlgebra, *, gamma_big_result: FiltrationResult
 ) -> ComposedStructureReport:
     g = model.g
     n_max = g + 2
-    result = (
-        gamma_big_result
-        if gamma_big_result is not None
-        else compute_filtration(model, "Gamma", n_max)
-    )
-    stages = list(result.stages)
+    stages = list(_stages(gamma_big_result, "Gamma", n_max))
     spec = FiltrationSpec("Gamma")
     statements: dict[str, Statement] = {}
 

@@ -30,6 +30,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import DomainError, StructureError
 from .linalg import Matrix
 
+# one shared zero coordinate: comparing two coordinate tuples then skips
+# Fraction.__eq__ on every coordinate both sides took from here
+_ZERO = Fraction(0)
+
 MulTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
 
@@ -241,10 +245,10 @@ class ModelAlgebra:
     # -- element factories ------------------------------------------------
 
     def zero(self) -> Element:
-        return Element(self, [Fraction(0)] * self.dim)
+        return Element(self, [_ZERO] * self.dim)
 
     def basis_element(self, i: int) -> Element:
-        coords = [Fraction(0)] * self.dim
+        coords = [_ZERO] * self.dim
         coords[i] = Fraction(1)
         return Element(self, coords)
 
@@ -318,7 +322,7 @@ def _bilinear(
 ) -> tuple[Fraction, ...]:
     """The bilinear form with sparse structure constants ``table``:
     sum over i, j of x_i y_j table[(i, j)], skipping zero coordinates."""
-    out = [Fraction(0)] * len(x)
+    out = [_ZERO] * len(x)
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
         if not xi:

@@ -104,15 +104,6 @@ def star_product(x: Element, y: Element) -> Element:
     return Element(x.model, x.model.star_multiply(x.coords, y.coords))
 
 
-def star_power(x: Element, n: int) -> Element:
-    if n < 0:
-        raise DomainError("star powers take non-negative exponents")
-    result = x.model.star_unit()
-    for _ in range(n):
-        result = star_product(result, x)
-    return result
-
-
 def rank(x: Element) -> Fraction:
     """Coefficient on the unit line K^0_g; multiplicative for the ordinary product."""
     return x.coords[x.model.unit_index]

@@ -23,12 +23,12 @@ from typing import Callable
 from . import modelio
 from .adams import (
     adams,
-    gamma_coeff_table,
     gamma_images,
     gamma_normalization_report,
     gamma_series,
     exp_class,
     log_class,
+    universal_gamma_coefficients,
 )
 from .filtration import (
     FiltrationResult,
@@ -521,11 +521,11 @@ def run_verify_suite(
     run("line-bundle-suite", line_bundles)
 
     def coeff_table() -> Statement:
-        table = gamma_coeff_table(6, 6, 1)
+        tables = {d: universal_gamma_coefficients(d, 6, 1) for d in range(1, 7)}
         for i in range(1, 7):
             for d in range(1, 7):
                 want = Fraction((-1) ** (i - 1) * factorial(i - 1) * stirling2(d, i))
-                if table.value(i, d, 1) != want:
+                if tables[d][i][1] != want:
                     return Statement(
                         "gamma-coeff-stirling", "fail", detail=f"i={i}, d={d}"
                     )
@@ -565,10 +565,12 @@ def run_conjecture_suite(
         timer.lap(lap, start)
         return result
 
+    # stages 0..g do not depend on n_max, so one gamma filtration serves both
+    # the containment check (q <= g) and the equivalence criteria (i <= order)
     pi_res = filtration("filtration-pi", "pi", g)
-    gamma_small = filtration("filtration-gamma", "gamma", g)
+    gamma = filtration("filtration-gamma", "gamma", order)
     start = time.perf_counter()
-    pg = check_pi_subset_gamma(model, pi_result=pi_res, gamma_result=gamma_small)
+    pg = check_pi_subset_gamma(model, pi_result=pi_res, gamma_result=gamma)
     if pg.ok:
         report.add(Statement("conj-pi-subset-gamma", "pass"))
     else:
@@ -602,15 +604,13 @@ def run_conjecture_suite(
         )
     timer.lap("conj-pi-subset-gamma", start)
 
-    gamma_deep = filtration("filtration-gamma-deep", "gamma", order)
-
     def equivalences() -> Statement:
         for i in range(model.dim):
             p, q = model.bidegrees[i]
             if p <= 0 or g - q <= 0:
                 continue
             res = check_lemma_equivalences(
-                model, model.basis_element(i), gamma_result=gamma_deep, order=order
+                model, model.basis_element(i), gamma_result=gamma
             )
             if not res.ok:
                 return Statement(
@@ -694,16 +694,16 @@ def run_filtration_tables(
 
 
 def run_gamma_coeff_report(i_max: int, d_max: int, m_max: int) -> VerificationReport:
-    table = gamma_coeff_table(i_max, d_max, m_max)
     report = VerificationReport(
         command="gamma-coeffs",
         model={"source": "universal", "g": 0, "dim": 0, "fingerprint": ""},
         config={"i_max": i_max, "d_max": d_max, "m_max": m_max},
     )
     for d in range(1, d_max + 1):
+        table = universal_gamma_coefficients(d, i_max, m_max)
         for i in range(1, i_max + 1):
             values = ", ".join(
-                f"a({i};{d},{m}) = {table.value(i, d, m)}" for m in range(1, m_max + 1)
+                f"a({i};{d},{m}) = {table[i][m]}" for m in range(1, m_max + 1)
             )
             report.add(Statement(f"gamma-coeff-d{d}-i{i}", "pass", detail=values))
     return report

@@ -4,7 +4,7 @@ A ``TruncatedSeries`` keeps coefficients for t^0 .. t^N and is closed under
 addition, Cauchy products, exponential, logarithm, and the substitution
 t -> t/(1-t).  Coefficients may be ``Fraction``s or any commutative-ring
 values supporting addition, subtraction, equality, and scalar
-multiplication by ``Fraction``; the ring product is pluggable so the same
+multiplication by ``Fraction``; the product is a ``Ring``, so the same
 engine serves both the ordinary and the convolution-style multiplications
 of a model algebra.
 
@@ -22,38 +22,48 @@ n! * (1 + 1/2 + ... + 1/n) = |s(n+1, 2)|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, SeriesOrderError, StructureError
 
 
-def _default_mul(a, b):
-    return a * b
+class Ring(NamedTuple):
+    """A commutative, associative, unital product with its zero and unit."""
+
+    mul: Callable
+    zero: object
+    one: object
+
+    def powers(self, x, limit: int) -> list:
+        """x, x^2, ..., at most ``limit`` of them, stopping before the first
+        zero power."""
+        mul, zero = self.mul, self.zero
+        out = []
+        while len(out) < limit:
+            power = mul(out[-1], x) if out else x
+            if power == zero:
+                break
+            out.append(power)
+        return out
+
+
+RATIONALS = Ring(operator.mul, Fraction(0), Fraction(1))
 
 
 class TruncatedSeries:
     """Formal power series truncated at a fixed order N (inclusive)."""
 
-    __slots__ = ("coeffs", "mul", "zero", "one")
+    __slots__ = ("coeffs", "ring")
 
-    def __init__(
-        self,
-        coeffs: Sequence,
-        *,
-        mul: Callable | None = None,
-        zero=Fraction(0),
-        one=Fraction(1),
-    ):
+    def __init__(self, coeffs: Sequence, ring: Ring = RATIONALS):
         self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise DomainError("a series needs at least its constant coefficient")
-        self.mul = mul if mul is not None else _default_mul
-        self.zero = zero
-        self.one = one
+        self.ring = ring
 
     @classmethod
     def rational(cls, coeffs: Sequence, order: int | None = None) -> "TruncatedSeries":
@@ -70,10 +80,10 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def like(self, coeffs: Sequence) -> "TruncatedSeries":
-        return TruncatedSeries(coeffs, mul=self.mul, zero=self.zero, one=self.one)
+        return TruncatedSeries(coeffs, self.ring)
 
     def constant(self, value) -> "TruncatedSeries":
-        return self.like([value] + [self.zero] * self.order)
+        return self.like([value] + [self.ring.zero] * self.order)
 
     def coefficient(self, i: int):
         if i < 0:
@@ -85,7 +95,8 @@ class TruncatedSeries:
         return self.coeffs[i]
 
     def is_zero(self) -> bool:
-        return all(c == self.zero for c in self.coeffs)
+        zero = self.ring.zero
+        return all(c == zero for c in self.coeffs)
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -111,16 +122,17 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
+        mul, zero, _ = self.ring
         n = self.order
-        out = [self.zero] * (n + 1)
+        out = [zero] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if a == self.zero:
+            if a == zero:
                 continue
             for j in range(n - i + 1):
                 b = other.coeffs[j]
-                if b == self.zero:
+                if b == zero:
                     continue
-                out[i + j] = out[i + j] + self.mul(a, b)
+                out[i + j] = out[i + j] + mul(a, b)
         return self.like(out)
 
     def exp(self) -> "TruncatedSeries":
@@ -133,48 +145,47 @@ class TruncatedSeries:
         are skipped.  The recurrence assumes a commutative, associative,
         unital product, which ``validate`` guarantees for model products.
         """
-        if self.coeffs[0] != self.zero:
+        mul, zero, one = self.ring
+        if self.coeffs[0] != zero:
             raise DomainError("exp needs a zero constant term")
         weighted = [
             (k, Fraction(k) * f)
             for k, f in enumerate(self.coeffs)
-            if k and f != self.zero
+            if k and f != zero
         ]
-        out = [self.one]
+        out = [one]
         for m in range(1, self.order + 1):
-            acc = self.zero
+            acc = zero
             for k, kf in weighted:
                 if k > m:
                     break
                 if k == m:  # a_0 is the unit
                     acc = acc + kf
-                elif out[m - k] != self.zero:
-                    acc = acc + self.mul(kf, out[m - k])
+                elif out[m - k] != zero:
+                    acc = acc + mul(kf, out[m - k])
             out.append(Fraction(1, m) * acc)
         return self.like(out)
 
     def log(self) -> "TruncatedSeries":
         """log of a series whose constant term is the unit."""
-        if self.coeffs[0] != self.one:
+        if self.coeffs[0] != self.ring.one:
             raise DomainError("log needs the unit as constant term")
-        u = self - self.constant(self.one)
-        result = self.constant(self.zero)
-        power = None
-        for k in range(1, self.order + 1):
-            power = u if power is None else power * u
-            if power.is_zero():
-                break
+        one = self.constant(self.ring.one)
+        result = self.constant(self.ring.zero)
+        series_ring = Ring(operator.mul, result, one)
+        for k, power in enumerate(series_ring.powers(self - one, self.order), 1):
             result = result + power.scale(Fraction((-1) ** (k - 1), k))
         return result
 
     def substitute_gamma(self) -> "TruncatedSeries":
         """Composition with t/(1-t): (t/(1-t))^i = sum_{m>=i} C(m-1, i-1) t^m."""
+        zero = self.ring.zero
         out = [self.coeffs[0]]
         for m in range(1, self.order + 1):
-            acc = self.zero
+            acc = zero
             for i in range(1, m + 1):
                 c = self.coeffs[i]
-                if c == self.zero:
+                if c == zero:
                     continue
                 acc = acc + comb(m - 1, i - 1) * c
             out.append(acc)
@@ -190,10 +201,6 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
     return s.log()
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
 
 
 def substitute_gamma(s: TruncatedSeries) -> TruncatedSeries:
@@ -233,31 +240,3 @@ def harmonic_firstkind(n: int) -> int:
     if n < 0:
         raise DomainError("n must be non-negative")
     return stirling1_unsigned(n + 1, 2)
-
-
-@dataclass(frozen=True)
-class StirlingTable:
-    """Both Stirling triangles up to a bound, as plain integer grids."""
-
-    n_max: int
-    second_kind: tuple[tuple[int, ...], ...]
-    first_kind_unsigned: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, n_max: int) -> "StirlingTable":
-        if n_max < 0:
-            raise DomainError("n_max must be non-negative")
-        second = tuple(
-            tuple(stirling2(n, k) for k in range(n_max + 1)) for n in range(n_max + 1)
-        )
-        first = tuple(
-            tuple(stirling1_unsigned(n, k) for k in range(n_max + 1))
-            for n in range(n_max + 1)
-        )
-        return cls(n_max, second, first)
-
-    def second(self, n: int, k: int) -> int:
-        return self.second_kind[n][k]
-
-    def first_unsigned(self, n: int, k: int) -> int:
-        return self.first_kind_unsigned[n][k]

@@ -21,17 +21,22 @@ from kring import build_model, compute_filtration
 SRC = str(Path(kring.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, timeout: int = 300):
-    """Run ``python -m kring`` in a child interpreter that imports the same
-    kring as the tests, whether or not PYTHONPATH names it."""
+def run_python(*args, timeout: int = 300):
+    """Run a child interpreter that imports the same kring as the tests,
+    whether or not PYTHONPATH names it."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "kring", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args, timeout: int = 300):
+    """Run ``python -m kring`` in a child interpreter (see ``run_python``)."""
+    return run_python("-m", "kring", *args, timeout=timeout)
 
 
 @lru_cache(maxsize=None)

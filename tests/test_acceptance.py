@@ -26,7 +26,7 @@ from kring import (
     gamma_normalization_report,
     gamma_pi_coeff,
     identity_expansion_coefficients,
-    kind_product,
+    kind_ring,
     pullback,
     pushforward,
     pushforward_identity_check,
@@ -109,7 +109,7 @@ def test_criterion_3_fourier_suite():
 
 
 def _addition_law_holds(m, kind, x, y, order):
-    product = kind_product(m, kind)
+    product = kind_ring(m, kind).mul
     gx = gamma_images(m, kind, x, order)
     gy = gamma_images(m, kind, y, order)
     gxy = gamma_images(m, kind, x + y, order)
@@ -262,7 +262,9 @@ def test_criterion_7_conjecture_checker_behaviour():
     assert [vq.q for vq in rep4.proved_failures] == [3]
 
     viol = model("violator", 2)
-    comp = check_composed_structure(viol)
+    comp = check_composed_structure(
+        viol, gamma_big_result=filtration("violator", 2, "Gamma", 4)
+    )
     assert comp.statements["conj-2-products"].status == "fail"
     assert comp.statements["conj-2-products"].witness == "(a, v)"
     _passed(
@@ -276,13 +278,17 @@ def test_criterion_7_conjecture_checker_behaviour():
 def test_criterion_8_composed_structure_suite():
     for name, g in [("theta", 2), ("theta", 3), ("antisym", 2), ("antisym", 3)]:
         m = model(name, g)
-        rep = check_composed_structure(m)
+        rep = check_composed_structure(
+            m, gamma_big_result=filtration(name, g, "Gamma", g + 2)
+        )
         assert rep.statements["prop-kernel-c"].status == "pass"
         assert rep.statements["conj-3-vanishing"].status == "pass"
         assert rep.stage_dims[g + 1] == 0
 
     p2 = model("pathological", 2)
-    rep = check_composed_structure(p2)
+    rep = check_composed_structure(
+        p2, gamma_big_result=filtration("pathological", 2, "Gamma", 4)
+    )
     assert rep.statements["prop-kernel-c"].status == "pass"  # both routes agree
     assert rep.statements["conj-3-vanishing"].status == "fail"
     res = filtration("pathological", 2, "Gamma", 4)

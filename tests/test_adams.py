@@ -13,7 +13,6 @@ from kring import (
     adams_operator,
     euler_char,
     exp_class,
-    gamma_coeff_table,
     gamma_images,
     gamma_normalization_report,
     gamma_op,
@@ -30,6 +29,7 @@ from kring import (
     stirling2,
     theta_model,
 )
+from kring.adams import adams_weight, universal_gamma_coefficients
 from kring.errors import DomainError, SeriesOrderError
 from tests.conftest import bundled_models, model
 
@@ -56,12 +56,10 @@ def test_adams_rejects_nonpositive_index(theta2):
 
 
 def test_adams_family_object(theta2):
-    from kring import AdamsFamily
-
-    fam = AdamsFamily("pi", theta2)
-    assert fam.weight(1) == 1  # e1 sits in K^1_1, so g - q = 1
+    p, q = theta2.bidegrees[1]
+    assert adams_weight("pi", p, q, theta2.g) == 1  # e1 sits in K^1_1, so g - q = 1
     e1 = theta2.basis_element(1)
-    assert fam.operator(3).apply(e1) == adams(theta2, "pi", 3, e1)
+    assert adams_operator(theta2, "pi", 3).apply(e1) == adams(theta2, "pi", 3, e1)
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
@@ -312,8 +310,6 @@ def test_gamma_coeff_vanishing_forced_by_series():
 
 def test_gamma_coeff_weight_zero_links_to_first_kind():
     # binomial directions: a(i; 0, m) * i! is the unsigned first-kind triangle
-    from kring.adams import universal_gamma_coefficients
-
     table = universal_gamma_coefficients(0, 6, 4)
     for i in range(1, 7):
         for m in range(1, 5):
@@ -336,10 +332,9 @@ def test_gamma_coeff_reproduces_gamma_op_on_eigenvectors():
             assert got == want
 
 
-def test_gamma_coeff_table_object():
-    table = gamma_coeff_table(4, 3, 2)
-    assert table.value(2, 3, 1) == -3
-    assert table.value(2, 2, 2) == F(1, 2)
+def test_universal_gamma_coefficients_table_entries():
+    assert universal_gamma_coefficients(3, 4, 2)[2][1] == -3  # a(2; 3, 1)
+    assert universal_gamma_coefficients(2, 4, 2)[2][2] == F(1, 2)  # a(2; 2, 2)
 
 
 # -- line bundles ---------------------------------------------------------------

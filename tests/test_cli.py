@@ -253,12 +253,12 @@ def test_conjecture_timings_cover_the_total():
     )
     assert res.returncode == 0
     laps = json.loads(res.stdout)["timings"]
-    for lap in (
+    # one gamma filtration serves both the containment check and the criteria
+    assert set(laps) == {
         "filtration-pi", "filtration-gamma", "conj-pi-subset-gamma",
-        "filtration-gamma-deep", "lem-conjecture-equivalences",
-        "filtration-Gamma", "composed-structure",
-    ):
-        assert lap in laps
+        "lem-conjecture-equivalences", "filtration-Gamma", "composed-structure",
+        "total",
+    }
     total = laps.pop("total")
     assert sum(laps.values()) >= 0.95 * total
 

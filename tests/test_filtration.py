@@ -194,6 +194,18 @@ def test_saturation_is_deterministic(theta2):
     assert a.stages == b.stages and a.rounds == b.rounds
 
 
+@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
+@pytest.mark.parametrize("name,g", bundled_models(3))
+def test_stages_do_not_depend_on_n_max(name, g, kind):
+    # the conjecture suite reads stages 0..g off a filtration computed at
+    # n_max = order
+    order = model(name, g).default_series_order
+    shallow = filtration(name, g, kind, g)
+    deep = filtration(name, g, kind, order)
+    assert shallow.order == deep.order == order
+    assert deep.stages[: g + 1] == shallow.stages
+
+
 # -- pi-inside-gamma checker ---------------------------------------------------
 
 
@@ -267,34 +279,79 @@ def test_equivalences_negative_index_class(pathological2):
 
 def test_equivalences_reject_top_weight(antisym2):
     a = antisym2.basis_element(antisym2.index_of("a"))  # q = g
+    gamma = filtration("antisym", 2, "gamma", antisym2.default_series_order)
     with pytest.raises(DomainError):
-        check_lemma_equivalences(antisym2, a)
+        check_lemma_equivalences(antisym2, a, gamma_result=gamma)
 
 
 def test_equivalences_reject_inhomogeneous(theta2):
     x = theta2.basis_element(1) + theta2.basis_element(2)
+    gamma = filtration("theta", 2, "gamma", theta2.default_series_order)
     with pytest.raises(DomainError):
-        check_lemma_equivalences(theta2, x)
+        check_lemma_equivalences(theta2, x, gamma_result=gamma)
+
+
+def test_equivalences_read_the_order_of_their_filtration(theta2):
+    e1 = theta2.basis_element(1)
+    for order in (4, 5, 6):
+        gamma = compute_filtration(theta2, "gamma", order, order=order)
+        rep = check_lemma_equivalences(theta2, e1, gamma_result=gamma)
+        assert rep.statements == {1: True, 2: True, 3: True, 4: True}
+    # a filtration that stops short of its own series order is refused
+    with pytest.raises(DomainError):
+        check_lemma_equivalences(
+            theta2, e1, gamma_result=compute_filtration(theta2, "gamma", 4, order=6)
+        )
+
+
+def test_checkers_refuse_the_wrong_filtration(theta2):
+    pi, gamma = filtration("theta", 2, "pi", 2), filtration("theta", 2, "gamma", 2)
+    with pytest.raises(DomainError):
+        check_pi_subset_gamma(theta2, pi_result=gamma, gamma_result=gamma)
+    with pytest.raises(DomainError):
+        check_pi_subset_gamma(
+            theta2, pi_result=filtration("theta", 2, "pi", 1), gamma_result=gamma
+        )
+    with pytest.raises(DomainError):
+        check_lemma_equivalences(
+            theta2, theta2.basis_element(1),
+            gamma_result=filtration("theta", 2, "pi", theta2.default_series_order),
+        )
+    with pytest.raises(DomainError):
+        check_composed_structure(
+            theta2, gamma_big_result=filtration("theta", 2, "gamma", 4)
+        )
+    with pytest.raises(DomainError):
+        check_composed_structure(
+            theta2, gamma_big_result=filtration("theta", 2, "Gamma", 3)
+        )
+    assert check_pi_subset_gamma(theta2, pi_result=pi, gamma_result=gamma).ok
 
 
 # -- composed structure ----------------------------------------------------------
 
 
 def test_composed_structure_theta(theta2):
-    rep = check_composed_structure(theta2)
+    rep = check_composed_structure(
+        theta2, gamma_big_result=filtration("theta", 2, "Gamma", 4)
+    )
     assert all(s.status == "pass" for s in rep.statements.values())
     assert rep.stage_dims[1:] == (0, 0, 0, 0)
 
 
 def test_composed_structure_antisym(antisym2):
-    rep = check_composed_structure(antisym2)
+    rep = check_composed_structure(
+        antisym2, gamma_big_result=filtration("antisym", 2, "Gamma", 4)
+    )
     assert all(s.status == "pass" for s in rep.statements.values())
     # stage 1 is the index kernel (the two translates), stage 2 vanishes
     assert rep.stage_dims == (5, 2, 0, 0, 0)
 
 
 def test_composed_structure_pathological(pathological2):
-    rep = check_composed_structure(pathological2)
+    rep = check_composed_structure(
+        pathological2, gamma_big_result=filtration("pathological", 2, "Gamma", 4)
+    )
     assert rep.statements["conj-2-products"].status == "pass"
     assert rep.statements["lem-epsilon-gamma-morphism"].status == "pass"
     assert rep.statements["lem-fil1"].status == "pass"
@@ -309,7 +366,9 @@ def test_composed_structure_pathological(pathological2):
 
 
 def test_composed_structure_violator(violator2):
-    rep = check_composed_structure(violator2)
+    rep = check_composed_structure(
+        violator2, gamma_big_result=filtration("violator", 2, "Gamma", 4)
+    )
     conj2 = rep.statements["conj-2-products"]
     assert conj2.status == "fail"
     assert conj2.witness == "(a, v)"

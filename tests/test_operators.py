@@ -18,7 +18,6 @@ from kring import (
     pushforward_identity_check,
     pushforward_relation,
     rank,
-    star_power,
     star_product,
     theta_model,
 )
@@ -91,12 +90,6 @@ def test_star_square_example(theta2):
     assert star_product(e1, e1) == 2 * theta2.basis_element(0)
     e2 = theta2.basis_element(2)
     assert star_product(e2, e2) == e2  # the origin class is idempotent
-
-
-def test_star_power(theta2):
-    e1 = theta2.basis_element(1)
-    assert star_power(e1, 0) == theta2.star_unit()
-    assert star_power(e1, 2) == star_product(e1, e1)
 
 
 def test_euler_and_rank_functionals(theta2):

@@ -8,18 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kring import (
-    StirlingTable,
+    Ring,
     TruncatedSeries,
     harmonic_firstkind,
+    kind_ring,
     series_exp,
     series_log,
+    star_product,
     stirling1_unsigned,
     stirling2,
     substitute_gamma,
     theta_model,
 )
-from kring.adams import ADAMS_KINDS, adams, kind_product, kind_unit
+from kring.adams import ADAMS_KINDS, adams
 from kring.errors import DomainError, SeriesOrderError
+from kring.series import RATIONALS
 from tests.conftest import bundled_models, model
 
 F = Fraction
@@ -38,8 +41,8 @@ def test_exp_log_inverse_on_rationals():
 def test_exp_log_inverse_with_nilpotent_coefficients():
     m = theta_model(2)
     e1 = m.basis_element(1)
-    zero, one = m.zero(), m.one()
-    s = TruncatedSeries([zero, e1, zero, zero], zero=zero, one=one)
+    zero = m.zero()
+    s = TruncatedSeries([zero, e1, zero, zero], kind_ring(m, "usual"))
     assert series_log(series_exp(s)) == s
 
 
@@ -47,8 +50,8 @@ def test_exp_coefficient_hand_expansion():
     # exp(x(t - t^2)) has t^2 coefficient -x + x^2/2
     m = theta_model(2)
     x = m.basis_element(1)
-    zero, one = m.zero(), m.one()
-    s = TruncatedSeries([zero, x, -1 * x, zero], zero=zero, one=one)
+    zero = m.zero()
+    s = TruncatedSeries([zero, x, -1 * x, zero], kind_ring(m, "usual"))
     expanded = series_exp(s)
     assert expanded.coefficient(2) == -1 * x + F(1, 2) * (x * x)
 
@@ -102,7 +105,7 @@ def test_exp_after_substitution_commutes(s):
 
 def _exp_by_powers(s: TruncatedSeries) -> TruncatedSeries:
     """Reference exp: the sum of the truncated powers s^k / k!."""
-    result = s.constant(s.one)
+    result = s.constant(s.ring.one)
     term = result
     for k in range(1, s.order + 1):
         term = (term * s).scale(F(1, k))
@@ -121,15 +124,13 @@ def test_exp_recurrence_matches_power_sum_on_rationals(s):
 @pytest.mark.parametrize("kind", ADAMS_KINDS)
 def test_exp_recurrence_matches_power_sum_on_elements(name, g, kind):
     m = model(name, g)
-    zero = m.zero()
+    ring = kind_ring(m, kind)
     mixed = m.from_coords([(-1) ** i * (i + 1) for i in range(m.dim)])
     for x in (mixed, m.basis_element(1), m.basis_element(m.dim - 1)):
         log_lambda = TruncatedSeries(
-            [zero]
+            [ring.zero]
             + [F((-1) ** (n - 1), n) * adams(m, kind, n, x) for n in range(1, g + 3)],
-            mul=kind_product(m, kind),
-            zero=zero,
-            one=kind_unit(m, kind),
+            ring,
         )
         for s in (log_lambda, log_lambda.substitute_gamma()):
             assert series_exp(s) == _exp_by_powers(s)
@@ -201,6 +202,72 @@ def test_harmonic_firstkind_is_scaled_harmonic_number(n):
 
 
 def test_stirling_table():
-    table = StirlingTable.build(6)
-    assert table.second(5, 2) == stirling2(5, 2)
-    assert table.first_unsigned(5, 2) == stirling1_unsigned(5, 2)
+    assert [stirling2(5, k) for k in range(6)] == [0, 1, 15, 25, 10, 1]
+    assert [stirling1_unsigned(5, k) for k in range(6)] == [0, 24, 50, 35, 10, 1]
+
+
+# -- the product engine -----------------------------------------------------------
+
+
+def test_series_carry_only_coefficients_and_a_ring():
+    assert TruncatedSeries.__slots__ == ("coeffs", "ring")
+    assert TruncatedSeries.rational([0, 1]).ring is RATIONALS
+    m = theta_model(2)
+    s = TruncatedSeries([m.zero(), m.basis_element(1)], kind_ring(m, "star"))
+    assert s.like(s.coeffs).ring is s.ring
+    assert series_exp(s).coefficient(0) == m.star_unit()
+
+
+def test_ring_powers_honour_the_limit():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    ring = Ring(mul, F(0), F(1))
+    assert ring.powers(F(2), 4) == [2, 4, 8, 16]
+    assert len(calls) == 3  # no product beyond the last power returned
+    assert ring.powers(F(2), 1) == [2]
+    assert ring.powers(F(2), 0) == []
+    assert len(calls) == 3
+
+
+def test_ring_powers_stop_before_a_zero_power():
+    m = theta_model(2)
+    e1, e2 = m.basis_element(1), m.basis_element(2)
+    ring = kind_ring(m, "usual")
+    assert ring.powers(e1, 10) == [e1, e1 * e1]
+    assert (e1 * e1) * e1 == m.zero()
+    assert ring.powers(e2, 10) == [e2]
+    assert ring.powers(m.zero(), 10) == []
+    assert RATIONALS.powers(F(0), 3) == []
+    assert ring.powers(m.one(), 5) == [m.one()] * 5
+
+
+@pytest.mark.parametrize("name,g", bundled_models(3))
+def test_star_ring_powers_are_chains_of_star_products(name, g):
+    m = model(name, g)
+    ring = kind_ring(m, "star")
+    assert ring.one == m.star_unit() and ring.zero == m.zero()
+    limit = m.default_series_order
+    for x in m.basis_elements():
+        assert star_product(ring.one, x) == x
+        want, power = [], x
+        while not power.is_zero() and len(want) < limit:
+            want.append(power)
+            power = star_product(power, x)
+        assert ring.powers(x, limit) == want
+    e1 = m.basis_element(1)
+    if not star_product(e1, e1).is_zero():
+        assert ring.powers(e1, 2) == [e1, star_product(e1, e1)]
+
+
+@pytest.mark.parametrize("kind", ADAMS_KINDS)
+def test_kind_ring_names_the_family_product(theta2, kind):
+    ring = kind_ring(theta2, kind)
+    x, y = theta2.basis_element(1), theta2.basis_element(2)
+    want = star_product(x, y) if kind == "star" else x * y
+    assert ring.mul(x, y) == want
+    assert ring.one == (theta2.star_unit() if kind == "star" else theta2.one())
+    assert ring.zero == theta2.zero()
