@@ -99,11 +99,22 @@ def gamma_series(
     """The gamma series of x: exp of the substituted weighted Adams series.
 
     Substituting t/(1-t) into the logarithm first and exponentiating after
-    is exact: the substitution is a ring map on truncated series.
+    is exact: the substitution is a ring map on truncated series.  As
+    psi^n(x) = sum_w n^w x_w over the Adams eigencomponents x_w, the
+    substituted series is sum_w S_w(t) x_w with the rational series
+    S_w = ``_substituted_log(w - 1, order)``; only that scalar series is
+    shared with ``universal_gamma_coefficients``, while ``exp`` and its
+    products run on the model.
     """
     if order < 1:
         raise DomainError("series order must be at least 1")
-    return _log_lambda(model, kind, x, order).substitute_gamma().exp()
+    ring = kind_ring(model, kind)
+    coeffs = [ring.zero] * (order + 1)
+    for w, comp in _weight_components(model, kind, x).items():
+        for m, c in enumerate(_substituted_log(w - 1, order).coeffs):
+            if c:
+                coeffs[m] = coeffs[m] + c * comp
+    return TruncatedSeries(coeffs, ring).exp()
 
 
 def lambda_op(model: ModelAlgebra, kind: str, i: int, x: Element) -> Element:
@@ -127,6 +138,7 @@ def gamma_op(
     return gamma_series(model, kind, x, order).coefficient(i)
 
 
+@lru_cache(maxsize=None)
 def _substituted_log(exponent: int, order: int) -> TruncatedSeries:
     """sum_n (-1)^{n-1} n^exponent t^n with t/(1-t) substituted for t."""
     return TruncatedSeries.rational(
@@ -165,17 +177,18 @@ def gamma_pi_coeff(i: int, d: int, m: int) -> Fraction:
     return table[i][m]
 
 
-def _weight_components(model: ModelAlgebra, kind: str, x: Element):
-    by_weight: dict[int, list[Fraction]] = {}
+def _weight_components(model: ModelAlgebra, kind: str, x: Element) -> dict[int, Element]:
+    """x split into its Adams eigencomponents, keyed by weight."""
+    by_weight: dict[int, list[int]] = {}
     g = model.g
-    for i, c in enumerate(x.coords):
-        if not c:
+    for i, n in enumerate(x.nums):
+        if not n:
             continue
         p, q = model.bidegrees[i]
         w = adams_weight(kind, p, q, g)
-        coords = by_weight.setdefault(w, [Fraction(0)] * model.dim)
-        coords[i] = c
-    return {w: Element(model, coords) for w, coords in by_weight.items()}
+        nums = by_weight.setdefault(w, [0] * model.dim)
+        nums[i] = n
+    return {w: Element(model, nums, x.den) for w, nums in by_weight.items()}
 
 
 def gamma_images(
@@ -225,7 +238,7 @@ def _nilpotent_powers(x: Element, what: str) -> list[Element]:
 def log_class(L: Element) -> Element:
     """log of a unipotent class: sum (-1)^{n-1} (L-1)^n / n (a finite sum)."""
     model = L.model
-    if L.coords[model.unit_index] != 1:
+    if L.coefficient(model.unit_index) != 1:
         raise DomainError("log needs a class of the form 1 + nilpotent")
     result = model.zero()
     for n, power in enumerate(_nilpotent_powers(L - model.one(), "unipotent"), 1):
@@ -236,7 +249,7 @@ def log_class(L: Element) -> Element:
 def exp_class(x: Element) -> Element:
     """exp of a nilpotent class (zero coefficient on the unit line)."""
     model = x.model
-    if x.coords[model.unit_index] != 0:
+    if x.coefficient(model.unit_index) != 0:
         raise DomainError("exp needs a nilpotent argument")
     result = model.one()
     for n, power in enumerate(_nilpotent_powers(x, "nilpotent"), 1):

@@ -17,6 +17,17 @@ multiplication.
 ``validate`` machine-checks every one of these constraints and reports a
 witness for each violation; the bundled builders construct admissible
 models and re-verify themselves instead of trusting their own formulas.
+
+Arithmetic is exact and runs on integers.  An ``Element`` stores a tuple
+of ``int`` numerators ``nums`` over one positive ``int`` denominator
+``den``, always in lowest terms: gcd(den, *nums) == 1, and the zero vector
+is (0, ..., 0) over 1.  So two elements are equal exactly when their
+numerators and denominators are, and every operation ends with one gcd
+over the whole vector instead of one per coordinate.  The structure
+constants of both products and of the Fourier operator and its inverse
+are likewise integers over one model-wide denominator (``ScaledTable``),
+built once per model.  ``Element.coords`` hands the coordinates out as
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -24,15 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, StructureError
 from .linalg import Matrix
-
-# one shared zero coordinate: comparing two coordinate tuples then skips
-# Fraction.__eq__ on every coordinate both sides took from here
-_ZERO = Fraction(0)
 
 MulTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
@@ -71,46 +78,75 @@ class ValidationReport:
 
 
 class Element:
-    """An exact rational coordinate vector over a model's basis."""
+    """An exact rational coordinate vector over a model's basis.
 
-    __slots__ = ("model", "coords")
+    ``Element(model, coords)`` coerces ``int``, ``str`` or ``Fraction``
+    coordinates; ``Element(model, nums, den)`` takes ``int`` numerators over
+    a nonzero ``int`` denominator.  Either way the vector is stored as
+    ``nums`` over ``den`` in lowest terms (see the module docstring).
+    """
 
-    def __init__(self, model: "ModelAlgebra", coords: Sequence):
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
-        if len(cs) != model.dim:
+    __slots__ = ("model", "nums", "den")
+
+    def __init__(self, model: "ModelAlgebra", coords: Sequence, den: int | None = None):
+        if den is None:
+            cs = [c if type(c) is Fraction else Fraction(c) for c in coords]
+            den = lcm(*(c.denominator for c in cs))
+            nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        else:
+            if not den:
+                raise DomainError("an element needs a nonzero denominator")
+            g = gcd(den, *coords)
+            if den < 0:
+                g = -g
+            nums = tuple(coords) if g == 1 else tuple(n // g for n in coords)
+            den //= g
+        if len(nums) != model.dim:
             raise StructureError("coordinate length does not match the model")
         self.model = model
-        self.coords = cs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     def _check_model(self, other: "Element") -> None:
         if self.model is not other.model:
             raise StructureError("elements belong to different models")
 
-    # most coordinate pairs have a zero side; only the rest need arithmetic
     def __add__(self, other: "Element") -> "Element":
         self._check_model(other)
+        a, b = self.den, other.den
+        if a == b:
+            return Element(self.model, [x + y for x, y in zip(self.nums, other.nums)], a)
         return Element(
-            self.model,
-            [a + b if a and b else a or b for a, b in zip(self.coords, other.coords)],
+            self.model, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b
         )
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_model(other)
+        a, b = self.den, other.den
+        if a == b:
+            return Element(self.model, [x - y for x, y in zip(self.nums, other.nums)], a)
         return Element(
-            self.model,
-            [(a - b if a else -b) if b else a for a, b in zip(self.coords, other.coords)],
+            self.model, [x * b - y * a for x, y in zip(self.nums, other.nums)], a * b
         )
 
     def __neg__(self) -> "Element":
-        return Element(self.model, [-a for a in self.coords])
+        return Element(self.model, [-n for n in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_model(other)
-            return Element(self.model, self.model.multiply(self.coords, other.coords))
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Element(self.model, [q * a for a in self.coords])
+            return self.model.multiply(self, other)
+        if isinstance(other, int):
+            return Element(self.model, [other * n for n in self.nums], self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            nums = [p * n for n in self.nums]
+            return Element(self.model, nums, self.den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -130,16 +166,17 @@ class Element:
         return (
             isinstance(other, Element)
             and self.model is other.model
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coords[i]
+        return Fraction(self.nums[i], self.den)
 
     def component(self, p: int, q: int) -> "Element":
         """Projection onto the K^p_q coordinate block."""
@@ -173,13 +210,77 @@ class Element:
         return out
 
 
+class ScaledTable(NamedTuple):
+    """Sparse integer structure constants over one positive denominator.
+
+    For a bilinear product, ``rows[i]`` lists (j, ((k, c), ...)) for every
+    nonzero product e_i . e_j, whose coefficient on e_k is c / den.  For a
+    linear operator, ``rows[i]`` lists (j, c): the image of e_i has
+    coefficient c / den on e_j.
+    """
+
+    rows: tuple
+    den: int
+
+
+def _scaled_table(
+    table: Mapping[tuple[int, int], Sequence[tuple[int, Fraction]]], dim: int
+) -> ScaledTable:
+    """``table`` (entry (i, j) lists the nonzero (k, c) of e_i . e_j) over
+    the least common denominator of its constants."""
+    den = lcm(*(c.denominator for entries in table.values() for _, c in entries))
+    rows: list[list] = [[] for _ in range(dim)]
+    for (i, j), entries in sorted(table.items()):
+        scaled = tuple((k, c.numerator * (den // c.denominator)) for k, c in entries)
+        rows[i].append((j, scaled))
+    return ScaledTable(tuple(map(tuple, rows)), den)
+
+
+def _scaled_matrix(matrix: Matrix) -> ScaledTable:
+    """The nonzero entries of ``matrix`` over their least common denominator."""
+    den = lcm(*(c.denominator for row in matrix.rows for c in row))
+    rows = tuple(
+        tuple((j, c.numerator * (den // c.denominator)) for j, c in enumerate(row) if c)
+        for row in matrix.rows
+    )
+    return ScaledTable(rows, den)
+
+
+def _bilinear(model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element) -> Element:
+    """The bilinear form with structure constants ``table``: the sum over
+    i, j of x_i y_j (e_i . e_j), skipping zero coordinates, as one integer
+    vector over x.den * y.den * table.den."""
+    ys = y.nums
+    out = [0] * model.dim
+    for xi, row in zip(x.nums, table.rows):
+        if not xi:
+            continue
+        for j, entries in row:
+            yj = ys[j]
+            if yj:
+                f = xi * yj
+                for k, c in entries:
+                    out[k] += f * c
+    return Element(model, out, x.den * y.den * table.den)
+
+
+def _linear(model: "ModelAlgebra", matrix: ScaledTable, x: Element) -> Element:
+    """Row vector x times the operator ``matrix`` (row i = image of e_i)."""
+    out = [0] * model.dim
+    for xi, row in zip(x.nums, matrix.rows):
+        if xi:
+            for j, c in row:
+                out[j] += xi * c
+    return Element(model, out, x.den * matrix.den)
+
+
 class ModelAlgebra:
     """A validated-on-demand bigraded algebra with a Fourier operator.
 
     Instances are immutable after construction; ``validate`` never mutates.
     The multiplication table is stored sparsely: ``mul[(i, j)]`` maps basis
     index k to the coefficient of basis vector k in e_i . e_j, and absent
-    pairs multiply to zero.
+    pairs multiply to zero.  Products run on its ``ScaledTable`` form.
     """
 
     def __init__(
@@ -209,6 +310,7 @@ class ModelAlgebra:
             if cleaned:
                 table[(int(i), int(j))] = cleaned
         self._mul = table
+        self._table = _scaled_table(table, self.dim)
         self.fm = fm if isinstance(fm, Matrix) else Matrix(fm)
         if self.fm.nrows != self.dim or self.fm.ncols != self.dim:
             raise StructureError("Fourier matrix must be square of the basis size")
@@ -245,12 +347,12 @@ class ModelAlgebra:
     # -- element factories ------------------------------------------------
 
     def zero(self) -> Element:
-        return Element(self, [_ZERO] * self.dim)
+        return Element(self, [0] * self.dim, 1)
 
     def basis_element(self, i: int) -> Element:
-        coords = [_ZERO] * self.dim
-        coords[i] = Fraction(1)
-        return Element(self, coords)
+        nums = [0] * self.dim
+        nums[i] = 1
+        return Element(self, nums, 1)
 
     def one(self) -> Element:
         return self.basis_element(self.unit_index)
@@ -272,69 +374,58 @@ class ModelAlgebra:
 
     def project(self, x: Element, keep: Iterable[int]) -> Element:
         keep = set(keep)
-        return Element(
-            self, [c if i in keep else Fraction(0) for i, c in enumerate(x.coords)]
-        )
+        return Element(self, [n if i in keep else 0 for i, n in enumerate(x.nums)], x.den)
 
     # -- products ----------------------------------------------------------
 
     def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         return self._mul.get((i, j), ())
 
-    def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return _bilinear(self._mul, x, y)
+    def multiply(self, x: Element, y: Element) -> Element:
+        return _bilinear(self, self._table, x, y)
 
-    def star_multiply(
-        self, x: Sequence[Fraction], y: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        """Convolution product of coordinate vectors, read off ``star_table``."""
-        return _bilinear(self.star_table, x, y)
+    def star_multiply(self, x: Element, y: Element) -> Element:
+        """Convolution product, read off ``star_table``."""
+        return _bilinear(self, self.star_table, x, y)
+
+    def fourier(self, x: Element) -> Element:
+        """Image under the Fourier operator (row i of ``fm`` = image of e_i)."""
+        return _linear(self, self._scaled_fm, x)
+
+    def fourier_inverse(self, x: Element) -> Element:
+        return _linear(self, self._scaled_fm_inverse, x)
 
     @cached_property
     def fm_inverse(self) -> Matrix:
         return self.fm.inverse()
 
     @cached_property
-    def star_table(self) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
+    def _scaled_fm(self) -> ScaledTable:
+        return _scaled_matrix(self.fm)
+
+    @cached_property
+    def _scaled_fm_inverse(self) -> ScaledTable:
+        return _scaled_matrix(self.fm_inverse)
+
+    @cached_property
+    def star_table(self) -> ScaledTable:
         """Structure constants of the convolution product, stored like the
         multiplication table: entry (i, j) holds the nonzero coordinates of
         F^-1(F e_i . F e_j).  Both sides are bilinear, so the convolution of
         any two elements is exactly the table's bilinear form.  Built on
         first use and owned by the model, so it lives as long as the model."""
-        fm = self.fm.rows
+        images = [self.fourier(self.basis_element(i)) for i in range(self.dim)]
         table = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                coords = self.fm_inverse.vec_mul(_bilinear(self._mul, fm[i], fm[j]))
+        for i, fi in enumerate(images):
+            for j, fj in enumerate(images):
+                coords = self.fourier_inverse(_bilinear(self, self._table, fi, fj)).coords
                 entries = tuple((k, c) for k, c in enumerate(coords) if c)
                 if entries:
                     table[(i, j)] = entries
-        return table
+        return _scaled_table(table, self.dim)
 
     def __repr__(self) -> str:
         return f"ModelAlgebra(g={self.g}, dim={self.dim})"
-
-
-def _bilinear(
-    table: Mapping[tuple[int, int], Sequence[tuple[int, Fraction]]],
-    x: Sequence[Fraction],
-    y: Sequence[Fraction],
-) -> tuple[Fraction, ...]:
-    """The bilinear form with sparse structure constants ``table``:
-    sum over i, j of x_i y_j table[(i, j)], skipping zero coordinates."""
-    out = [_ZERO] * len(x)
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in ys:
-            entries = table.get((i, j))
-            if not entries:
-                continue
-            f = xi * yj
-            for k, c in entries:
-                out[k] += f * c
-    return tuple(out)
 
 
 def _inversion_sign(model: ModelAlgebra, i: int) -> int:
@@ -386,9 +477,8 @@ def validate(model: ModelAlgebra) -> ValidationReport:
 
     u = model.unit_index
     for i in range(model.dim):
-        got = model.multiply(model.basis_element(u).coords, model.basis_element(i).coords)
-        want = model.basis_element(i).coords
-        if got != want:
+        e = model.basis_element(i)
+        if model.multiply(model.basis_element(u), e) != e:
             flag(
                 "unit-product",
                 f"1 * {model.labels[i]} != {model.labels[i]}",

@@ -70,8 +70,12 @@ def _parse_rational(text: str, field: str) -> Fraction:
     if den == 0:
         raise ModelParseError(f"{field}: zero denominator", field)
     value = Fraction(num, den)
-    if (value.numerator, value.denominator) != (num, den):
-        raise ModelParseError(f"{field}: rational {text!r} is not in lowest terms", field)
+    # only the spelling export writes: lowest terms, ASCII digits, no
+    # leading zeros, no "-0", nothing after the denominator
+    if text != _format_rational(value):
+        raise ModelParseError(
+            f"{field}: rational {text!r} is not in canonical 'num/den' form", field
+        )
     return value
 
 

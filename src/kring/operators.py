@@ -17,16 +17,17 @@ read-only after construction, so concurrent readers are safe.
 The convolution product never runs the three Fourier passes it is defined
 by.  Its structure constants F^-1(F e_i . F e_j) are computed once per
 model, on first use, into ``ModelAlgebra.star_table``; a star product is
-then one sparse bilinear multiply, the same kernel as the ordinary
+then one sparse bilinear multiply, the same integer kernel as the ordinary
 product.  The table is an attribute of the model, not a module-level
-cache, so it is freed with the model.
+cache, so it is freed with the model.  Diagonal operators and the Fourier
+operator also act on the integer numerators of an ``Element``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import DomainError
@@ -44,10 +45,15 @@ class DiagonalOperator:
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
 
+    @cached_property
+    def _diagonal(self) -> Element:
+        """The eigenvalues as one vector: integer numerators over one
+        denominator, which ``apply`` multiplies coordinatewise."""
+        return Element(self.model, self.eigenvalues)
+
     def apply(self, x: Element) -> Element:
-        return Element(
-            self.model, [lam * c for lam, c in zip(self.eigenvalues, x.coords)]
-        )
+        d = self._diagonal
+        return Element(self.model, [a * n for a, n in zip(d.nums, x.nums)], d.den * x.den)
 
     def matrix(self) -> Matrix:
         n = self.model.dim
@@ -89,11 +95,11 @@ def pushforward(model: ModelAlgebra, k: int) -> DiagonalOperator:
 
 def fourier(x: Element) -> Element:
     """Apply the model's Fourier operator (row i = image of basis vector i)."""
-    return Element(x.model, x.model.fm.vec_mul(x.coords))
+    return x.model.fourier(x)
 
 
 def fourier_inverse(x: Element) -> Element:
-    return Element(x.model, x.model.fm_inverse.vec_mul(x.coords))
+    return x.model.fourier_inverse(x)
 
 
 def star_product(x: Element, y: Element) -> Element:
@@ -101,17 +107,17 @@ def star_product(x: Element, y: Element) -> Element:
     F^-1(F x . F y), read off the model's precomputed ``star_table``."""
     if x.model is not y.model:
         raise DomainError("star product needs elements of one model")
-    return Element(x.model, x.model.star_multiply(x.coords, y.coords))
+    return x.model.star_multiply(x, y)
 
 
 def rank(x: Element) -> Fraction:
     """Coefficient on the unit line K^0_g; multiplicative for the ordinary product."""
-    return x.coords[x.model.unit_index]
+    return x.coefficient(x.model.unit_index)
 
 
 def euler_char(x: Element) -> Fraction:
     """Coefficient on the origin line K^g_0; multiplicative for the convolution."""
-    return x.coords[x.model.star_unit_index]
+    return x.coefficient(x.model.star_unit_index)
 
 
 @dataclass(frozen=True)

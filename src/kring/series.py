@@ -55,7 +55,11 @@ RATIONALS = Ring(operator.mul, Fraction(0), Fraction(1))
 
 
 class TruncatedSeries:
-    """Formal power series truncated at a fixed order N (inclusive)."""
+    """Formal power series truncated at a fixed order N (inclusive).
+
+    Series combine and compare equal only with series over an equal ring;
+    mixing rings raises ``StructureError``.
+    """
 
     __slots__ = ("coeffs", "ring")
 
@@ -98,15 +102,24 @@ class TruncatedSeries:
         zero = self.ring.zero
         return all(c == zero for c in self.coeffs)
 
+    def _same_ring(self, other: "TruncatedSeries") -> bool:
+        return self.ring is other.ring or self.ring == other.ring
+
     def _check_compatible(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise StructureError("series orders differ")
+        if not self._same_ring(other):
+            raise StructureError("series over different rings")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, TruncatedSeries)
+            and self.coeffs == other.coeffs
+            and self._same_ring(other)
+        )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ring, self.coeffs))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)

@@ -29,7 +29,7 @@ from kring import (
     stirling2,
     theta_model,
 )
-from kring.adams import adams_weight, universal_gamma_coefficients
+from kring.adams import _log_lambda, adams_weight, universal_gamma_coefficients
 from kring.errors import DomainError, SeriesOrderError
 from tests.conftest import bundled_models, model
 
@@ -439,3 +439,24 @@ def test_normalization_report_harmonic_connection():
         harmonic = sum(F(1, k) for k in range(1, n + 1))
         assert c == harmonic / n
     assert [harmonic_firstkind(n) for n in range(1, 6)] == list(rep.targets)
+
+
+def _gamma_series_by_substitution(m, kind, x, order):
+    """The gamma series by substituting t/(1-t) into the whole log-lambda
+    series, the route ``gamma_series`` took before it summed S_w(t) x_w."""
+    return _log_lambda(m, kind, x, order).substitute_gamma().exp()
+
+
+@pytest.mark.parametrize("name,g", bundled_models(3))
+@pytest.mark.parametrize("kind", ADAMS_KINDS)
+def test_gamma_series_matches_whole_series_substitution(name, g, kind):
+    m = model(name, g)
+    order = g + 3
+    samples = [
+        m.from_coords([F((-1) ** i * (i + 1), i % 3 + 1) for i in range(m.dim)]),
+        m.basis_element(m.dim - 1),
+        m.one() + m.star_unit(),
+    ]
+    for x in samples:
+        want = _gamma_series_by_substitution(m, kind, x, order)
+        assert gamma_series(m, kind, x, order) == want

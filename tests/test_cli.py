@@ -232,6 +232,18 @@ def test_import_requires_string_labels(value):
     assert info.value.field == "basis[1].label"
 
 
+@pytest.mark.parametrize(
+    "text", ["-1/1\n", "\u0661/\u0661", "01/2", "-0/1"],
+    ids=["trailing-newline", "unicode-digits", "leading-zero", "negative-zero"],
+)
+def test_import_requires_canonical_rationals(text):
+    doc = json.loads(export_model(theta_model(2)))
+    doc["mul"][0][3] = text
+    with pytest.raises(ModelParseError) as info:
+        import_model(json.dumps(doc))
+    assert info.value.field == "mul[0]"
+
+
 def test_verify_timings_cover_statements_and_filtrations():
     res = run_cli(
         "verify", "--builder", "theta", "--g", "2", "--format", "structured",

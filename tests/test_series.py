@@ -21,7 +21,7 @@ from kring import (
     theta_model,
 )
 from kring.adams import ADAMS_KINDS, adams
-from kring.errors import DomainError, SeriesOrderError
+from kring.errors import DomainError, SeriesOrderError, StructureError
 from kring.series import RATIONALS
 from tests.conftest import bundled_models, model
 
@@ -271,3 +271,19 @@ def test_kind_ring_names_the_family_product(theta2, kind):
     assert ring.mul(x, y) == want
     assert ring.one == (theta2.star_unit() if kind == "star" else theta2.one())
     assert ring.zero == theta2.zero()
+
+
+def test_series_over_different_rings_neither_mix_nor_compare_equal(theta2):
+    zero, e1 = theta2.zero(), theta2.basis_element(1)
+    star = TruncatedSeries([zero, e1, zero], kind_ring(theta2, "star"))
+    usual = TruncatedSeries([zero, e1, zero], kind_ring(theta2, "usual"))
+    assert star != usual
+    for a, b in ((star, usual), (usual, star)):
+        for op in (a.__add__, a.__sub__, a.__mul__):
+            with pytest.raises(StructureError):
+                op(b)
+    # equal rings built twice are one ring: their series still combine
+    again = TruncatedSeries([zero, e1, zero], kind_ring(theta2, "usual"))
+    assert usual == again
+    assert (usual * again).coefficient(2) == 2 * theta2.basis_element(2)
+    assert (star * star).coefficient(2) == star_product(e1, e1)
