@@ -293,7 +293,7 @@ def complete_chern(
     reduced = x - x.beauville_component(0)
     series = gamma_series(model, "composed", reduced, g)
     comps = tuple(
-        model.from_coords(stages[i + 1].reduce(series.coefficient(i).coords))
+        Element(model, *stages[i + 1].reduce(series.coefficient(i)))
         for i in range(1, g + 1)
     )
     return ChernClass(x.beauville_component(0), comps)

@@ -85,13 +85,13 @@ class FiltrationSpec:
         """Whether the augmentation respects the family's product on the
         basis; returns a witness pair when it does not."""
         product = kind_ring(model, self.family).mul
+        keep = self.subring_indices(model)
+        basis = model.basis_elements()
+        augmented = [model.project(x, keep) for x in basis]
         for i in range(model.dim):
             for j in range(i, model.dim):
-                x, y = model.basis_element(i), model.basis_element(j)
-                lhs = self.augmentation(model, product(x, y))
-                rhs = product(
-                    self.augmentation(model, x), self.augmentation(model, y)
-                )
+                lhs = model.project(product(basis[i], basis[j]), keep)
+                rhs = product(augmented[i], augmented[j])
                 if lhs != rhs:
                     return False, f"({model.labels[i]}, {model.labels[j]})"
         return True, None
@@ -115,6 +115,11 @@ class FiltrationResult:
         return self.stages[n]
 
 
+def _elements(model: ModelAlgebra, space: Subspace) -> list[Element]:
+    """The canonical basis of ``space`` as model elements."""
+    return [Element(model, nums, den) for nums, den in space.rows]
+
+
 def _with_pairwise_sums(vectors: Sequence[Element]) -> list[Element]:
     return list(vectors) + [
         vectors[i] + vectors[j]
@@ -130,18 +135,18 @@ def _close_under_products(
     multipliers: list[Element],
 ) -> Subspace:
     """Span of all words in ``multipliers`` applied to ``seed_vectors``."""
-    space = Subspace.span(model.dim, [v.coords for v in seed_vectors])
+    space = Subspace.span(model.dim, seed_vectors)
     while True:
         new_vectors = []
-        basis_elems = [model.from_coords(r) for r in space.basis_vectors()]
+        basis_elems = _elements(model, space)
         for m in multipliers:
             for b in basis_elems:
                 prod = product(m, b)
-                if not prod.is_zero() and not space.contains(prod.coords):
+                if not prod.is_zero() and not space.contains(prod):
                     new_vectors.append(prod)
         if not new_vectors:
             return space
-        space = space + Subspace.span(model.dim, [v.coords for v in new_vectors])
+        space = space + Subspace.span(model.dim, new_vectors)
 
 
 def _scaled_kernel_basis(
@@ -175,17 +180,15 @@ def _saturation_stages(
     weight_spans: list[Subspace] = [Subspace.zero(dim)]
     for i in range(1, order + 1):
         weight_spans.append(
-            Subspace.span(dim, [img[i].coords for img in images])
+            Subspace.span(dim, [img[i] for img in images])
         )
-    weight_basis = [
-        [model.from_coords(r) for r in w.basis_vectors()] for w in weight_spans
-    ]
+    weight_basis = [_elements(model, w) for w in weight_spans]
 
     # monomial spans: M[n] = span of products of gamma images of total weight >= n
     all_gamma = [v for i in range(1, order + 1) for v in weight_basis[i]]
     monomials: dict[int, Subspace] = {}
     monomials[1] = _close_under_products(model, product, list(all_gamma), all_gamma)
-    m_basis = {1: [model.from_coords(r) for r in monomials[1].basis_vectors()]}
+    m_basis = {1: _elements(model, monomials[1])}
     for n in range(2, n_max + 1):
         vectors: list[Element] = []
         for i in range(1, order + 1):
@@ -197,24 +200,23 @@ def _saturation_stages(
                     prod = product(gen, b)
                     if not prod.is_zero():
                         vectors.append(prod)
-        monomials[n] = Subspace.span(dim, [v.coords for v in vectors])
-        m_basis[n] = [model.from_coords(r) for r in monomials[n].basis_vectors()]
+        monomials[n] = Subspace.span(dim, vectors)
+        m_basis[n] = _elements(model, monomials[n])
 
     # close each stage under multiplication by the augmentation subring
     subring = [model.basis_element(i) for i in spec.subring_indices(model)]
     kernel = Subspace.span(
-        dim, [model.basis_element(i).coords for i in spec.kernel_indices(model)]
+        dim, [model.basis_element(i) for i in spec.kernel_indices(model)]
     )
     stages = [Subspace.full(dim), kernel]
     for n in range(2, n_max + 1):
-        vectors = [model.from_coords(r) for r in monomials[n].basis_vectors()]
-        closed = list(vectors)
+        closed = list(m_basis[n])
         for s in subring:
-            for v in vectors:
+            for v in m_basis[n]:
                 prod = product(s, v)
                 if not prod.is_zero():
                     closed.append(prod)
-        stages.append(Subspace.span(dim, [v.coords for v in closed]))
+        stages.append(Subspace.span(dim, closed))
     return stages
 
 
@@ -259,9 +261,7 @@ def compute_filtration(
                 i for i in range(model.dim) if spec.weight(model, i) >= n
             ]
             stages.append(
-                Subspace.span(
-                    model.dim, [model.basis_element(i).coords for i in idx]
-                )
+                Subspace.span(model.dim, [model.basis_element(i) for i in idx])
             )
     else:
         raise DomainError(f"unknown filtration method {method!r}")
@@ -312,9 +312,9 @@ class PiGammaReport:
 def _first_missing(
     model: ModelAlgebra, sub: Subspace, space: Subspace
 ) -> Element | None:
-    for row in sub.basis_vectors():
-        if not space.contains(row):
-            return model.from_coords(row)
+    for nums, den in sub.rows:
+        if not space.contains(nums):
+            return Element(model, nums, den)
     return None
 
 
@@ -371,7 +371,7 @@ def check_lemma_equivalences(
     model: ModelAlgebra, x: Element, *, gamma_result: FiltrationResult
 ) -> LemmaEquivalenceReport:
     """The four criteria for x, at the series order of ``gamma_result``."""
-    support_bd = {model.bidegrees[i] for i, c in enumerate(x.coords) if c}
+    support_bd = {model.bidegrees[i] for i, c in enumerate(x.nums) if c}
     if len(support_bd) != 1:
         raise DomainError("the equivalence criteria need a homogeneous class")
     (p, q) = next(iter(support_bd))
@@ -381,7 +381,7 @@ def check_lemma_equivalences(
     order = gamma_result.order
     stages = _stages(gamma_result, "gamma", order)
     images = gamma_images(model, "pi", x, order)
-    in_stage = [stages[i].contains(images[i].coords) for i in range(order + 1)]
+    in_stage = [stages[i].contains(images[i]) for i in range(order + 1)]
     statements = {
         1: p >= g - q,
         2: all(in_stage[1:]),
@@ -520,7 +520,7 @@ def check_composed_structure(
     kernel_gamma = Subspace.span(
         model.dim,
         [
-            model.basis_element(i).coords
+            model.basis_element(i)
             for i in FiltrationSpec("gamma").kernel_indices(model)
         ],
     )
@@ -534,9 +534,7 @@ def check_composed_structure(
         idx = model.indices_by_index(j)
         if not idx:
             continue
-        block = Subspace.span(
-            model.dim, [model.basis_element(i).coords for i in idx]
-        )
+        block = Subspace.span(model.dim, [model.basis_element(i) for i in idx])
         for r in range(n_max + 1):
             if j < 0 or j >= r:
                 if not block.is_subspace_of(stages[r]):
@@ -561,7 +559,7 @@ def check_composed_structure(
         chern = complete_chern(model, x, stages)
         if chern.is_zero:
             survivors.append(x)
-    searched = Subspace.span(model.dim, [x.coords for x in survivors])
+    searched = Subspace.span(model.dim, survivors)
 
     agree = searched == intersection and stabilised
     top_equal = intersection == stages[g + 1]
@@ -579,7 +577,7 @@ def check_composed_structure(
     conj3_ok = stages[g + 1].dim == 0
     conj3_witness = ""
     if not conj3_ok:
-        conj3_witness = str(model.from_coords(stages[g + 1].basis_vectors()[0]))
+        conj3_witness = str(Element(model, *stages[g + 1].rows[0]))
     statements["conj-3-vanishing"] = Statement(
         "conj-3-vanishing", "pass" if conj3_ok else "fail", witness=conj3_witness
     )

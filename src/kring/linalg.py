@@ -1,11 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, run on integers.
 
 Dense matrices with ``Fraction`` entries, deterministic reduced row-echelon
-form, and canonical subspaces of Q^n.  Determinism matters here: each
+form, and canonical subspaces of Q^n.  Every elimination runs on integer
+rows: a rational row is first scaled by the least common multiple of its
+denominators, which changes neither its span nor the RREF, and one
+fraction-free Gauss-Jordan core (``_bareiss``) reduces the integer rows
+with exact integer divisions only.  Determinism matters here: each
 elimination step pivots on the first nonzero column and, within it, the
-smallest candidate row index, so the RREF of a matrix is unique.  A
-``Subspace`` stores its basis in RREF with zero rows dropped, hence two
-subspaces are equal exactly when their representations coincide.
+smallest candidate row index.
+
+A ``Subspace`` stores its RREF basis with zero rows dropped, each row as
+integer numerators over one positive denominator in lowest terms, so the
+numerator at the row's pivot equals its denominator.  That form is unique,
+hence two subspaces are equal exactly when their stored rows coincide.
+``Subspace.span``, ``reduce`` and ``contains`` take a model ``Element``
+(read through its ``nums`` and ``den``) as well as a rational sequence, so
+no ``Fraction`` is built between the two; ``basis`` and ``basis_vectors``
+hand the rows out as ``Fraction``s.
 
 Everything is immutable after construction and safe to share between
 threads.  The convention 0**0 = 1 applies when building power matrices, so
@@ -15,41 +26,111 @@ degree-zero rows behave like constant functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DomainError, StructureError
 
 Vector = tuple[Fraction, ...]
 
+# one canonical RREF row: integer numerators over a positive denominator,
+# in lowest terms, with the numerator at the pivot equal to the denominator
+Row = tuple[tuple[int, ...], int]
+
 
 def vector(entries: Iterable) -> Vector:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    pivot_row = 0
+def _fractions(nums: Sequence[int], den: int) -> Vector:
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _integer_row(v) -> tuple[Sequence[int], int]:
+    """Integer numerators and a positive denominator of the vector ``v``: an
+    ``Element``'s own ``nums`` and ``den``, an ``int`` sequence over 1, or a
+    rational sequence over the least common multiple of its denominators."""
+    nums = getattr(v, "nums", None)
+    if nums is not None:
+        return nums, v.den
+    v = tuple(v)
+    if all(type(c) is int for c in v):
+        return v, 1
+    cs = vector(v)
+    den = lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+
+def _bareiss(rows: list[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer ``rows``, in place.
+
+    With lead the pivot row, p its pivot entry and prev the pivot of the
+    step before (1 at the first step), every other row r becomes
+    (p * r - r[col] * lead) / prev.  Each entry stays a minor of the input,
+    so every division is exact (Bareiss, Math. Comp. 22, 1968), and after
+    the last step each pivot row is the last pivot times its RREF row; the
+    rows below the rank are zero.  Returns the pivot columns and the last
+    pivot, negated once per row swap: for a square nonsingular matrix, its
+    determinant.
+    """
+    prev, sign = 1, 1
     pivots: list[int] = []
+    n = len(rows)
     for col in range(ncols):
-        hit = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                hit = r
-                break
+        pivot_row = len(pivots)
+        if pivot_row == n:
+            break
+        hit = next((r for r in range(pivot_row, n) if rows[r][col]), None)
         if hit is None:
             continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = rows[pivot_row][col] ** -1
-        rows[pivot_row] = [c * inv for c in rows[pivot_row]]
+        if hit != pivot_row:
+            rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
+            sign = -sign
         lead = rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
+        p = lead[col]
+        for r, row in enumerate(rows):
+            if r == pivot_row:
+                continue
+            f = row[col]
+            if f:
+                rows[r] = [(p * a - f * b) // prev for a, b in zip(row, lead)]
+            elif p != prev:
+                rows[r] = [p * a // prev for a in row]
+        prev = p
         pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rows, pivots
+    return pivots, sign * prev
+
+
+def _rref_rows(rows: list[Sequence[int]], ncols: int) -> tuple[list[Row], list[int]]:
+    """The nonzero RREF rows of the integer ``rows`` in canonical form, and
+    their pivot columns."""
+    pivots, _ = _bareiss(rows, ncols)
+    out = []
+    for row, col in zip(rows, pivots):
+        g = gcd(*row)
+        if row[col] < 0:
+            g = -g
+        out.append((tuple(a // g for a in row), row[col] // g))
+    return out, pivots
+
+
+def _integer_kernel(rows: list[Sequence[int]], ncols: int) -> list[tuple[list[int], int]]:
+    """Basis of {x : rows . x = 0}, one pair (x, s) per free column f, with
+    x an integer vector whose entry at f is s > 0: x / s is the kernel
+    vector with 1 at f."""
+    reduced, pivots = _rref_rows(rows, ncols)
+    pivot_set = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        s = lcm(*(den for nums, den in reduced if nums[f]))
+        x = [0] * ncols
+        x[f] = s
+        for (nums, den), p in zip(reduced, pivots):
+            x[p] = -nums[f] * (s // den)
+        out.append((x, s))
+    return out
 
 
 class Matrix:
@@ -121,83 +202,67 @@ class Matrix:
                         out[j] += vi * m
         return tuple(out)
 
-    def mat_vec(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix times column vector."""
-        if len(v) != self.ncols:
-            raise StructureError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in self.rows)
+    def _cleared(self) -> list[Sequence[int]]:
+        """Each row times the least common multiple of its denominators."""
+        return [_integer_row(r)[0] for r in self.rows]
 
     def rref(self) -> "Matrix":
-        rows, _ = _rref_rows([list(r) for r in self.rows], self.ncols)
-        return Matrix(rows, ncols=self.ncols)
+        return self.rref_with_pivots()[0]
 
     def rref_with_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = _rref_rows([list(r) for r in self.rows], self.ncols)
+        reduced, pivots = _rref_rows(self._cleared(), self.ncols)
+        rows = [_fractions(nums, den) for nums, den in reduced]
+        rows += [(Fraction(0),) * self.ncols] * (self.nrows - len(rows))
         return Matrix(rows, ncols=self.ncols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref_with_pivots()[1])
+        return len(_bareiss(self._cleared(), self.ncols)[0])
 
     def det(self) -> Fraction:
+        """The last Bareiss pivot of the cleared rows, over the product of
+        the factors that cleared them."""
         if self.nrows != self.ncols:
             raise StructureError("determinant of a non-square matrix")
-        n = self.nrows
-        m = [list(r) for r in self.rows]
-        result = Fraction(1)
-        for col in range(n):
-            hit = next((r for r in range(col, n) if m[r][col]), None)
-            if hit is None:
-                return Fraction(0)
-            if hit != col:
-                m[col], m[hit] = m[hit], m[col]
-                result = -result
-            result *= m[col][col]
-            inv = m[col][col] ** -1
-            lead = m[col]
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    f = m[r][col] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], lead)]
-        return result
+        cleared = [_integer_row(r) for r in self.rows]
+        pivots, last = _bareiss([nums for nums, _ in cleared], self.ncols)
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        return Fraction(last, prod(den for _, den in cleared))
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise StructureError("inverse of a non-square matrix")
         n = self.nrows
-        ident = Matrix.identity(n)
-        aug = [list(r) + list(i) for r, i in zip(self.rows, ident.rows)]
+        # row i of [M | I] times the factor that clears row i of M
+        aug = [
+            list(nums) + [den if j == i else 0 for j in range(n)]
+            for i, (nums, den) in enumerate(map(_integer_row, self.rows))
+        ]
         reduced, pivots = _rref_rows(aug, 2 * n)
-        if list(pivots) != list(range(n)):
+        if pivots != list(range(n)):
             raise StructureError("matrix is singular")
-        return Matrix([row[n:] for row in reduced], ncols=n)
+        return Matrix([_fractions(nums[n:], den) for nums, den in reduced], ncols=n)
 
     def kernel(self) -> tuple[Vector, ...]:
         """Basis of the right null space {x : M x = 0}."""
-        reduced, pivots = self.rref_with_pivots()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            sol = [Fraction(0)] * self.ncols
-            sol[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                sol[p] = -reduced.rows[r][f]
-            basis.append(tuple(sol))
-        return tuple(basis)
+        return tuple(
+            _fractions(x, s) for x, s in _integer_kernel(self._cleared(), self.ncols)
+        )
 
     def solve(self, rhs: Sequence[Fraction]) -> Vector:
         """Unique solution of M x = rhs; requires full column rank."""
         if len(rhs) != self.nrows:
             raise StructureError("right-hand side length does not match")
-        aug = [list(r) + [Fraction(b)] for r, b in zip(self.rows, rhs)]
-        reduced, pivots = _rref_rows(aug, self.ncols + 1)
-        if self.ncols in pivots:
+        n = self.ncols
+        aug = [_integer_row(r + (Fraction(b),))[0] for r, b in zip(self.rows, rhs)]
+        reduced, pivots = _rref_rows(aug, n + 1)
+        if n in pivots:
             raise StructureError("inconsistent linear system")
-        if len(pivots) != self.ncols:
+        if len(pivots) != n:
             raise StructureError("system is underdetermined")
-        sol = [Fraction(0)] * self.ncols
-        for r, p in enumerate(pivots):
-            sol[p] = reduced[r][self.ncols]
+        sol = [Fraction(0)] * n
+        for (nums, den), p in zip(reduced, pivots):
+            sol[p] = Fraction(nums[n], den)
         return tuple(sol)
 
 
@@ -207,24 +272,28 @@ def rref(m: Matrix) -> Matrix:
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF basis) form."""
+    """A linear subspace of Q^n in canonical (RREF basis) form: ``rows``
+    holds one canonical integer row (numerators, denominator) per basis
+    vector, ``pivots`` their pivot columns."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, rows: tuple[Row, ...], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
 
     @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [vector(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
+    def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
+        """Span of ``vectors``: ``Element``s or rational sequences."""
+        rows = []
+        for v in vectors:
+            nums = _integer_row(v)[0]
+            if len(nums) != ambient_dim:
                 raise StructureError("vector length does not match ambient dimension")
-        reduced, pivots = Matrix(rows, ncols=ambient_dim).rref_with_pivots()
-        kept = [reduced.rows[i] for i in range(len(pivots))]
-        return cls(ambient_dim, Matrix(kept, ncols=ambient_dim), pivots)
+            rows.append(nums)
+        reduced, pivots = _rref_rows(rows, ambient_dim)
+        return cls(ambient_dim, tuple(reduced), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -232,11 +301,19 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.span(ambient_dim, Matrix.identity(ambient_dim).rows)
+        n = ambient_dim
+        return cls.span(n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF basis as a matrix of ``Fraction``s."""
+        return Matrix(
+            [_fractions(nums, den) for nums, den in self.rows], ncols=self.ambient_dim
+        )
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.rows
@@ -245,58 +322,66 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise StructureError("ambient dimensions differ")
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Canonical representative of v modulo this subspace."""
-        out = list(vector(v))
+    def reduce(self, v) -> Row:
+        """Canonical representative of v (an ``Element`` or a rational
+        sequence) modulo this subspace, as integer numerators over one
+        positive denominator in lowest terms."""
+        out, den = _integer_row(v)
         if len(out) != self.ambient_dim:
             raise StructureError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis.rows, self.pivots):
+        for (row, row_den), p in zip(self.rows, self.pivots):
             c = out[p]
             if c:
-                out = [a - c * b for a, b in zip(out, row)]
-        return tuple(out)
+                # out/den - (c/den) (row/row_den), over den * row_den
+                out = [row_den * a - c * b for a, b in zip(out, row)]
+                den *= row_den
+        g = gcd(den, *out)
+        return tuple(a // g for a in out), den // g
 
-    def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+    def contains(self, v) -> bool:
+        return not any(self.reduce(v)[0])
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.ambient_dim, self.basis.rows + other.basis.rows)
+        return Subspace.span(
+            self.ambient_dim, [nums for nums, _ in self.rows + other.rows]
+        )
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The vectors sum_i lam_i a_i over the kernel vectors lam of the
+        transposed stack of both bases, a_i running over this basis."""
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        stacked = Matrix(self.basis.rows + other.basis.rows, ncols=self.ambient_dim)
+        stacked = [nums for nums, _ in self.rows + other.rows]
         vectors = []
-        for lam in stacked.transpose().kernel():
-            combo = [Fraction(0)] * self.ambient_dim
-            for c, row in zip(lam[: self.dim], self.basis.rows):
+        for lam, _ in _integer_kernel(list(zip(*stacked)), len(stacked)):
+            combo = [0] * self.ambient_dim
+            for c, (row, _) in zip(lam, self.rows):
                 if c:
-                    for j, b in enumerate(row):
-                        combo[j] += c * b
-            vectors.append(tuple(combo))
+                    combo = [a + c * b for a, b in zip(combo, row)]
+            vectors.append(combo)
         return Subspace.span(self.ambient_dim, vectors)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains(row) for row in self.basis.rows)
+        return all(other.contains(nums) for nums, _ in self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def span(ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
+def span(ambient_dim: int, vectors: Iterable) -> Subspace:
     return Subspace.span(ambient_dim, vectors)
 
 

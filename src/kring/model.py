@@ -418,8 +418,8 @@ class ModelAlgebra:
         table = {}
         for i, fi in enumerate(images):
             for j, fj in enumerate(images):
-                coords = self.fourier_inverse(_bilinear(self, self._table, fi, fj)).coords
-                entries = tuple((k, c) for k, c in enumerate(coords) if c)
+                z = self.fourier_inverse(_bilinear(self, self._table, fi, fj))
+                entries = tuple((k, z.coefficient(k)) for k, n in enumerate(z.nums) if n)
                 if entries:
                     table[(i, j)] = entries
         return _scaled_table(table, self.dim)

@@ -39,7 +39,7 @@ from .filtration import (
     compute_filtration,
 )
 from .linalg import Subspace, vandermonde_det
-from .model import ModelAlgebra, validate
+from .model import Element, ModelAlgebra, validate
 from .operators import (
     euler_char,
     fm_composite_check,
@@ -464,8 +464,8 @@ def run_verify_suite(
             image = Subspace.span(
                 model.dim,
                 [
-                    fourier(model.from_coords(row)).coords
-                    for row in fil["star"].stage(n).basis_vectors()
+                    fourier(Element(model, nums, den))
+                    for nums, den in fil["star"].stage(n).rows
                 ],
             )
             if image != fil["gamma"].stage(n):

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from kring import (
+    Element,
     FiltrationSpec,
     Subspace,
     check_composed_structure,
     check_lemma_equivalences,
+    build_model,
     check_pi_subset_gamma,
     compute_filtration,
     fourier,
@@ -174,6 +176,19 @@ def test_exact_saturation_equals_randomised_saturation(name, g, kind, extra):
     res = filtration(name, g, kind, g + extra)
     assert res.stages == _randomised_saturation(m, kind, g + extra)
     assert res.rounds == (res.dims,)
+
+
+@pytest.mark.parametrize("name,g", bundled_models(3))
+def test_saturation_reads_no_fraction_coordinates(name, g, monkeypatch):
+    # a fresh model, so lazily built tables are built under the patch too
+    m = build_model(name, g)
+
+    def no_coords(self):
+        raise AssertionError("the saturation path read Element.coords")
+
+    monkeypatch.setattr(Element, "coords", property(no_coords))
+    for kind in ("gamma", "star", "pi", "Gamma"):
+        compute_filtration(m, kind, g + 2, "saturation")
 
 
 def test_order_below_stage_raises(theta2):

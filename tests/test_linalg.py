@@ -1,6 +1,8 @@
 """Exact linear algebra: row reduction, subspace lattice, power matrices."""
 
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from kring import Matrix, Subspace, rref, span, vandermonde_det, vandermonde_matrix
 from kring.errors import DomainError, StructureError
+from tests.conftest import bundled_models, model
 
 F = Fraction
 
@@ -66,7 +69,7 @@ def test_rref_is_idempotent(m):
 @given(small_matrices())
 def test_kernel_vectors_annihilate(m):
     for v in m.kernel():
-        assert m.mat_vec(v) == (F(0),) * m.nrows
+        assert m.transpose().vec_mul(v) == (F(0),) * m.nrows
     assert m.rank() + len(m.kernel()) == m.ncols
 
 
@@ -134,6 +137,8 @@ def test_subspace_canonical_equality():
     b = span(3, [[1, 2, 1], [2, 3, 1]])
     assert a == b
     assert a.basis == b.basis
+    # the stored integer rows are in lowest terms whatever the pivots met
+    assert span(2, [[2, 0], [0, 1]]) == Subspace.full(2)
 
 
 def test_intersection_mismatched_ambient_raises():
@@ -171,3 +176,209 @@ def test_vandermonde_zero_power_convention():
 def test_vandermonde_requires_positive_g():
     with pytest.raises(DomainError):
         vandermonde_det(0)
+
+
+# -- the integer core against a Fraction reference -----------------------------
+
+
+def _reference_rref(rows, ncols):
+    """Gauss-Jordan elimination on ``Fraction`` rows, pivoting on the first
+    nonzero column and then the smallest row index: the elimination the
+    integer core replaced, kept as its reference."""
+    rows = [[F(c) for c in r] for r in rows]
+    pivot_row = 0
+    pivots = []
+    for col in range(ncols):
+        hit = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col]:
+                hit = r
+                break
+        if hit is None:
+            continue
+        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
+        inv = rows[pivot_row][col] ** -1
+        rows[pivot_row] = [c * inv for c in rows[pivot_row]]
+        lead = rows[pivot_row]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return rows, pivots
+
+
+def _reference_reduce(basis, pivots, v):
+    out = [F(c) for c in v]
+    for row, p in zip(basis, pivots):
+        c = out[p]
+        if c:
+            out = [a - c * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def _reference_span(rows, ncols):
+    reduced, pivots = _reference_rref(rows, ncols)
+    return [tuple(r) for r in reduced[: len(pivots)]], pivots
+
+
+def _fraction_row(row):
+    nums, den = row
+    return tuple(F(n, den) for n in nums)
+
+
+mixed = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-30, max_value=30, max_denominator=60),
+)
+
+
+@st.composite
+def awkward_rows(draw, ncols=None, max_rows=6):
+    """Rational rows with mixed denominators, among them zero rows,
+    duplicate rows and negated rows (negative leading entries)."""
+    if ncols is None:
+        ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(mixed, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "negated", "multiple"]))
+        if kind == "zero" or not rows:
+            new = [F(0)] * ncols
+        else:
+            base = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = {"duplicate": 1, "negated": -1}.get(kind) or draw(mixed.filter(bool))
+            new = [scale * c for c in base]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return ncols, rows
+
+
+CORE = settings(max_examples=40, deadline=None)
+
+
+@CORE
+@given(awkward_rows())
+def test_rref_matches_the_fraction_reference(case):
+    ncols, rows = case
+    want, want_pivots = _reference_rref(rows, ncols)
+    m = Matrix(rows, ncols=ncols)
+    reduced, pivots = m.rref_with_pivots()
+    assert reduced.rows == tuple(tuple(r) for r in want)
+    assert list(pivots) == want_pivots
+    assert m.rank() == len(want_pivots)
+    s = span(ncols, rows)
+    assert s.basis_vectors() == tuple(tuple(r) for r in want[: len(want_pivots)])
+    assert list(s.pivots) == want_pivots
+    assert s.dim == len(want_pivots)
+
+
+@CORE
+@given(awkward_rows())
+def test_subspace_rows_are_canonical(case):
+    ncols, rows = case
+    s = span(ncols, rows)
+    for (nums, den), p in zip(s.rows, s.pivots):
+        assert all(type(n) is int for n in nums) and type(den) is int
+        assert den > 0
+        assert nums[p] == den
+        assert gcd(den, *nums) == 1
+        assert all(nums[q] == 0 for q in s.pivots if q != p)
+    # any generating set of the same space gives the same stored form
+    assert span(ncols, [_fraction_row(r) for r in reversed(s.rows)]) == s
+    assert hash(span(ncols, list(reversed(rows)))) == hash(s)
+
+
+@st.composite
+def subspaces_and_vector(draw):
+    ncols, a = draw(awkward_rows())
+    _, b = draw(awkward_rows(ncols=ncols))
+    v = draw(st.lists(mixed, min_size=ncols, max_size=ncols))
+    if a and draw(st.booleans()):
+        # a vector of the first space, so both outcomes of contains occur
+        v = [sum(c * row[j] for c, row in zip(v, a)) for j in range(ncols)]
+    return ncols, a, b, v
+
+
+@CORE
+@given(subspaces_and_vector())
+def test_reduce_and_contains_match_the_reference(case):
+    ncols, a, _, v = case
+    s = span(ncols, a)
+    basis, pivots = _reference_span(a, ncols)
+    want = _reference_reduce(basis, pivots, v)
+    nums, den = s.reduce(v)
+    assert den > 0 and gcd(den, *nums) == 1
+    assert _fraction_row((nums, den)) == want
+    assert s.contains(v) == (not any(want))
+
+
+@CORE
+@given(subspaces_and_vector())
+def test_intersect_and_inclusion_match_the_reference(case):
+    ncols, a, b, _ = case
+    sa, sb = span(ncols, a), span(ncols, b)
+    basis_a, piv_a = _reference_span(a, ncols)
+    basis_b, piv_b = _reference_span(b, ncols)
+    a_in_b = not any(any(_reference_reduce(basis_b, piv_b, r)) for r in basis_a)
+    assert sa.is_subspace_of(sb) == a_in_b
+    meet = sa.intersect(sb)
+    # meet lies in both spaces and has dimension dim a + dim b - dim (a + b),
+    # which pins it down as the intersection
+    for r in meet.basis_vectors():
+        assert not any(_reference_reduce(basis_a, piv_a, r))
+        assert not any(_reference_reduce(basis_b, piv_b, r))
+    joint = len(_reference_span(basis_a + basis_b, ncols)[1])
+    assert meet.dim == len(piv_a) + len(piv_b) - joint
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    out = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = F((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        out += term
+    return out
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 4))
+    _, rows = draw(awkward_rows(ncols=n, max_rows=n))
+    rows = (rows + draw(st.lists(st.lists(mixed, min_size=n, max_size=n), min_size=n, max_size=n)))[:n]
+    return Matrix(rows)
+
+
+@CORE
+@given(square_matrices())
+def test_bareiss_det_and_inverse(m):
+    det = m.det()
+    assert det == _leibniz_det(m.rows)
+    if det:
+        assert m * m.inverse() == Matrix.identity(m.nrows)
+    else:
+        with pytest.raises(StructureError):
+            m.inverse()
+
+
+@st.composite
+def model_elements(draw):
+    m = model(*draw(st.sampled_from(bundled_models(3))))
+    coords = st.lists(mixed, min_size=m.dim, max_size=m.dim)
+    return m, [m.from_coords(c) for c in draw(st.lists(coords, max_size=4))], m.from_coords(draw(coords))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_elements())
+def test_elements_and_their_coords_give_the_same_subspace(case):
+    m, elements, x = case
+    s = Subspace.span(m.dim, elements)
+    assert s == Subspace.span(m.dim, [e.coords for e in elements])
+    assert s.reduce(x) == s.reduce(x.coords)
+    assert s.contains(x) == s.contains(x.coords)
+    assert all(s.contains(e) for e in elements)
