@@ -83,7 +83,14 @@ class FiltrationSpec:
 
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
         """Whether the augmentation respects the family's product on the
-        basis; returns a witness pair when it does not."""
+        basis; returns a witness pair when it does not.  The verdict is
+        checked once per model and kind and kept on the model."""
+        verdicts = model.augmentation_verdicts
+        if self.kind not in verdicts:
+            verdicts[self.kind] = self._augmentation_witness(model)
+        return verdicts[self.kind]
+
+    def _augmentation_witness(self, model: ModelAlgebra) -> tuple[bool, str | None]:
         product = kind_ring(model, self.family).mul
         keep = self.subring_indices(model)
         basis = model.basis_elements()

@@ -17,6 +17,11 @@ multiplication.
 ``validate`` machine-checks every one of these constraints and reports a
 witness for each violation; the bundled builders construct admissible
 models and re-verify themselves instead of trusting their own formulas.
+It runs on the integer structure constants below, never on ``Element``s
+or dense ``Fraction`` matrices.  Associativity is checked as
+``TruncatedSeries.exp`` needs it: for i <= j <= k the three bracketings
+(e_i e_j) e_k, (e_i e_k) e_j and (e_j e_k) e_i agree, i.e. the associators
+of (i, j, k) and, for distinct indices, of (i, k, j) vanish.
 
 Arithmetic is exact and runs on integers.  An ``Element`` stores a tuple
 of ``int`` numerators ``nums`` over one positive ``int`` denominator
@@ -26,8 +31,9 @@ numerators and denominators are, and every operation ends with one gcd
 over the whole vector instead of one per coordinate.  The structure
 constants of both products and of the Fourier operator and its inverse
 are likewise integers over one model-wide denominator (``ScaledTable``),
-built once per model.  ``Element.coords`` hands the coordinates out as
-``Fraction``s.
+built once per model: the multiplication table and the Fourier operator at
+construction, the convolution table and the inverse on first use.
+``Element.coords`` hands the coordinates out as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, StructureError
-from .linalg import Matrix
+from .linalg import Matrix, _bareiss
 
 MulTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
@@ -314,7 +320,12 @@ class ModelAlgebra:
         self.fm = fm if isinstance(fm, Matrix) else Matrix(fm)
         if self.fm.nrows != self.dim or self.fm.ncols != self.dim:
             raise StructureError("Fourier matrix must be square of the basis size")
+        self._fm = _scaled_matrix(self.fm)
         self._index_of = {label: i for i, label in enumerate(self.labels)}
+        # filtration kind -> whether its augmentation is a ring morphism (and
+        # a witness pair if not), filled by the filtration module on first
+        # use and owned by the model like ``star_table``
+        self.augmentation_verdicts: dict[str, tuple[bool, str | None]] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -390,7 +401,7 @@ class ModelAlgebra:
 
     def fourier(self, x: Element) -> Element:
         """Image under the Fourier operator (row i of ``fm`` = image of e_i)."""
-        return _linear(self, self._scaled_fm, x)
+        return _linear(self, self._fm, x)
 
     def fourier_inverse(self, x: Element) -> Element:
         return _linear(self, self._scaled_fm_inverse, x)
@@ -398,10 +409,6 @@ class ModelAlgebra:
     @cached_property
     def fm_inverse(self) -> Matrix:
         return self.fm.inverse()
-
-    @cached_property
-    def _scaled_fm(self) -> ScaledTable:
-        return _scaled_matrix(self.fm)
 
     @cached_property
     def _scaled_fm_inverse(self) -> ScaledTable:
@@ -431,6 +438,14 @@ class ModelAlgebra:
 def _inversion_sign(model: ModelAlgebra, i: int) -> int:
     p, q = model.bidegrees[i]
     return (-1) ** (model.g + p - q)
+
+
+def _collect(terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The (index, value) ``terms`` summed per index, zero sums dropped."""
+    out: dict[int, int] = {}
+    for k, v in terms:
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
 def validate(model: ModelAlgebra) -> ValidationReport:
@@ -475,23 +490,22 @@ def validate(model: ModelAlgebra) -> ValidationReport:
             tuple(model.labels[i] for i in origin_line),
         )
 
-    u = model.unit_index
-    for i in range(model.dim):
-        e = model.basis_element(i)
-        if model.multiply(model.basis_element(u), e) != e:
-            flag(
-                "unit-product",
-                f"1 * {model.labels[i]} != {model.labels[i]}",
-                (model.labels[i],),
-            )
+    dim, labels, den = model.dim, model.labels, model._table.den
+    # products[i][j]: the nonzero (k, c) of e_i . e_j, c over den
+    products = [dict(row) for row in model._table.rows]
 
-    for i in range(model.dim):
-        for j in range(i + 1, model.dim):
-            if model.mul_basis(i, j) != model.mul_basis(j, i):
+    u = model.unit_index
+    for i in range(dim):
+        if products[u].get(i) != ((i, den),):
+            flag("unit-product", f"1 * {labels[i]} != {labels[i]}", (labels[i],))
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if products[i].get(j, ()) != products[j].get(i, ()):
                 flag(
                     "mul-commutativity",
-                    f"{model.labels[i]} * {model.labels[j]} differs from the reversed product",
-                    (model.labels[i], model.labels[j]),
+                    f"{labels[i]} * {labels[j]} differs from the reversed product",
+                    (labels[i], labels[j]),
                 )
 
     for (i, j), entries in model._mul.items():
@@ -503,67 +517,77 @@ def validate(model: ModelAlgebra) -> ValidationReport:
             if not allowed:
                 flag(
                     "bidegree-law",
-                    f"{model.labels[i]} * {model.labels[j]} must vanish "
+                    f"{labels[i]} * {labels[j]} must vanish "
                     f"(target bidegree ({tp},{tq}) is out of range)",
-                    (model.labels[i], model.labels[j], model.labels[k]),
+                    (labels[i], labels[j], labels[k]),
                 )
             elif model.bidegrees[k] != (tp, tq):
                 flag(
                     "bidegree-law",
-                    f"{model.labels[i]} * {model.labels[j]} hits {model.labels[k]} "
-                    f"outside K^{tp}_{tq}",
-                    (model.labels[i], model.labels[j], model.labels[k]),
+                    f"{labels[i]} * {labels[j]} hits {labels[k]} outside K^{tp}_{tq}",
+                    (labels[i], labels[j], labels[k]),
                 )
 
-    basis = model.basis_elements()
-    for i in range(model.dim):
-        for j in range(i, model.dim):
-            ij = basis[i] * basis[j]
-            for k in range(j, model.dim):
-                left = ij * basis[k]
-                right = basis[i] * (basis[j] * basis[k])
-                if left != right:
-                    flag(
-                        "mul-associativity",
-                        f"({model.labels[i]} * {model.labels[j]}) * {model.labels[k]} "
-                        f"!= {model.labels[i]} * ({model.labels[j]} * {model.labels[k]})",
-                        (model.labels[i], model.labels[j], model.labels[k]),
-                    )
+    def associator_vanishes(i: int, j: int, k: int) -> bool:
+        """(e_i e_j) e_k == e_i (e_j e_k), both as numerators over den^2."""
+        left = _collect(
+            (n, c * d) for m, c in products[i].get(j, ()) for n, d in products[m].get(k, ())
+        )
+        right = _collect(
+            (n, c * d) for m, c in products[j].get(k, ()) for n, d in products[i].get(m, ())
+        )
+        return left == right
 
-    if model.fm.rank() != model.dim:
+    # for i <= j <= k, the bracketings (e_i e_j) e_k, (e_i e_k) e_j and
+    # (e_j e_k) e_i must agree: the associators of (i, j, k) and, for three
+    # distinct indices, of (i, k, j) vanish
+    for i in range(dim):
+        for j in range(i, dim):
+            for k in range(j, dim):
+                for x, y, z in ((i, j, k), (i, k, j)) if i < j < k else ((i, j, k),):
+                    if y not in products[x] and z not in products[y]:
+                        continue  # e_x e_y = 0 = e_y e_z, so both sides vanish
+                    if not associator_vanishes(x, y, z):
+                        flag(
+                            "mul-associativity",
+                            f"({labels[x]} * {labels[y]}) * {labels[z]} "
+                            f"!= {labels[x]} * ({labels[y]} * {labels[z]})",
+                            (labels[x], labels[y], labels[z]),
+                        )
+
+    fm = model._fm
+    dense = [[0] * dim for _ in range(dim)]
+    for i, row in enumerate(fm.rows):
+        for k, c in row:
+            dense[i][k] = c
+    if len(_bareiss(dense, dim)[0]) != dim:
         flag("fm-invertible", "the Fourier matrix is singular")
 
-    for i in range(model.dim):
+    for i, row in enumerate(fm.rows):
         p, q = model.bidegrees[i]
-        for k, c in enumerate(model.fm.rows[i]):
-            if c and model.bidegrees[k] != (q, p):
-                flag(
-                    "fm-bidegree",
-                    f"the Fourier image of {model.labels[i]} leaks outside K^{q}_{p}",
-                    (model.labels[i],),
-                )
-                break
+        if any(model.bidegrees[k] != (q, p) for k, _ in row):
+            flag(
+                "fm-bidegree",
+                f"the Fourier image of {labels[i]} leaks outside K^{q}_{p}",
+                (labels[i],),
+            )
 
-    square = model.fm * model.fm
-    for i in range(model.dim):
-        want = [Fraction(0)] * model.dim
-        want[i] = Fraction((-1) ** g * _inversion_sign(model, i))
-        if list(square.rows[i]) != want:
+    for i, row in enumerate(fm.rows):
+        square = _collect((k, c * d) for j, c in row for k, d in fm.rows[j])
+        if square != {i: (-1) ** g * _inversion_sign(model, i) * fm.den**2}:
             flag(
                 "fm-involution",
                 f"the Fourier square does not act as (-1)^{g} times the inversion "
-                f"pullback on {model.labels[i]}",
-                (model.labels[i],),
+                f"pullback on {labels[i]}",
+                (labels[i],),
             )
 
-    origin_image = model.fm.rows[model.star_unit_index]
-    want = model.one().coords
-    if origin_image != want:
+    if fm.rows[model.star_unit_index] != ((u, fm.den),):
         flag(
             "fm-origin",
             "the Fourier image of the origin class must be the unit "
             "(this pins the Euler functional to rank after Fourier)",
-            (model.labels[model.star_unit_index],),
+            (labels[model.star_unit_index],),
         )
 
     return ValidationReport(tuple(violations))

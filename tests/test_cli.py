@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, determinism, and model round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,15 @@ def test_inadmissible_model_file_fails_validation(tmp_path):
     res = run_cli("model", "--model-file", str(path))
     assert res.returncode == 1
     assert "fm-involution" in res.stdout
+
+
+def test_nonassociative_model_file_fails_validation():
+    # commutative, and (e_i e_j) e_k = e_i (e_j e_k) for all i <= j <= k,
+    # yet (a.c).b != a.(c.b)
+    path = Path(__file__).parent / "fixtures" / "commutative_nonassociative.json"
+    res = run_cli("model", "--model-file", str(path))
+    assert res.returncode == 1
+    assert "mul-associativity: (a * c) * b != a * (c * b)" in res.stdout
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--max-rounds"])

@@ -191,6 +191,24 @@ def test_saturation_reads_no_fraction_coordinates(name, g, monkeypatch):
         compute_filtration(m, kind, g + 2, "saturation")
 
 
+def test_augmentation_checked_once_per_model_and_kind(monkeypatch):
+    calls = []
+    check = FiltrationSpec._augmentation_witness
+
+    def spy(self, m):
+        calls.append((m, self.kind))
+        return check(self, m)
+
+    monkeypatch.setattr(FiltrationSpec, "_augmentation_witness", spy)
+    for name in ("violator", "antisym"):
+        m = build_model(name, 4)
+        # both methods per kind, then the Gamma pair again
+        run_filtration_tables(m, name)
+        check_composed_structure(m, gamma_big_result=compute_filtration(m, "Gamma", 6))
+    assert len(calls) == 8
+    assert len({(id(m), kind) for m, kind in calls}) == 8
+
+
 def test_order_below_stage_raises(theta2):
     with pytest.raises(SeriesOrderError):
         compute_filtration(theta2, "gamma", 5, order=3)

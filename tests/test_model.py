@@ -1,23 +1,36 @@
 """Model builders, validation, and the bidegree bookkeeping."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kring import (
+    Element,
     Matrix,
     ModelAlgebra,
     antisym_model,
+    build_model,
+    export_model,
+    import_model,
+    load_model,
     pathological_model,
     theta_model,
     validate,
     violator_model,
 )
 from kring.errors import DomainError, StructureError
+from kring.model import ValidationReport, Violation, _inversion_sign
 from tests.conftest import bundled_models, model
 
 F = Fraction
+
+# a commutative g = 3 model whose only non-unit products are a.c = z and
+# b.z = y: (a.c).b = y but a.(c.b) = 0, an associator that the bracketing
+# (e_i e_j) e_k = e_i (e_j e_k) over i <= j <= k alone never tests
+NONASSOCIATIVE = Path(__file__).parent / "fixtures" / "commutative_nonassociative.json"
 
 
 @pytest.mark.parametrize("name,g", bundled_models(4) + [("theta", 5), ("antisym", 5)])
@@ -90,7 +103,10 @@ def test_violator_seeded_defect(g):
 
 
 def _theta_raw(g):
-    m = theta_model(g)
+    return _raw(theta_model(g))
+
+
+def _raw(m):
     mul = {
         (i, j): {k: c for k, c in m.mul_basis(i, j)}
         for i in range(m.dim)
@@ -225,3 +241,202 @@ def test_builder_preconditions():
         pathological_model(1)
     with pytest.raises(DomainError):
         violator_model(1)
+
+
+def test_validate_flags_commutative_nonassociative_model():
+    m = load_model(NONASSOCIATIVE)
+    a, b, c = (m.basis_element(m.index_of(label)) for label in "abc")
+    assert (a * c) * b == m.basis_element(m.index_of("y"))
+    assert (a * (c * b)).is_zero()
+    report = validate(m)
+    assert report.violations == (
+        Violation(
+            "mul-associativity", "(a * c) * b != a * (c * b)", ("a", "c", "b")
+        ),
+    )
+
+
+def _dense_validate(model: ModelAlgebra) -> ValidationReport:
+    """The dense ``Fraction`` validation that the sparse integer one
+    replaced, with its associativity loop widened to the bracketings
+    (e_i e_j) e_k, (e_i e_k) e_j and (e_j e_k) e_i: it builds ``Element``
+    products of basis vectors and squares the Fourier ``Matrix``."""
+    g = model.g
+    violations = []
+
+    def flag(code, message, witness=()):
+        violations.append(Violation(code, message, witness))
+
+    for i, bd in enumerate(model.bidegrees):
+        if not (0 <= bd.p <= g and 0 <= bd.q <= g):
+            flag(
+                "bidegree-range",
+                f"basis vector {model.labels[i]} has bidegree {tuple(bd)} outside 0..{g}",
+                (model.labels[i],),
+            )
+    if violations:
+        return ValidationReport(tuple(violations))
+
+    unit_bd = model.bidegrees[model.unit_index]
+    if unit_bd != (0, g):
+        flag("unit-bidegree", f"unit must lie in K^0_{g}, found {tuple(unit_bd)}")
+    star_bd = model.bidegrees[model.star_unit_index]
+    if star_bd != (g, 0):
+        flag("origin-bidegree", f"origin class must lie in K^{g}_0, found {tuple(star_bd)}")
+    unit_line = model.indices_by_bidegree(0, g)
+    if len(unit_line) != 1:
+        flag(
+            "unit-line",
+            "the K^0_g block must be the one-dimensional line of the unit",
+            tuple(model.labels[i] for i in unit_line),
+        )
+    origin_line = model.indices_by_bidegree(g, 0)
+    if len(origin_line) != 1:
+        flag(
+            "origin-line",
+            "the K^g_0 block must be the one-dimensional line of the origin class",
+            tuple(model.labels[i] for i in origin_line),
+        )
+
+    u = model.unit_index
+    for i in range(model.dim):
+        e = model.basis_element(i)
+        if model.multiply(model.basis_element(u), e) != e:
+            label = model.labels[i]
+            flag("unit-product", f"1 * {label} != {label}", (label,))
+
+    for i in range(model.dim):
+        for j in range(i + 1, model.dim):
+            if model.mul_basis(i, j) != model.mul_basis(j, i):
+                flag(
+                    "mul-commutativity",
+                    f"{model.labels[i]} * {model.labels[j]} differs from the reversed product",
+                    (model.labels[i], model.labels[j]),
+                )
+
+    for (i, j), entries in model._mul.items():
+        a, b = model.bidegrees[i]
+        c, d = model.bidegrees[j]
+        tp, tq = a + c, b + d - g
+        allowed = tp <= g and tq >= 0
+        for k, _ in entries:
+            if not allowed:
+                flag(
+                    "bidegree-law",
+                    f"{model.labels[i]} * {model.labels[j]} must vanish "
+                    f"(target bidegree ({tp},{tq}) is out of range)",
+                    (model.labels[i], model.labels[j], model.labels[k]),
+                )
+            elif model.bidegrees[k] != (tp, tq):
+                flag(
+                    "bidegree-law",
+                    f"{model.labels[i]} * {model.labels[j]} hits {model.labels[k]} "
+                    f"outside K^{tp}_{tq}",
+                    (model.labels[i], model.labels[j], model.labels[k]),
+                )
+
+    basis = model.basis_elements()
+    for i in range(model.dim):
+        for j in range(i, model.dim):
+            for k in range(j, model.dim):
+                for x, y, z in [(i, j, k), (i, k, j)] if i < j < k else [(i, j, k)]:
+                    if (basis[x] * basis[y]) * basis[z] != basis[x] * (basis[y] * basis[z]):
+                        labels = (model.labels[x], model.labels[y], model.labels[z])
+                        flag(
+                            "mul-associativity",
+                            "({} * {}) * {} != {} * ({} * {})".format(*labels, *labels),
+                            labels,
+                        )
+
+    if model.fm.rank() != model.dim:
+        flag("fm-invertible", "the Fourier matrix is singular")
+
+    for i in range(model.dim):
+        p, q = model.bidegrees[i]
+        for k, c in enumerate(model.fm.rows[i]):
+            if c and model.bidegrees[k] != (q, p):
+                flag(
+                    "fm-bidegree",
+                    f"the Fourier image of {model.labels[i]} leaks outside K^{q}_{p}",
+                    (model.labels[i],),
+                )
+                break
+
+    square = model.fm * model.fm
+    for i in range(model.dim):
+        want = [F(0)] * model.dim
+        want[i] = F((-1) ** g * _inversion_sign(model, i))
+        if list(square.rows[i]) != want:
+            flag(
+                "fm-involution",
+                f"the Fourier square does not act as (-1)^{g} times the inversion "
+                f"pullback on {model.labels[i]}",
+                (model.labels[i],),
+            )
+
+    if model.fm.rows[model.star_unit_index] != model.one().coords:
+        flag(
+            "fm-origin",
+            "the Fourier image of the origin class must be the unit "
+            "(this pins the Euler functional to rank after Fourier)",
+            (model.labels[model.star_unit_index],),
+        )
+    return ValidationReport(tuple(violations))
+
+
+def _perturbed(name, g, change, rng):
+    """A bundled model with one seeded change to its exported document (or,
+    for ``one-sided``, to one side of a product, which no document can
+    express since import mirrors every product)."""
+    m = model(name, g)
+    if change == "one-sided":
+        basis, mul, fm = _raw(m)
+        i, j = rng.randrange(m.dim), rng.randrange(m.dim)
+        mul[(i, j)] = {rng.randrange(m.dim): F(rng.choice((1, -1, 2)))}
+        return ModelAlgebra(
+            g, basis, mul, fm, unit_index=m.unit_index, star_unit_index=m.star_unit_index
+        )
+    doc = json.loads(export_model(m))
+    if change == "mul-coefficient":
+        triple = rng.choice(doc["mul"])
+        c = F(triple[3]) + rng.choice((1, -1, F(1, 2), F(-3, 2)))
+        triple[3] = f"{c.numerator}/{c.denominator}"
+    elif change == "mul-target":
+        rng.choice(doc["mul"])[2] = rng.randrange(m.dim)
+    elif change == "fm-entry":
+        row = doc["fm"][rng.randrange(m.dim)]
+        row[rng.randrange(m.dim)] = rng.choice(("0/1", "1/1", "-1/1", "2/1", "1/2"))
+    else:
+        # mostly inside 0..g, sometimes just outside it
+        degree = rng.randint(0, g) if rng.random() < 0.8 else rng.choice((-1, g + 1))
+        rng.choice(doc["basis"])[rng.choice("pq")] = degree
+    return import_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "change", ["mul-coefficient", "mul-target", "fm-entry", "bidegree", "one-sided"]
+)
+def test_validate_matches_dense_reference_on_perturbed_models(change):
+    rng = random.Random(f"validate-{change}")
+    flagged = 0
+    for name, g in bundled_models(4):
+        for _ in range(3):
+            m = _perturbed(name, g, change, rng)
+            report = validate(m)
+            assert report == _dense_validate(m), (name, g, change)
+            flagged += not report.ok
+    assert flagged  # the perturbations do reach the checks
+
+
+def test_validate_stays_sparse(monkeypatch):
+    # builders re-validate themselves; neither they nor ``validate`` may
+    # build a dense Fraction product, a model product or an Element
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate left the sparse integer tables")
+
+    monkeypatch.setattr(Matrix, "__mul__", forbidden)
+    monkeypatch.setattr(ModelAlgebra, "multiply", forbidden)
+    monkeypatch.setattr(Element, "__init__", forbidden)
+    for name, g in bundled_models(4):
+        assert validate(build_model(name, g)).ok
+    assert validate(load_model(NONASSOCIATIVE)).codes() == ("mul-associativity",)
