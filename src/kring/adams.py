@@ -27,7 +27,6 @@ sums) as a fast exact route that the series-engine route must agree with.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,10 +60,8 @@ def adams_operator(model: ModelAlgebra, kind: str, n: int) -> DiagonalOperator:
     if n <= 0:
         raise DomainError("Adams operations are indexed by positive integers")
     g = model.g
-    eig = tuple(
-        Fraction(n) ** adams_weight(kind, p, q, g) for (p, q) in model.bidegrees
-    )
-    return DiagonalOperator(model, eig)
+    weights = [adams_weight(kind, p, q, g) for (p, q) in model.bidegrees]
+    return DiagonalOperator.of_powers(model, n, weights)
 
 
 def adams(model: ModelAlgebra, kind: str, n: int, x: Element) -> Element:
@@ -74,10 +71,12 @@ def adams(model: ModelAlgebra, kind: str, n: int, x: Element) -> Element:
 
 def kind_ring(model: ModelAlgebra, kind: str) -> Ring:
     """The product the Adams family is a ring map for: the convolution
-    product for ``star``, the ordinary product for every other family."""
+    product for ``star``, the ordinary product for every other family.
+    Sums run on ``ModelAlgebra.combine``; the products and the kernel are
+    bound methods of the model, so rings built twice compare equal."""
     if kind == "star":
-        return Ring(star_product, model.zero(), model.star_unit())
-    return Ring(operator.mul, model.zero(), model.one())
+        return Ring(star_product, model.zero(), model.star_unit(), model.combine)
+    return Ring(model.multiply, model.zero(), model.one(), model.combine)
 
 
 def _log_lambda(
@@ -109,11 +108,13 @@ def gamma_series(
     if order < 1:
         raise DomainError("series order must be at least 1")
     ring = kind_ring(model, kind)
-    coeffs = [ring.zero] * (order + 1)
-    for w, comp in _weight_components(model, kind, x).items():
-        for m, c in enumerate(_substituted_log(w - 1, order).coeffs):
-            if c:
-                coeffs[m] = coeffs[m] + c * comp
+    parts = [
+        (_substituted_log(w - 1, order).coeffs, comp)
+        for w, comp in _weight_components(model, kind, x).items()
+    ]
+    coeffs = [ring.zero] + [
+        ring.sum([(s[m], comp) for s, comp in parts if s[m]]) for m in range(1, order + 1)
+    ]
     return TruncatedSeries(coeffs, ring).exp()
 
 
@@ -203,7 +204,7 @@ def gamma_images(
     """
     ring = kind_ring(model, kind)
     unit, zero = ring.one, ring.zero
-    result = TruncatedSeries([unit] + [zero] * order, ring)
+    result = None  # the product of the component series so far
     # a(i; d, m) vanishes for m > i, so powers beyond the order never enter;
     # components off the unit line die even earlier by nilpotency
     for w, comp in _weight_components(model, kind, x).items():
@@ -211,16 +212,13 @@ def gamma_images(
         if not powers:  # order 0
             continue
         table = universal_gamma_coefficients(w, order, len(powers))
-        coeffs = [unit]
-        for i in range(1, order + 1):
-            acc = zero
-            for m, xm in enumerate(powers, start=1):
-                a = table[i][m]
-                if a:
-                    acc = acc + a * xm
-            coeffs.append(acc)
-        result = result * TruncatedSeries(coeffs, ring)
-    return list(result.coeffs)
+        coeffs = [unit] + [
+            ring.sum([(a, xm) for a, xm in zip(table[i][1:], powers) if a])
+            for i in range(1, order + 1)
+        ]
+        factor = TruncatedSeries(coeffs, ring)
+        result = factor if result is None else result * factor
+    return [unit] + [zero] * order if result is None else list(result.coeffs)
 
 
 # -- line-bundle calculus ----------------------------------------------------

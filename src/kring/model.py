@@ -49,6 +49,8 @@ from .linalg import Matrix, _bareiss
 
 MulTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
+FOREIGN = "elements belong to different models"
+
 
 class Bidegree(NamedTuple):
     p: int
@@ -120,7 +122,7 @@ class Element:
 
     def _check_model(self, other: "Element") -> None:
         if self.model is not other.model:
-            raise StructureError("elements belong to different models")
+            raise StructureError(FOREIGN)
 
     def __add__(self, other: "Element") -> "Element":
         self._check_model(other)
@@ -145,7 +147,6 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._check_model(other)
             return self.model.multiply(self, other)
         if isinstance(other, int):
             return Element(self.model, [other * n for n in self.nums], self.den)
@@ -256,6 +257,8 @@ def _bilinear(model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element)
     """The bilinear form with structure constants ``table``: the sum over
     i, j of x_i y_j (e_i . e_j), skipping zero coordinates, as one integer
     vector over x.den * y.den * table.den."""
+    if x.model is not model or y.model is not model:
+        raise StructureError(FOREIGN)
     ys = y.nums
     out = [0] * model.dim
     for xi, row in zip(x.nums, table.rows):
@@ -272,6 +275,8 @@ def _bilinear(model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element)
 
 def _linear(model: "ModelAlgebra", matrix: ScaledTable, x: Element) -> Element:
     """Row vector x times the operator ``matrix`` (row i = image of e_i)."""
+    if x.model is not model:
+        raise StructureError(FOREIGN)
     out = [0] * model.dim
     for xi, row in zip(x.nums, matrix.rows):
         if xi:
@@ -388,6 +393,25 @@ class ModelAlgebra:
         return Element(self, [n if i in keep else 0 for i, n in enumerate(x.nums)], x.den)
 
     # -- products ----------------------------------------------------------
+
+    def combine(self, terms: Sequence[tuple[int | Fraction, Element]], den: int = 1) -> Element:
+        """The sum of c * x over the (scalar, element) ``terms``, divided by
+        ``den``: one integer numerator vector over the lcm of the terms'
+        denominators, reduced by a single gcd.  An empty sum is zero, and a
+        lone term 1 * x is x itself."""
+        dens = []
+        for c, x in terms:
+            if x.model is not self:
+                raise StructureError(FOREIGN)
+            dens.append(c.denominator * x.den)
+        if len(terms) == 1 and den == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        common = lcm(*dens)
+        out = [0] * self.dim
+        for (c, x), d in zip(terms, dens):
+            f = c.numerator * (common // d)
+            out = [o + f * n for o, n in zip(out, x.nums)]
+        return Element(self, out, common * den)
 
     def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         return self._mul.get((i, j), ())

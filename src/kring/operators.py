@@ -19,41 +19,57 @@ by.  Its structure constants F^-1(F e_i . F e_j) are computed once per
 model, on first use, into ``ModelAlgebra.star_table``; a star product is
 then one sparse bilinear multiply, the same integer kernel as the ordinary
 product.  The table is an attribute of the model, not a module-level
-cache, so it is freed with the model.  Diagonal operators and the Fourier
-operator also act on the integer numerators of an ``Element``.
+cache, so it is freed with the model.  A diagonal operator stores its
+eigenvalues as integer numerators over one denominator, built as integer
+powers (negative weights in the denominator), so ``apply`` scales an
+``Element``'s numerators, ``compose`` multiplies integers, and operators
+compare by their numerators and denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, StructureError
 from .linalg import Matrix, vandermonde_matrix
-from .model import Element, ModelAlgebra
+from .model import FOREIGN, Element, ModelAlgebra
 
 
 @dataclass(frozen=True)
 class DiagonalOperator:
-    """A model operator acting diagonally on the bigraded basis."""
+    """A model operator acting diagonally on the bigraded basis, with
+    eigenvalue nums[i] / den on e_i, in lowest terms like an ``Element``."""
 
     model: ModelAlgebra
-    eigenvalues: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @classmethod
+    def of_powers(cls, model: ModelAlgebra, k: int, weights) -> "DiagonalOperator":
+        """Eigenvalue k^w on each basis vector of weight w, as integer
+        powers (0^0 = 1); negative weights go into the denominator."""
+        low = min(0, *weights)
+        return cls._reduced(model, [k ** (w - low) for w in weights], k**-low)
+
+    @classmethod
+    def _reduced(cls, model: ModelAlgebra, nums, den: int) -> "DiagonalOperator":
+        d = Element(model, nums, den)
+        return cls(model, d.nums, d.den)
+
+    @property
+    def eigenvalues(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
 
-    @cached_property
-    def _diagonal(self) -> Element:
-        """The eigenvalues as one vector: integer numerators over one
-        denominator, which ``apply`` multiplies coordinatewise."""
-        return Element(self.model, self.eigenvalues)
-
     def apply(self, x: Element) -> Element:
-        d = self._diagonal
-        return Element(self.model, [a * n for a, n in zip(d.nums, x.nums)], d.den * x.den)
+        if x.model is not self.model:
+            raise StructureError(FOREIGN)
+        return Element(self.model, [a * n for a, n in zip(self.nums, x.nums)], self.den * x.den)
 
     def matrix(self) -> Matrix:
         n = self.model.dim
@@ -63,9 +79,8 @@ class DiagonalOperator:
         return Matrix(rows)
 
     def compose(self, other: "DiagonalOperator") -> "DiagonalOperator":
-        return DiagonalOperator(
-            self.model,
-            tuple(a * b for a, b in zip(self.eigenvalues, other.eigenvalues)),
+        return self._reduced(
+            self.model, [a * b for a, b in zip(self.nums, other.nums)], self.den * other.den
         )
 
 
@@ -77,8 +92,7 @@ def pullback(model: ModelAlgebra, k: int) -> DiagonalOperator:
     line scaled by rank: x |-> rank(x) * 1.
     """
     g = model.g
-    eig = tuple(Fraction(k) ** (g + p - q) for (p, q) in model.bidegrees)
-    return DiagonalOperator(model, eig)
+    return DiagonalOperator.of_powers(model, k, [g + p - q for (p, q) in model.bidegrees])
 
 
 @lru_cache(maxsize=None)
@@ -89,8 +103,7 @@ def pushforward(model: ModelAlgebra, k: int) -> DiagonalOperator:
     operator is invertible.
     """
     g = model.g
-    eig = tuple(Fraction(k) ** (g - p + q) for (p, q) in model.bidegrees)
-    return DiagonalOperator(model, eig)
+    return DiagonalOperator.of_powers(model, k, [g - p + q for (p, q) in model.bidegrees])
 
 
 def fourier(x: Element) -> Element:
@@ -105,8 +118,6 @@ def fourier_inverse(x: Element) -> Element:
 def star_product(x: Element, y: Element) -> Element:
     """Convolution product: the ordinary product conjugated by Fourier,
     F^-1(F x . F y), read off the model's precomputed ``star_table``."""
-    if x.model is not y.model:
-        raise DomainError("star product needs elements of one model")
     return x.model.star_multiply(x, y)
 
 

@@ -6,7 +6,10 @@ t -> t/(1-t).  Coefficients may be ``Fraction``s or any commutative-ring
 values supporting addition, subtraction, equality, and scalar
 multiplication by ``Fraction``; the product is a ``Ring``, so the same
 engine serves both the ordinary and the convolution-style multiplications
-of a model algebra.
+of a model algebra.  Each output coefficient of a product, of ``exp`` and of
+the substitution is one ``Ring.sum``: over a model that is one integer
+numerator vector with a single gcd, not a left fold of ``+``; over Q it is
+the plain ``Fraction`` sum.
 
 ``exp`` runs the linear recurrence m a_m = sum_k k f_k a_{m-k} (Brent and
 Kung, "Fast algorithms for manipulating formal power series", JACM 1978)
@@ -32,11 +35,26 @@ from .errors import DomainError, SeriesOrderError, StructureError
 
 
 class Ring(NamedTuple):
-    """A commutative, associative, unital product with its zero and unit."""
+    """A commutative, associative, unital product with its zero and unit,
+    and optionally a ``combine(terms, den)`` kernel for ``sum`` (a model's
+    ``ModelAlgebra.combine``); without one, ``sum`` folds ``+`` from zero."""
 
     mul: Callable
     zero: object
     one: object
+    combine: Callable | None = None
+
+    def sum(self, terms, den: int = 1):
+        """The sum of c * x over the (scalar, value) ``terms``, over ``den``;
+        an empty sum is ``zero`` itself."""
+        if not terms:
+            return self.zero
+        if self.combine is not None:
+            return self.combine(terms, den)
+        total = self.zero
+        for c, x in terms:
+            total = total + (x if c == 1 else c * x)
+        return total if den == 1 else Fraction(1, den) * total
 
     def powers(self, x, limit: int) -> list:
         """x, x^2, ..., at most ``limit`` of them, stopping before the first
@@ -134,49 +152,46 @@ class TruncatedSeries:
         return self.like([q * c for c in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Cauchy product: each coefficient is one ring sum of its products,
+        which still run through the ring's own ``mul``."""
         self._check_compatible(other)
-        mul, zero, _ = self.ring
-        n = self.order
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == zero:
-                continue
-            for j in range(n - i + 1):
-                b = other.coeffs[j]
-                if b == zero:
-                    continue
-                out[i + j] = out[i + j] + mul(a, b)
-        return self.like(out)
+        mul, zero = self.ring.mul, self.ring.zero
+        left = [(i, a) for i, a in enumerate(self.coeffs) if a != zero]
+        right = other.coeffs
+        return self.like([
+            self.ring.sum(
+                [(1, mul(a, right[s - i])) for i, a in left if i <= s and right[s - i] != zero]
+            )
+            for s in range(self.order + 1)
+        ])
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with vanishing constant term.
 
         Uses the recurrence a_0 = one, m a_m = sum_{k=1..m} k f_k a_{m-k}
         (differentiate exp(f) = a to get a' = f' a), so it takes O(N^2)
-        ring products where summing the powers f^k / k! takes O(N^3).  The
-        k = m term is m f_m, as a_0 is the unit; zero f_k and zero a_{m-k}
-        are skipped.  The recurrence assumes a commutative, associative,
-        unital product, which ``validate`` guarantees for model products.
+        ring products where summing the powers f^k / k! takes O(N^3).  Each
+        a_m is one ring sum: the products f_k a_{m-k} (through the ring's
+        own ``mul``) with scalars k, the k = m term m f_m (a_0 is the unit),
+        and 1/m in the sum's denominator.  Zero f_k and zero a_{m-k} are
+        skipped.  The recurrence assumes a commutative, associative, unital
+        product, which ``validate`` guarantees for model products.
         """
-        mul, zero, one = self.ring
+        mul, zero, one, _ = self.ring
         if self.coeffs[0] != zero:
             raise DomainError("exp needs a zero constant term")
-        weighted = [
-            (k, Fraction(k) * f)
-            for k, f in enumerate(self.coeffs)
-            if k and f != zero
-        ]
+        nonzero = [(k, f) for k, f in enumerate(self.coeffs) if k and f != zero]
         out = [one]
         for m in range(1, self.order + 1):
-            acc = zero
-            for k, kf in weighted:
+            terms = []
+            for k, f in nonzero:
                 if k > m:
                     break
                 if k == m:  # a_0 is the unit
-                    acc = acc + kf
+                    terms.append((m, f))
                 elif out[m - k] != zero:
-                    acc = acc + mul(kf, out[m - k])
-            out.append(Fraction(1, m) * acc)
+                    terms.append((k, mul(f, out[m - k])))
+            out.append(self.ring.sum(terms, m))
         return self.like(out)
 
     def log(self) -> "TruncatedSeries":
@@ -193,15 +208,10 @@ class TruncatedSeries:
     def substitute_gamma(self) -> "TruncatedSeries":
         """Composition with t/(1-t): (t/(1-t))^i = sum_{m>=i} C(m-1, i-1) t^m."""
         zero = self.ring.zero
+        nonzero = [(i, c) for i, c in enumerate(self.coeffs) if i and c != zero]
         out = [self.coeffs[0]]
         for m in range(1, self.order + 1):
-            acc = zero
-            for i in range(1, m + 1):
-                c = self.coeffs[i]
-                if c == zero:
-                    continue
-                acc = acc + comb(m - 1, i - 1) * c
-            out.append(acc)
+            out.append(self.ring.sum([(comb(m - 1, i - 1), c) for i, c in nonzero if i <= m]))
         return self.like(out)
 
     def __repr__(self) -> str:

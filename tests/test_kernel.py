@@ -1,7 +1,10 @@
 """Property tests of the integer kernel: every ``Element`` an operation
 returns is in canonical form and equals a plain-``Fraction`` reference
-computed here from ``mul_basis`` and the Fourier matrix rows."""
+computed here from ``mul_basis`` and the Fourier matrix rows.  The
+combination kernel and the series engine's sums are checked against left
+folds of ``+``, and the diagonal operators against ``Fraction`` powers."""
 
+import importlib
 from fractions import Fraction
 from math import gcd
 
@@ -9,9 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kring import Element, adams_operator, fourier, fourier_inverse, pullback, pushforward
+from kring import (
+    DiagonalOperator,
+    Element,
+    TruncatedSeries,
+    adams_operator,
+    fourier,
+    fourier_inverse,
+    gamma_series,
+    kind_ring,
+    pullback,
+    pushforward,
+    star_product,
+    theta_model,
+)
 from kring.adams import ADAMS_KINDS
-from kring.errors import DomainError
+from kring.errors import DomainError, StructureError
 from kring.linalg import Matrix
 from tests.conftest import bundled_models, model
 
@@ -132,3 +148,174 @@ def test_numerators_over_a_denominator_are_reduced(theta2):
     assert (zero.nums, zero.den) == ((0, 0, 0), 1)
     with pytest.raises(DomainError):
         Element(theta2, [1, 0, 0], 0)
+
+
+# -- the combination kernel and the series engine's sums ----------------------
+
+scalar = st.one_of(st.just(0), st.integers(-5, 5), st.fractions(max_denominator=12))
+
+
+@PROPERTY
+@given(model_and_vectors(count=4), st.lists(scalar, max_size=4), st.integers(1, 9))
+def test_combine_equals_a_left_fold(case, scalars, den):
+    m, vectors = case
+    terms = [(c, m.from_coords(v)) for c, v in zip(scalars, vectors)]
+    fold = m.zero()
+    for c, x in terms:
+        fold = fold + c * x
+    got = m.combine(terms, den)
+    assert _canonical(got)
+    assert got == F(1, den) * fold
+    assert m.combine(terms) == fold
+    assert m.combine([]) == m.zero()
+
+
+def _fold_mul(a, b):
+    """The Cauchy product as a left fold of ring products and ``+``."""
+    mul, zero = a.ring.mul, a.ring.zero
+    n = a.order
+    out = [zero] * (n + 1)
+    for i, x in enumerate(a.coeffs):
+        if x == zero:
+            continue
+        for j in range(n - i + 1):
+            if b.coeffs[j] != zero:
+                out[i + j] = out[i + j] + mul(x, b.coeffs[j])
+    return tuple(out)
+
+
+def _fold_exp(s):
+    """exp by the recurrence m a_m = sum_k k f_k a_{m-k}, term by term."""
+    mul, zero, one = s.ring.mul, s.ring.zero, s.ring.one
+    weighted = [(k, F(k) * f) for k, f in enumerate(s.coeffs) if k and f != zero]
+    out = [one]
+    for m in range(1, s.order + 1):
+        acc = zero
+        for k, kf in weighted:
+            if k > m:
+                break
+            if k == m:
+                acc = acc + kf
+            elif out[m - k] != zero:
+                acc = acc + mul(kf, out[m - k])
+        out.append(F(1, m) * acc)
+    return tuple(out)
+
+
+@st.composite
+def model_series(draw):
+    m = model(*draw(st.sampled_from(MODELS)))
+    ring = kind_ring(m, draw(st.sampled_from(ADAMS_KINDS)))
+    order = draw(st.integers(1, 5))
+
+    def series():
+        coeffs = [
+            m.from_coords(draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim)))
+            if draw(st.booleans())
+            else m.zero()
+            for _ in range(order)
+        ]
+        return TruncatedSeries([ring.zero] + coeffs, ring)
+
+    return series(), series()
+
+
+@settings(max_examples=40, deadline=None)
+@given(model_series())
+def test_series_sums_match_the_term_by_term_loops(pair):
+    a, b = pair
+    assert (a * b).coeffs == _fold_mul(a, b)
+    assert (a.constant(a.ring.one) + a) * b == b + a * b
+    assert a.exp().coeffs == _fold_exp(a)
+
+
+@pytest.mark.parametrize("name,g", MODELS)
+def test_kind_rings_built_twice_are_equal(name, g):
+    m = model(name, g)
+    for kind in ADAMS_KINDS:
+        assert kind_ring(m, kind) == kind_ring(m, kind)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(MODELS),
+    st.integers(-3, 3),
+    st.data(),
+)
+def test_diagonal_operators_match_fraction_powers(case, k, data):
+    m = model(*case)
+    weights = st.lists(st.integers(-4, 4), min_size=m.dim, max_size=m.dim)
+    v, w = data.draw(weights), data.draw(weights)
+    if not k:  # 0^w needs w >= 0; 0^0 = 1
+        v, w = [abs(x) for x in v], [abs(x) for x in w]
+    a = DiagonalOperator.of_powers(m, k, v)
+    b = DiagonalOperator.of_powers(m, k, w)
+    assert a.eigenvalues == tuple(F(k) ** x for x in v)
+    ab = a.compose(b)
+    assert ab.den > 0 and gcd(ab.den, *ab.nums) == 1
+    assert ab.eigenvalues == tuple(F(k) ** (x + y) for x, y in zip(v, w))
+    assert ab == DiagonalOperator.of_powers(m, k, [x + y for x, y in zip(v, w)])
+
+
+def test_diagonal_operators_keep_zero_to_the_zero(theta2):
+    assert pullback(theta2, 0).eigenvalues == (1, 0, 0)
+    assert pushforward(theta2, 0).eigenvalues == (0, 0, 1)
+    assert adams_operator(theta2, "pi_star", 2).eigenvalues == (1, F(1, 2), F(1, 4))
+
+
+# -- every kernel refuses an element of another model -------------------------
+
+
+def _foreign_calls():
+    a, b = theta_model(2), theta_model(2)
+    x, y = b.basis_element(1), b.basis_element(2)
+    return [
+        ("multiply", lambda: a.multiply(x, y)),
+        ("multiply, one side", lambda: a.multiply(a.basis_element(1), y)),
+        ("star_multiply", lambda: a.star_multiply(x, y)),
+        ("star_product", lambda: star_product(a.star_unit(), y)),
+        ("fourier", lambda: a.fourier(x)),
+        ("fourier_inverse", lambda: a.fourier_inverse(x)),
+        ("DiagonalOperator.apply", lambda: pullback(a, 2).apply(x)),
+        ("combine", lambda: a.combine([(1, a.one()), (2, x)])),
+        ("combine, one term", lambda: a.combine([(1, x)])),
+    ]
+
+
+@pytest.mark.parametrize("entry", range(len(_foreign_calls())))
+def test_kernels_refuse_elements_of_another_model(entry):
+    name, call = _foreign_calls()[entry]
+    with pytest.raises(StructureError):
+        call()
+
+
+# -- a deterministic guard on the series engine's sums -------------------------
+
+
+@pytest.mark.parametrize("kind", ADAMS_KINDS)
+def test_gamma_series_builds_one_element_per_product_or_sum(kind, monkeypatch):
+    m = theta_model(4)
+    x = m.from_coords([2, 1, F(-1, 2), 3, F(2, 3)])
+    order = 18
+    m.star_table  # built once per model, before counting
+    counts = {"elements": 0, "products": 0}
+    model_module = importlib.import_module("kring.model")
+    init, bilinear = Element.__init__, model_module._bilinear
+
+    def counted_init(self, *args):
+        counts["elements"] += 1
+        init(self, *args)
+
+    def counted_bilinear(*args):
+        counts["products"] += 1
+        return bilinear(*args)
+
+    monkeypatch.setattr(Element, "__init__", counted_init)
+    monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
+    gamma_series(m, kind, x, order)
+    # one Element per ring product, one per coefficient of the substituted
+    # series and one per coefficient of exp, plus the ring's zero and unit
+    # and one per Adams weight component of x; a sum that built an Element
+    # per term would cost about one more per product
+    assert counts["products"] > 4 * order
+    assert counts["elements"] <= counts["products"] + 2 * order + m.dim + 2
