@@ -18,6 +18,11 @@ scaled kernel basis vectors c . e_k, c = 1 .. nu_k (see
 ``compute_filtration``).  The eigen_sum method sums the Adams eigenspaces
 of weight >= n, stage by stage.
 
+The saturation skips each product x . y for which no basis pair (i, j), i
+in the support of x and j in that of y, has an entry in the product table
+(the model's partner masks): it is the zero vector, on every model, as the
+rule reads the table and assumes no bigrading.
+
 The checkers cover the inclusion of the pi filtration in the gamma one
 (with the unconditionally provable cases flagged separately), the
 four-way equivalence criterion for homogeneous classes, and the composed
@@ -31,7 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import or_
 from typing import Callable, Sequence
 
 from .adams import adams_weight, complete_chern, gamma_images, kind_ring, lambda_op
@@ -76,6 +83,10 @@ class FiltrationSpec:
         subring = set(self.subring_indices(model))
         return tuple(i for i in range(model.dim) if i not in subring)
 
+    def partners(self, model: ModelAlgebra) -> tuple[int, ...]:
+        """The partner masks of the family's product table (``kind_ring``)."""
+        return model.star_partners if self.kind == "star" else model.mul_partners
+
     def augmentation(self, model: ModelAlgebra, x: Element) -> Element:
         """Projection onto the subring; for gamma this is rank(x) . 1, for
         star the Euler characteristic times the origin class."""
@@ -92,11 +103,14 @@ class FiltrationSpec:
 
     def _augmentation_witness(self, model: ModelAlgebra) -> tuple[bool, str | None]:
         product = kind_ring(model, self.family).mul
+        partners = self.partners(model)
         keep = self.subring_indices(model)
         basis = model.basis_elements()
         augmented = [model.project(x, keep) for x in basis]
         for i in range(model.dim):
             for j in range(i, model.dim):
+                if not partners[i] >> j & 1:
+                    continue  # e_i . e_j has no table entry: both sides are zero
                 lhs = model.project(product(basis[i], basis[j]), keep)
                 rhs = product(augmented[i], augmented[j])
                 if lhs != rhs:
@@ -122,9 +136,19 @@ class FiltrationResult:
         return self.stages[n]
 
 
-def _elements(model: ModelAlgebra, space: Subspace) -> list[Element]:
-    """The canonical basis of ``space`` as model elements."""
-    return [Element(model, nums, den) for nums, den in space.rows]
+def _supported(model: ModelAlgebra, space: Subspace) -> list[tuple[Element, int]]:
+    """The canonical basis of ``space``, each vector with its support bitmask."""
+    return [
+        (Element(model, nums, den), sum(1 << i for i, n in enumerate(nums) if n))
+        for nums, den in space.rows
+    ]
+
+
+def _products(product: Callable, xs: Sequence, ys: Sequence) -> list[Element]:
+    """The nonzero x . y over the (x, reach) in ``xs`` and (y, support) in
+    ``ys``, skipping the pairs with reach & support == 0."""
+    prods = (product(x, y) for x, reach in xs for y, support in ys if reach & support)
+    return [prod for prod in prods if not prod.is_zero()]
 
 
 def _with_pairwise_sums(vectors: Sequence[Element]) -> list[Element]:
@@ -138,19 +162,13 @@ def _with_pairwise_sums(vectors: Sequence[Element]) -> list[Element]:
 def _close_under_products(
     model: ModelAlgebra,
     product: Callable[[Element, Element], Element],
-    seed_vectors: list[Element],
-    multipliers: list[Element],
+    multipliers: Sequence[tuple[Element, int]],
 ) -> Subspace:
-    """Span of all words in ``multipliers`` applied to ``seed_vectors``."""
-    space = Subspace.span(model.dim, seed_vectors)
+    """Span of all words in the (element, reach) ``multipliers``."""
+    space = Subspace.span(model.dim, [m for m, _ in multipliers])
     while True:
-        new_vectors = []
-        basis_elems = _elements(model, space)
-        for m in multipliers:
-            for b in basis_elems:
-                prod = product(m, b)
-                if not prod.is_zero() and not space.contains(prod):
-                    new_vectors.append(prod)
+        found = _products(product, multipliers, _supported(model, space))
+        new_vectors = [prod for prod in found if not space.contains(prod)]
         if not new_vectors:
             return space
         space = space + Subspace.span(model.dim, new_vectors)
@@ -177,52 +195,46 @@ def _saturation_stages(
     order: int,
 ) -> list[Subspace]:
     """Stages 0..n_max spanned by products of the gamma images of
-    ``generators`` (and of their products with the augmentation subring)."""
+    ``generators`` (and of their products with the augmentation subring).
+
+    x . y is skipped when reach(x) & support(y) == 0, reach(x) being the OR
+    of the partner masks over the support of x: then no table pair (i, j)
+    has i in the support of x and j in that of y, so x . y is zero.
+    """
     product = kind_ring(model, spec.family).mul
+    partners = spec.partners(model)
     dim = model.dim
 
     images = [gamma_images(model, spec.family, x, order) for x in generators]
 
-    # span of the gamma images per weight i
-    weight_spans: list[Subspace] = [Subspace.zero(dim)]
+    # basis of the span of the gamma images per weight i, with their reaches
+    weight_basis: list[list[tuple[Element, int]]] = [[]]
     for i in range(1, order + 1):
-        weight_spans.append(
-            Subspace.span(dim, [img[i] for img in images])
-        )
-    weight_basis = [_elements(model, w) for w in weight_spans]
+        span = Subspace.span(dim, [img[i] for img in images])
+        weight_basis.append([
+            (v, reduce(or_, (p for k, p in enumerate(partners) if s >> k & 1), 0))
+            for v, s in _supported(model, span)
+        ])
 
     # monomial spans: M[n] = span of products of gamma images of total weight >= n
-    all_gamma = [v for i in range(1, order + 1) for v in weight_basis[i]]
-    monomials: dict[int, Subspace] = {}
-    monomials[1] = _close_under_products(model, product, list(all_gamma), all_gamma)
-    m_basis = {1: _elements(model, monomials[1])}
+    all_gamma = [pair for i in range(1, order + 1) for pair in weight_basis[i]]
+    m_basis = {1: _supported(model, _close_under_products(model, product, all_gamma))}
     for n in range(2, n_max + 1):
         vectors: list[Element] = []
         for i in range(1, order + 1):
             if i >= n:
-                vectors.extend(weight_basis[i])
-            lower = m_basis[max(n - i, 1)]
-            for gen in weight_basis[i]:
-                for b in lower:
-                    prod = product(gen, b)
-                    if not prod.is_zero():
-                        vectors.append(prod)
-        monomials[n] = Subspace.span(dim, vectors)
-        m_basis[n] = _elements(model, monomials[n])
+                vectors.extend(v for v, _ in weight_basis[i])
+            vectors.extend(_products(product, weight_basis[i], m_basis[max(n - i, 1)]))
+        m_basis[n] = _supported(model, Subspace.span(dim, vectors))
 
     # close each stage under multiplication by the augmentation subring
-    subring = [model.basis_element(i) for i in spec.subring_indices(model)]
+    subring = [(model.basis_element(i), partners[i]) for i in spec.subring_indices(model)]
     kernel = Subspace.span(
         dim, [model.basis_element(i) for i in spec.kernel_indices(model)]
     )
     stages = [Subspace.full(dim), kernel]
     for n in range(2, n_max + 1):
-        closed = list(m_basis[n])
-        for s in subring:
-            for v in m_basis[n]:
-                prod = product(s, v)
-                if not prod.is_zero():
-                    closed.append(prod)
+        closed = [v for v, _ in m_basis[n]] + _products(product, subring, m_basis[n])
         stages.append(Subspace.span(dim, closed))
     return stages
 

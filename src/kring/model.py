@@ -33,7 +33,8 @@ constants of both products and of the Fourier operator and its inverse
 are likewise integers over one model-wide denominator (``ScaledTable``),
 built once per model: the multiplication table and the Fourier operator at
 construction, the convolution table and the inverse on first use.
-``Element.coords`` hands the coordinates out as ``Fraction``s.
+``Element.coords`` hands the coordinates out as ``Fraction``s.  On first use
+each product table also gets partner masks and a check of its unit law.
 """
 
 from __future__ import annotations
@@ -253,12 +254,33 @@ def _scaled_matrix(matrix: Matrix) -> ScaledTable:
     return ScaledTable(rows, den)
 
 
-def _bilinear(model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element) -> Element:
+def _partner_masks(table: ScaledTable) -> tuple[int, ...]:
+    """Entry i: the bitmask of the j for which (i, j) has an entry in ``table``."""
+    return tuple(sum(1 << j for j, _ in row) for row in table.rows)
+
+
+def _two_sided_unit(table: ScaledTable, u: int) -> tuple[int, ...] | None:
+    """The numerators of e_u if ``table`` has e_u e_i = e_i = e_i e_u for all i."""
+    rows, den = table
+    ones = tuple((i, ((i, den),)) for i in range(len(rows)))
+    if rows[u] == ones and all(dict(row).get(u) == c for row, (_, c) in zip(rows, ones)):
+        return tuple(int(i == u) for i in range(len(ones)))
+    return None
+
+
+def _bilinear(
+    model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element, unit=None
+) -> Element:
     """The bilinear form with structure constants ``table``: the sum over
     i, j of x_i y_j (e_i . e_j), skipping zero coordinates, as one integer
-    vector over x.den * y.den * table.den."""
+    vector over x.den * y.den * table.den.  A factor equal to ``unit``, the
+    numerators of a two-sided unit of ``table``, returns the other factor."""
     if x.model is not model or y.model is not model:
         raise StructureError(FOREIGN)
+    if unit is not None and x.den == 1 and x.nums == unit:
+        return y
+    if unit is not None and y.den == 1 and y.nums == unit:
+        return x
     ys = y.nums
     out = [0] * model.dim
     for xi, row in zip(x.nums, table.rows):
@@ -417,11 +439,27 @@ class ModelAlgebra:
         return self._mul.get((i, j), ())
 
     def multiply(self, x: Element, y: Element) -> Element:
-        return _bilinear(self, self._table, x, y)
+        return _bilinear(self, self._table, x, y, self._mul_unit)
 
     def star_multiply(self, x: Element, y: Element) -> Element:
         """Convolution product, read off ``star_table``."""
-        return _bilinear(self, self.star_table, x, y)
+        return _bilinear(self, self.star_table, x, y, self._star_unit)
+
+    @cached_property
+    def _mul_unit(self) -> tuple[int, ...] | None:
+        return _two_sided_unit(self._table, self.unit_index)
+
+    @cached_property
+    def _star_unit(self) -> tuple[int, ...] | None:
+        return _two_sided_unit(self.star_table, self.star_unit_index)
+
+    @cached_property
+    def mul_partners(self) -> tuple[int, ...]:
+        return _partner_masks(self._table)
+
+    @cached_property
+    def star_partners(self) -> tuple[int, ...]:
+        return _partner_masks(self.star_table)
 
     def fourier(self, x: Element) -> Element:
         """Image under the Fourier operator (row i of ``fm`` = image of e_i)."""

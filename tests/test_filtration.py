@@ -9,6 +9,7 @@ import pytest
 from kring import (
     Element,
     FiltrationSpec,
+    ModelAlgebra,
     Subspace,
     check_composed_structure,
     check_lemma_equivalences,
@@ -20,9 +21,11 @@ from kring import (
     run_filtration_tables,
     run_verify_suite,
 )
+from kring.adams import gamma_images, kind_ring
 from kring.errors import DomainError, SeriesOrderError
-from kring.filtration import _saturation_stages, _with_pairwise_sums
+from kring.filtration import _saturation_stages, _scaled_kernel_basis, _with_pairwise_sums
 from tests.conftest import bundled_models, filtration, model
+from tests.test_model import _theta_raw
 
 F = Fraction
 
@@ -207,6 +210,146 @@ def test_augmentation_checked_once_per_model_and_kind(monkeypatch):
         check_composed_structure(m, gamma_big_result=compute_filtration(m, "Gamma", 6))
     assert len(calls) == 8
     assert len({(id(m), kind) for m, kind in calls}) == 8
+
+
+# -- skipped products: the unpruned loops as the reference ---------------------
+
+
+def _unpruned_close(m, product, seed_vectors, multipliers):
+    space = Subspace.span(m.dim, seed_vectors)
+    while True:
+        new_vectors = []
+        basis = [Element(m, nums, den) for nums, den in space.rows]
+        for x in multipliers:
+            for b in basis:
+                prod = product(x, b)
+                if not prod.is_zero() and not space.contains(prod):
+                    new_vectors.append(prod)
+        if not new_vectors:
+            return space
+        space = space + Subspace.span(m.dim, new_vectors)
+
+
+def _unpruned_stages(m, spec, generators, n_max, order):
+    """``_saturation_stages`` making every product, the zero ones too."""
+    product = kind_ring(m, spec.family).mul
+    dim = m.dim
+    images = [gamma_images(m, spec.family, x, order) for x in generators]
+    weight_basis = [[]]
+    for i in range(1, order + 1):
+        span = Subspace.span(dim, [img[i] for img in images])
+        weight_basis.append([Element(m, nums, den) for nums, den in span.rows])
+    all_gamma = [v for i in range(1, order + 1) for v in weight_basis[i]]
+    space = _unpruned_close(m, product, list(all_gamma), all_gamma)
+    m_basis = {1: [Element(m, nums, den) for nums, den in space.rows]}
+    for n in range(2, n_max + 1):
+        vectors = []
+        for i in range(1, order + 1):
+            if i >= n:
+                vectors.extend(weight_basis[i])
+            for gen in weight_basis[i]:
+                for b in m_basis[max(n - i, 1)]:
+                    prod = product(gen, b)
+                    if not prod.is_zero():
+                        vectors.append(prod)
+        space = Subspace.span(dim, vectors)
+        m_basis[n] = [Element(m, nums, den) for nums, den in space.rows]
+    subring = [m.basis_element(i) for i in spec.subring_indices(m)]
+    kernel = Subspace.span(dim, [m.basis_element(i) for i in spec.kernel_indices(m)])
+    stages = [Subspace.full(dim), kernel]
+    for n in range(2, n_max + 1):
+        closed = list(m_basis[n])
+        for s in subring:
+            for v in m_basis[n]:
+                prod = product(s, v)
+                if not prod.is_zero():
+                    closed.append(prod)
+        stages.append(Subspace.span(dim, closed))
+    return stages
+
+
+def _unpruned_witness(spec, m):
+    """``FiltrationSpec._augmentation_witness`` testing every basis pair."""
+    product = kind_ring(m, spec.family).mul
+    keep = spec.subring_indices(m)
+    basis = m.basis_elements()
+    augmented = [m.project(x, keep) for x in basis]
+    for i in range(m.dim):
+        for j in range(i, m.dim):
+            lhs = m.project(product(basis[i], basis[j]), keep)
+            if lhs != product(augmented[i], augmented[j]):
+                return False, f"({m.labels[i]}, {m.labels[j]})"
+    return True, None
+
+
+BROKEN = ("bidegree-breach", "breach-to-unit", "rescaled-e1e2")
+
+
+def _broken_table(name):
+    """A theta model whose table breaks a law the bundled builders keep: the
+    bidegree law (e2 . e2 = e2 or = e0 at g = 2) or associativity (e1 . e2
+    rescaled at g = 4, as in ``test_validate_reports_associativity_witness``).
+    A skip rule read off the bidegrees instead of the table changes the star
+    stages and the gamma and pi witnesses of ``breach-to-unit``."""
+    g, change = {
+        "bidegree-breach": (2, {(2, 2): {2: F(1)}}),
+        "breach-to-unit": (2, {(2, 2): {0: F(1)}}),
+        "rescaled-e1e2": (4, {(1, 2): {3: F(4)}, (2, 1): {3: F(4)}}),
+    }[name]
+    basis, mul, fm = _theta_raw(g)
+    mul.update(change)
+    return ModelAlgebra(g, basis, mul, fm, unit_index=0, star_unit_index=g)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
+@pytest.mark.parametrize("name,g", bundled_models(4))
+def test_skipped_products_leave_the_stages_unchanged(name, g, kind):
+    m = model(name, g)
+    res = filtration(name, g, kind, g + 2)
+    spec = FiltrationSpec(kind)
+    generators = _scaled_kernel_basis(m, spec, res.order)
+    assert res.stages == tuple(_unpruned_stages(m, spec, generators, g + 2, res.order))
+    assert (res.axiom_ok, res.axiom_witness) == _unpruned_witness(spec, m)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
+@pytest.mark.parametrize("name", BROKEN)
+def test_skipped_products_leave_broken_tables_unchanged(name, kind):
+    m = _broken_table(name)
+    spec = FiltrationSpec(kind)
+    order = m.default_series_order
+    generators = _scaled_kernel_basis(m, spec, order)
+    stages = _saturation_stages(m, spec, generators, m.g + 2, order)
+    assert stages == _unpruned_stages(m, spec, generators, m.g + 2, order)
+    assert spec._augmentation_witness(m) == _unpruned_witness(spec, m)
+
+
+@pytest.mark.parametrize("name,g", bundled_models(4) + [(name, None) for name in BROKEN])
+def test_partner_masks_match_the_tables(name, g):
+    m = _broken_table(name) if g is None else model(name, g)
+    star = [dict(row) for row in m.star_table.rows]
+    for i in range(m.dim):
+        for j in range(m.dim):
+            assert bool(m.mul_partners[i] >> j & 1) == bool(m.mul_basis(i, j))
+            assert bool(m.star_partners[i] >> j & 1) == (j in star[i])
+
+
+@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
+def test_saturation_skips_the_vanishing_products(kind, monkeypatch):
+    # a deterministic count, not a time: making every product took
+    # 1,365-2,013 per kind here, skipping the vanishing ones 160-203
+    m = build_model("violator", 4)
+    m.star_table  # built once per model, before counting
+    model_module = importlib.import_module("kring.model")
+    bilinear, calls = model_module._bilinear, []
+
+    def counted(*args):
+        calls.append(args)
+        return bilinear(*args)
+
+    monkeypatch.setattr(model_module, "_bilinear", counted)
+    compute_filtration(m, kind, 6)
+    assert len(calls) <= 300
 
 
 def test_order_below_stage_raises(theta2):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from kring import (
     DiagonalOperator,
     Element,
+    ModelAlgebra,
     TruncatedSeries,
     adams_operator,
     fourier,
@@ -30,6 +31,7 @@ from kring.adams import ADAMS_KINDS
 from kring.errors import DomainError, StructureError
 from kring.linalg import Matrix
 from tests.conftest import bundled_models, model
+from tests.test_model import _theta_raw
 
 F = Fraction
 
@@ -109,6 +111,20 @@ def test_products_are_canonical_and_exact(case):
     inverse = Matrix(rows).inverse().rows
     star = _row_times(inverse, _bilinear_reference(m, _row_times(rows, a), _row_times(rows, b)))
     _check(m.star_multiply(x, y), star)
+    # a factor equal to the product's unit returns the other factor
+    for unit, product in ((m.one(), m.multiply), (m.star_unit(), m.star_multiply)):
+        _check(product(unit, x), a)
+        _check(product(x, unit), a)
+
+
+def test_unit_shortcut_needs_the_unit_law():
+    # e0 . e1 = 2 e1 breaks the left unit law, so the product is made in full
+    basis, mul, fm = _theta_raw(2)
+    mul[(0, 1)] = {1: F(2)}
+    bad = ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
+    e1 = bad.basis_element(1)
+    assert bad.multiply(bad.one(), e1) == 2 * e1
+    assert bad.multiply(e1, bad.one()) == e1
 
 
 @PROPERTY
@@ -279,6 +295,10 @@ def _foreign_calls():
         ("DiagonalOperator.apply", lambda: pullback(a, 2).apply(x)),
         ("combine", lambda: a.combine([(1, a.one()), (2, x)])),
         ("combine, one term", lambda: a.combine([(1, x)])),
+        # the unit shortcut comes after the model check
+        ("multiply, foreign unit", lambda: a.multiply(b.one(), a.basis_element(1))),
+        ("multiply, foreign unit right", lambda: a.multiply(a.basis_element(1), b.one())),
+        ("star_multiply, foreign unit", lambda: a.star_multiply(b.star_unit(), a.one())),
     ]
 
 
