@@ -59,7 +59,6 @@ from .modelio import (
     fingerprint,
     import_model,
     load_model,
-    save_model,
 )
 from .operators import (
     DiagonalOperator,
@@ -88,8 +87,6 @@ from .series import (
     Ring,
     TruncatedSeries,
     harmonic_firstkind,
-    series_exp,
-    series_log,
     stirling1_unsigned,
     stirling2,
     substitute_gamma,

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial
 from operator import or_
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .adams import adams_weight, complete_chern, gamma_images, kind_ring, lambda_op
 from .errors import DomainError, SeriesOrderError
@@ -410,6 +410,10 @@ def check_lemma_equivalences(
     return LemmaEquivalenceReport(p, q, statements)
 
 
+# a check's failures: one (detail, witness) pair each, then its pass detail
+Failures = Iterator[tuple[str, str]]
+
+
 @dataclass(frozen=True)
 class Statement:
     """One verdict of a report, keyed by a stable identifier."""
@@ -423,6 +427,18 @@ class Statement:
     def ok(self) -> bool:
         return self.status != "fail"
 
+    @classmethod
+    def first_failure(cls, id: str, failures: Failures) -> "Statement":
+        """The verdict of a check written as a generator that yields a
+        (detail, witness) pair per failure and returns its pass detail:
+        fail with the first pair, without advancing past it, or pass with
+        the returned detail ("" if none)."""
+        try:
+            detail, witness = next(failures)
+        except StopIteration as done:
+            return cls(id, "pass", detail=done.value or "")
+        return cls(id, "fail", detail=detail, witness=witness)
+
 
 @dataclass(frozen=True)
 class ComposedStructureReport:
@@ -431,53 +447,38 @@ class ComposedStructureReport:
     g: int
     statements: dict[str, Statement]
     stage_dims: tuple[int, ...]
-    kernel_dim: int
 
     @property
     def ok(self) -> bool:
         return all(s.ok for s in self.statements.values())
 
 
-def _index_product_check(model: ModelAlgebra) -> Statement:
+def _pair(model: ModelAlgebra, i: int, j: int) -> str:
+    return f"({model.labels[i]}, {model.labels[j]})"
+
+
+def _index_product_failures(model: ModelAlgebra) -> Failures:
     for i in range(model.dim):
         ji = model.beauville_index_of(i)
         if ji <= 0:
             continue
         for k in range(model.dim):
             jk = model.beauville_index_of(k)
-            if jk >= 0:
-                continue
-            prod = model.basis_element(i) * model.basis_element(k)
-            if not prod.is_zero():
-                return Statement(
-                    "conj-2-products",
-                    "fail",
-                    detail=(
-                        f"index {ji} class times index {jk} class is nonzero"
-                    ),
-                    witness=f"({model.labels[i]}, {model.labels[k]})",
-                )
-    return Statement("conj-2-products", "pass")
+            if jk < 0 and not (model.basis_element(i) * model.basis_element(k)).is_zero():
+                yield f"index {ji} class times index {jk} class is nonzero", _pair(model, i, k)
 
 
-def _bloch_product_check(model: ModelAlgebra) -> Statement:
+def _bloch_product_failures(model: ModelAlgebra) -> Failures:
     g = model.g
     for i in range(model.dim):
         p1, q1 = model.bidegrees[i]
         if q1 != g or p1 < 1:
             continue
         for k in range(model.dim):
-            p2, q2 = model.bidegrees[k]
-            if p1 >= q2 + 1:
-                prod = model.basis_element(i) * model.basis_element(k)
-                if not prod.is_zero():
-                    return Statement(
-                        "bloch-products",
-                        "fail",
-                        detail="a K^r_g class with r > n meets a K^s_n class",
-                        witness=f"({model.labels[i]}, {model.labels[k]})",
-                    )
-    return Statement("bloch-products", "pass")
+            if p1 >= model.bidegrees[k].q + 1 and not (
+                model.basis_element(i) * model.basis_element(k)
+            ).is_zero():
+                yield "a K^r_g class with r > n meets a K^s_n class", _pair(model, i, k)
 
 
 def _binomial_lambda(model: ModelAlgebra, y: Element, i: int) -> Element:
@@ -488,122 +489,95 @@ def _binomial_lambda(model: ModelAlgebra, y: Element, i: int) -> Element:
     return Fraction(1, factorial(i)) * result
 
 
-def check_composed_structure(
-    model: ModelAlgebra, *, gamma_big_result: FiltrationResult
-) -> ComposedStructureReport:
-    g = model.g
-    n_max = g + 2
-    stages = list(_stages(gamma_big_result, "Gamma", n_max))
-    spec = FiltrationSpec("Gamma")
-    statements: dict[str, Statement] = {}
+_EPSILON_HYPOTHESIS = (
+    "hypothesis violated: nonzero product of positive- and negative-index "
+    "classes, so the index-0 projection is not a ring morphism"
+)
 
-    statements["conj-2-products"] = _index_product_check(model)
-    conj2_ok = statements["conj-2-products"].status == "pass"
 
-    if not conj2_ok:
-        statements["lem-epsilon-gamma-morphism"] = Statement(
-            "lem-epsilon-gamma-morphism",
-            "skipped",
-            detail=(
-                "hypothesis violated: nonzero product of positive- and "
-                "negative-index classes, so the index-0 projection is not a "
-                "ring morphism"
-            ),
-        )
-    else:
-        ok = True
-        witness = ""
-        morphism_ok, pair = spec.augmentation_is_morphism(model)
-        if not morphism_ok:
-            ok, witness = False, pair or ""
-        if ok:
-            for i in range(model.dim):
-                x = model.basis_element(i)
-                for idx in range(1, g + 1):
-                    # lambda of the composed structure, then project
-                    lam = lambda_op(model, "composed", idx, x)
-                    lhs = lam.beauville_component(0)
-                    rhs = _binomial_lambda(
-                        model, x.beauville_component(0), idx
-                    )
-                    if lhs != rhs:
-                        ok, witness = False, f"{model.labels[i]} at i={idx}"
-                        break
-                if not ok:
-                    break
-        statements["lem-epsilon-gamma-morphism"] = Statement(
-            "lem-epsilon-gamma-morphism", "pass" if ok else "fail", witness=witness
-        )
+def _epsilon_morphism_failures(model: ModelAlgebra) -> Failures:
+    morphism_ok, pair = FiltrationSpec("Gamma").augmentation_is_morphism(model)
+    if not morphism_ok:
+        yield "", pair or ""
+    for i in range(model.dim):
+        x = model.basis_element(i)
+        for idx in range(1, model.g + 1):
+            # lambda of the composed structure, then project
+            lhs = lambda_op(model, "composed", idx, x).beauville_component(0)
+            if lhs != _binomial_lambda(model, x.beauville_component(0), idx):
+                yield "", f"{model.labels[i]} at i={idx}"
 
+
+def _fil1_failures(model: ModelAlgebra, stages) -> Failures:
     # stage 1 of the composed filtration sits inside the rank kernel
     kernel_gamma = Subspace.span(
         model.dim,
-        [
-            model.basis_element(i)
-            for i in FiltrationSpec("gamma").kernel_indices(model)
-        ],
+        [model.basis_element(i) for i in FiltrationSpec("gamma").kernel_indices(model)],
     )
-    fil1_ok = stages[1].is_subspace_of(kernel_gamma)
-    statements["lem-fil1"] = Statement("lem-fil1", "pass" if fil1_ok else "fail")
+    if not stages[1].is_subspace_of(kernel_gamma):
+        yield "", ""
 
+
+def _fil2_failures(model: ModelAlgebra, stages) -> Failures:
     # index blocks lie deep in the filtration: K[j] in stage r for j<0 or j>=r
-    fil2_ok = True
-    fil2_witness = ""
-    for j in range(-g, g + 1):
+    for j in range(-model.g, model.g + 1):
         idx = model.indices_by_index(j)
         if not idx:
             continue
         block = Subspace.span(model.dim, [model.basis_element(i) for i in idx])
-        for r in range(n_max + 1):
-            if j < 0 or j >= r:
-                if not block.is_subspace_of(stages[r]):
-                    fil2_ok = False
-                    fil2_witness = f"index {j} block at stage {r}"
-                    break
-        if not fil2_ok:
-            break
-    statements["lem-fil2"] = Statement(
-        "lem-fil2", "pass" if fil2_ok else "fail", witness=fil2_witness
-    )
+        for r in range(model.g + 3):
+            if (j < 0 or j >= r) and not block.is_subspace_of(stages[r]):
+                yield "", f"index {j} block at stage {r}"
 
-    # the complete-Chern kernel, computed two independent ways
+
+def _kernel_c_failures(model: ModelAlgebra, stages) -> Failures:
+    """The complete-Chern kernel, computed two independent ways."""
+    g = model.g
     intersection = stages[0]
     for s in stages[1:]:
         intersection = intersection.intersect(s)
     stabilised = stages[g + 1] == stages[g + 2]
 
-    base = [model.basis_element(i) for i in spec.kernel_indices(model)]
-    survivors = []
-    for x in _with_pairwise_sums(base):
-        chern = complete_chern(model, x, stages)
-        if chern.is_zero:
-            survivors.append(x)
+    base = [model.basis_element(i) for i in FiltrationSpec("Gamma").kernel_indices(model)]
+    survivors = [
+        x for x in _with_pairwise_sums(base) if complete_chern(model, x, stages).is_zero
+    ]
     searched = Subspace.span(model.dim, survivors)
 
-    agree = searched == intersection and stabilised
-    top_equal = intersection == stages[g + 1]
-    statements["prop-kernel-c"] = Statement(
-        "prop-kernel-c",
-        "pass" if (agree and top_equal) else "fail",
-        detail=(
-            f"intersection dim {intersection.dim}, spanning-search dim "
-            f"{searched.dim}, stage {g + 1} dim {stages[g + 1].dim}, "
-            f"stages {g + 1} and {g + 2} "
-            + ("stabilised" if stabilised else "did not stabilise")
-        ),
+    detail = (
+        f"intersection dim {intersection.dim}, spanning-search dim "
+        f"{searched.dim}, stage {g + 1} dim {stages[g + 1].dim}, "
+        f"stages {g + 1} and {g + 2} "
+        + ("stabilised" if stabilised else "did not stabilise")
     )
+    if not (searched == intersection and stabilised and intersection == stages[g + 1]):
+        yield detail, ""
+    return detail
 
-    conj3_ok = stages[g + 1].dim == 0
-    conj3_witness = ""
-    if not conj3_ok:
-        conj3_witness = str(Element(model, *stages[g + 1].rows[0]))
-    statements["conj-3-vanishing"] = Statement(
-        "conj-3-vanishing", "pass" if conj3_ok else "fail", witness=conj3_witness
+
+def _top_stage_failures(model: ModelAlgebra, stages) -> Failures:
+    top = stages[model.g + 1]
+    if top.dim:
+        yield "", str(Element(model, *top.rows[0]))
+
+
+def check_composed_structure(
+    model: ModelAlgebra, *, gamma_big_result: FiltrationResult
+) -> ComposedStructureReport:
+    stages = list(_stages(gamma_big_result, "Gamma", model.g + 2))
+    checks = (
+        ("conj-2-products", _index_product_failures(model)),
+        ("lem-epsilon-gamma-morphism", _epsilon_morphism_failures(model)),
+        ("lem-fil1", _fil1_failures(model, stages)),
+        ("lem-fil2", _fil2_failures(model, stages)),
+        ("prop-kernel-c", _kernel_c_failures(model, stages)),
+        ("conj-3-vanishing", _top_stage_failures(model, stages)),
+        ("bloch-products", _bloch_product_failures(model)),
     )
-
-    statements["bloch-products"] = _bloch_product_check(model)
-
-    return ComposedStructureReport(
-        g, statements, tuple(s.dim for s in stages), stages[1].dim
-    )
-
+    statements: dict[str, Statement] = {}
+    for sid, failures in checks:
+        if sid == "lem-epsilon-gamma-morphism" and not statements["conj-2-products"].ok:
+            statements[sid] = Statement(sid, "skipped", detail=_EPSILON_HYPOTHESIS)
+        else:
+            statements[sid] = Statement.first_failure(sid, failures)
+    return ComposedStructureReport(model.g, statements, tuple(s.dim for s in stages))

@@ -15,8 +15,8 @@ numerator at the row's pivot equals its denominator.  That form is unique,
 hence two subspaces are equal exactly when their stored rows coincide.
 ``Subspace.span``, ``reduce`` and ``contains`` take a model ``Element``
 (read through its ``nums`` and ``den``) as well as a rational sequence, so
-no ``Fraction`` is built between the two; ``basis`` and ``basis_vectors``
-hand the rows out as ``Fraction``s.
+no ``Fraction`` is built between the two; ``basis`` hands the rows out as
+``Fraction``s.
 
 Everything is immutable after construction and safe to share between
 threads.  The convention 0**0 = 1 applies when building power matrices, so
@@ -154,11 +154,6 @@ class Matrix:
         self.nrows = len(norm)
         self.ncols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -189,18 +184,6 @@ class Matrix:
             for row in self.rows
         ]
         return Matrix(out, ncols=other.ncols)
-
-    def vec_mul(self, v: Sequence[Fraction]) -> Vector:
-        """Row-vector times matrix: (v M)_j = sum_i v_i M[i][j]."""
-        if len(v) != self.nrows:
-            raise StructureError("vector length does not match row count")
-        out = [Fraction(0)] * self.ncols
-        for vi, row in zip(v, self.rows):
-            if vi:
-                for j, m in enumerate(row):
-                    if m:
-                        out[j] += vi * m
-        return tuple(out)
 
     def _cleared(self) -> list[Sequence[int]]:
         """Each row times the least common multiple of its denominators."""
@@ -242,12 +225,6 @@ class Matrix:
         if pivots != list(range(n)):
             raise StructureError("matrix is singular")
         return Matrix([_fractions(nums[n:], den) for nums, den in reduced], ncols=n)
-
-    def kernel(self) -> tuple[Vector, ...]:
-        """Basis of the right null space {x : M x = 0}."""
-        return tuple(
-            _fractions(x, s) for x, s in _integer_kernel(self._cleared(), self.ncols)
-        )
 
     def solve(self, rhs: Sequence[Fraction]) -> Vector:
         """Unique solution of M x = rhs; requires full column rank."""
@@ -314,9 +291,6 @@ class Subspace:
         return Matrix(
             [_fractions(nums, den) for nums, den in self.rows], ncols=self.ambient_dim
         )
-
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return self.basis.rows
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

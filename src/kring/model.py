@@ -366,9 +366,6 @@ class ModelAlgebra:
         except KeyError:
             raise DomainError(f"no basis vector labelled {label!r}") from None
 
-    def bidegree_of(self, i: int) -> Bidegree:
-        return self.bidegrees[i]
-
     def beauville_index_of(self, i: int) -> int:
         return self.bidegrees[i].beauville_index(self.g)
 
@@ -470,7 +467,13 @@ class ModelAlgebra:
 
     @cached_property
     def fm_inverse(self) -> Matrix:
-        return self.fm.inverse()
+        try:
+            return self.fm.inverse()
+        except StructureError:
+            raise StructureError(
+                "the Fourier matrix is singular, so F^-1 and the convolution "
+                "product F^-1(F x . F y) are undefined"
+            ) from None
 
     @cached_property
     def _scaled_fm_inverse(self) -> ScaledTable:

@@ -173,9 +173,5 @@ def fingerprint(model: ModelAlgebra) -> str:
     return hashlib.sha256(export_model(model).encode("utf-8")).hexdigest()
 
 
-def save_model(model: ModelAlgebra, path: str | Path) -> None:
-    Path(path).write_text(export_model(model), encoding="utf-8")
-
-
 def load_model(path: str | Path) -> ModelAlgebra:
     return import_model(Path(path).read_text(encoding="utf-8"))

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DomainError, StructureError
-from .linalg import Matrix, vandermonde_matrix
+from .linalg import vandermonde_matrix
 from .model import FOREIGN, Element, ModelAlgebra
 
 
@@ -70,13 +70,6 @@ class DiagonalOperator:
         if x.model is not self.model:
             raise StructureError(FOREIGN)
         return Element(self.model, [a * n for a, n in zip(self.nums, x.nums)], self.den * x.den)
-
-    def matrix(self) -> Matrix:
-        n = self.model.dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, lam in enumerate(self.eigenvalues):
-            rows[i][i] = lam
-        return Matrix(rows)
 
     def compose(self, other: "DiagonalOperator") -> "DiagonalOperator":
         return self._reduced(

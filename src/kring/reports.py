@@ -6,6 +6,19 @@ configuration.  Structured output is deterministic: two runs with the same
 model document and configuration produce byte-identical JSON (timings are
 opt-in precisely because they would break that).
 
+The ``verify`` suite is two ordered tables of ``(id, check, skip)``, and
+the table order is the report order.  The four filtrations are computed
+between the two tables, so only the checks of the second read them.  A
+check is a generator over the suite's ``_Run``: it yields a
+``(detail, witness)`` pair for each failure and may return a pass detail;
+``Statement.first_failure`` keeps the first pair and never resumes the
+check.  A skip is data: ``skip(run)`` returns the reason a statement does
+not apply (negative-index classes, no class labelled ``e1``) or ``None``.
+Each entry and each filtration is one ``--timings`` lap, and ``total``
+covers them all.  Checks call the traced layers (``fourier``,
+``star_product``, ``validate``, ...) through this module's globals, which
+a tracer may rebind.
+
 The model suites still accept ``seed`` and ``max_rounds`` and quote them in
 the report's ``config``, so recorded reports keep their bytes; the
 filtrations are exact and deterministic, and read neither value.
@@ -15,14 +28,17 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import modelio
 from .adams import (
+    ADAMS_KINDS,
     adams,
+    adams_operator,
     gamma_images,
     gamma_normalization_report,
     gamma_series,
@@ -31,7 +47,10 @@ from .adams import (
     universal_gamma_coefficients,
 )
 from .filtration import (
+    FILTRATION_KINDS,
+    Failures,
     FiltrationResult,
+    PiGammaReport,
     Statement,
     check_composed_structure,
     check_lemma_equivalences,
@@ -94,20 +113,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1) + "\n"
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VerificationReport":
-        report = cls(
-            command=doc["command"],
-            model=doc["model"],
-            config=doc["config"],
-            statements=[
-                Statement(s["id"], s["status"], s["detail"], s["witness"])
-                for s in doc["statements"]
-            ],
-            timings=doc.get("timings"),
-        )
-        return report
-
     def to_text(self) -> str:
         lines = [f"# {self.command} report"]
         for key, value in self.model.items():
@@ -137,10 +142,6 @@ def _model_descriptor(model: ModelAlgebra, source: str) -> dict:
     }
 
 
-def _has_negative_index(model: ModelAlgebra) -> bool:
-    return any(model.beauville_index_of(i) < 0 for i in range(model.dim))
-
-
 def _sample_elements(model: ModelAlgebra, count: int = 2) -> list:
     """A small deterministic family of mixed elements for pointwise checks."""
     import random
@@ -154,11 +155,300 @@ def _sample_elements(model: ModelAlgebra, count: int = 2) -> list:
 
 
 class _Timer:
+    """Wall-clock laps by name, in the order they end."""
+
     def __init__(self):
         self.laps: dict[str, float] = {}
 
-    def lap(self, name: str, start: float) -> None:
+    @contextmanager
+    def lap(self, name: str) -> Iterator[None]:
+        start = time.perf_counter()
+        yield
         self.laps[name] = round(time.perf_counter() - start, 6)
+
+
+def _filtration(
+    timer: _Timer, model: ModelAlgebra, kind: str, n_max: int, order: int
+) -> FiltrationResult:
+    with timer.lap(f"filtration-{kind}"):
+        return compute_filtration(model, kind, n_max, order=order)
+
+
+@dataclass
+class _Run:
+    """What a ``verify`` check reads: the model, its basis elements, the
+    series order, and the filtrations computed between the two tables."""
+
+    model: ModelAlgebra
+    order: int
+    basis: tuple[Element, ...]
+    fil: dict[str, FiltrationResult] = field(default_factory=dict)
+
+    @property
+    def g(self) -> int:
+        return self.model.g
+
+
+
+def _model_validate(run: _Run) -> Failures:
+    v = validate(run.model)
+    if not v.ok:
+        yield str(v), ""
+
+
+def _identity_expansion(run: _Run) -> Failures:
+    if not pushforward_identity_check(run.g, run.model):
+        yield "", ""
+
+
+def _vandermonde(run: _Run) -> Failures:
+    det = vandermonde_det(run.g)
+    if det == 0:
+        yield "", ""
+    return f"det={det}"
+
+
+def _fm_composite(run: _Run) -> Failures:
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            res = fm_composite_check(run.model, m, n)
+            if not res.ok:
+                yield f"(m, n)=({m}, {n})", res.witness or ""
+
+
+def _fm_iso(run: _Run) -> Failures:
+    model, basis, labels = run.model, run.basis, run.model.labels
+    inversion = pullback(model, -1)
+    sign = Fraction((-1) ** run.g)
+    for i, e in enumerate(basis):
+        if fourier(fourier(e)) != sign * inversion.apply(e):
+            yield "square law", labels[i]
+    for i in range(model.dim):
+        for j in range(i, model.dim):
+            lhs = fourier(star_product(basis[i], basis[j]))
+            if lhs != fourier(basis[i]) * fourier(basis[j]):
+                yield "multiplicativity", f"({labels[i]}, {labels[j]})"
+    for i, e in enumerate(basis):
+        if euler_char(e) != rank(fourier(e)):
+            yield "augmentation exchange", labels[i]
+        if star_product(model.star_unit(), e) != e:
+            yield "origin class is not the unit", labels[i]
+
+
+def _exchange(run: _Run) -> Failures:
+    for n in range(-3, 4):
+        push = pushforward(run.model, n)
+        pull = pullback(run.model, n)
+        for i, e in enumerate(run.basis):
+            if fourier(push.apply(e)) != pull.apply(fourier(e)):
+                yield f"n={n}", run.model.labels[i]
+
+
+def _adams_semigroup(run: _Run) -> Failures:
+    model = run.model
+    for kind in ADAMS_KINDS:
+        for n in range(1, 7):
+            for m in range(1, 7):
+                lhs = adams_operator(model, kind, n).compose(adams_operator(model, kind, m))
+                if lhs != adams_operator(model, kind, n * m):
+                    yield f"{kind}, n={n}, m={m}", ""
+    for k in range(-3, 4):
+        for l in range(-3, 4):
+            for name, family in (("pullback", pullback), ("pushforward", pushforward)):
+                if family(model, k).compose(family(model, l)) != family(model, k * l):
+                    yield f"{name}, {k}*{l}", ""
+
+
+def _omega(run: _Run) -> Failures:
+    model, basis, labels = run.model, run.basis, run.model.labels
+    for n in range(1, 5):
+        for i in range(model.dim):
+            for j in range(i, model.dim):
+                x, y = basis[i], basis[j]
+                for kind in ("composed", "pi_star"):
+                    if adams(model, kind, n, x * y) != adams(model, kind, n, x) * adams(
+                        model, kind, n, y
+                    ):
+                        yield f"{kind}, n={n}", f"({labels[i]}, {labels[j]})"
+        for e in basis:
+            if rank(adams(model, "pi_star", n, e)) != rank(e):
+                yield f"rank preservation, n={n}", ""
+            if adams(model, "composed", n, e).beauville_component(0) != (
+                e.beauville_component(0)
+            ):
+                yield f"index-0 augmentation preservation, n={n}", ""
+
+
+def _push_star_hom(run: _Run) -> Failures:
+    model, basis, labels = run.model, run.basis, run.model.labels
+    for m in range(-2, 3):
+        push = pushforward(model, m)
+        for i in range(model.dim):
+            for j in range(i, model.dim):
+                lhs = push.apply(star_product(basis[i], basis[j]))
+                if lhs != star_product(push.apply(basis[i]), push.apply(basis[j])):
+                    yield f"m={m}", f"({labels[i]}, {labels[j]})"
+
+
+def _push_automorphism(run: _Run) -> Failures:
+    for n in (1, -1, 2, -2, 3, -3):
+        if not all(pushforward(run.model, n).nums):
+            yield f"n={n}", ""
+
+
+def _star_push_commute(run: _Run) -> Failures:
+    model, g = run.model, run.g
+    elements = list(run.basis) + _sample_elements(model)
+    for m in range(-2, 3):
+        push = pushforward(model, m)
+        for x in elements:
+            lhs_all = gamma_images(model, "star", push.apply(x), g + 1)
+            rhs_all = gamma_images(model, "star", x, g + 1)
+            for n in range(g + 2):
+                if lhs_all[n] != push.apply(rhs_all[n]):
+                    yield f"m={m}, n={n}", str(x)
+
+
+def _addition_law(run: _Run) -> Failures:
+    model, order = run.model, run.order
+    samples = _sample_elements(model, 2)
+    pairs = [(run.basis[0], run.basis[-1]), (samples[0], samples[1])]
+    for kind in ADAMS_KINDS:
+        for x, y in pairs:
+            left = gamma_series(model, kind, x + y, order)
+            right = gamma_series(model, kind, x, order) * gamma_series(
+                model, kind, y, order
+            )
+            if left != right:
+                yield kind, str(x + y)
+
+
+def _vanishing(kind: str) -> Callable[[_Run], Failures]:
+    """Stages g + 1 and g + 2 of the ``kind`` filtration are zero."""
+
+    def check(run: _Run) -> Failures:
+        for n in range(run.g + 1, run.g + 3):
+            if run.fil[kind].stage(n).dim != 0:
+                yield f"stage {n}", ""
+
+    return check
+
+
+def _monotone(run: _Run) -> Failures:
+    for kind, result in run.fil.items():
+        if not result.axiom_ok:
+            continue
+        for n in range(len(result.stages) - 1):
+            if not result.stage(n + 1).is_subspace_of(result.stage(n)):
+                yield f"{kind}, stage {n + 1}", ""
+
+
+def _fm_mirror(run: _Run) -> Failures:
+    star, gamma = run.fil["star"], run.fil["gamma"]
+    for n in range(len(star.stages)):
+        image = Subspace.span(
+            run.model.dim,
+            [fourier(Element(run.model, nums, den)) for nums, den in star.stage(n).rows],
+        )
+        if image != gamma.stage(n):
+            yield f"stage {n}", ""
+
+
+def _line_bundles(run: _Run) -> Failures:
+    model, g = run.model, run.g
+    e1 = model.basis_element(model.index_of("e1"))
+    L = exp_class(e1)
+    if log_class(L) != e1:
+        yield "log/exp inversion", ""
+    chi = euler_char(L)
+    for n in range(1, 6):
+        if euler_char(exp_class(n * e1)) != Fraction(n) ** g * chi:
+            yield f"Euler scaling, n={n}", ""
+        lhs = adams(model, "star", n, L)
+        if lhs != Fraction(n) ** g * exp_class(Fraction(1, n) * e1):
+            yield f"convolution Adams, n={n}", ""
+    if Fraction(1, factorial(g)) * (L - model.one()) ** g != chi * model.star_unit():
+        yield "top self-intersection", ""
+    if "a" in model.labels:
+        La = model.one() + model.basis_element(model.index_of("a"))
+        if euler_char(La) != 0:
+            yield "anti-symmetric Euler", ""
+        for n in range(1, 5):
+            if adams(model, "star", n, La) != Fraction(n) ** g * La:
+                yield f"anti-symmetric convolution Adams, n={n}", ""
+
+
+def _coeff_stirling(run: _Run) -> Failures:
+    tables = {d: universal_gamma_coefficients(d, 6, 1) for d in range(1, 7)}
+    for i in range(1, 7):
+        for d in range(1, 7):
+            want = Fraction((-1) ** (i - 1) * factorial(i - 1) * stirling2(d, i))
+            if tables[d][i][1] != want:
+                yield f"i={i}, d={d}", ""
+
+
+def _if_negative_index(reason: str) -> Callable[[_Run], str | None]:
+    """A skip that gives ``reason`` on a model with negative-index classes."""
+
+    def skip(run: _Run) -> str | None:
+        model = run.model
+        negative = any(model.beauville_index_of(i) < 0 for i in range(model.dim))
+        return reason if negative else None
+
+    return skip
+
+
+def _without_e1(run: _Run) -> str | None:
+    return None if "e1" in run.model.labels else "no degree-one class"
+
+
+# (id, check, skip) in report order; the filtrations are computed between
+# the two tables
+_BEFORE_FILTRATIONS = (
+    ("model-validate", _model_validate, None),
+    ("identity-expansion", _identity_expansion, None),
+    ("vandermonde-independence", _vandermonde, None),
+    ("prop-F_qmF_pn", _fm_composite, None),
+    ("thm-fm-iso", _fm_iso, None),
+    ("exchange-law", _exchange, None),
+    ("adams-semigroup", _adams_semigroup, None),
+    ("prop-omega-n", _omega, None),
+    ("pushforward-star-hom", _push_star_hom, None),
+    ("pushforward-automorphism", _push_automorphism, None),
+    ("star-pushforward-commute", _star_push_commute, None),
+    ("gamma-addition-law", _addition_law, None),
+)
+_AFTER_FILTRATIONS = (
+    (
+        "cor-star-vanishing",
+        _vanishing("star"),
+        _if_negative_index(
+            "model carries negative-index classes; the convolution "
+            "filtration mirrors the ordinary one, which need not "
+            "vanish above g on such models"
+        ),
+    ),
+    ("lem-pi-vanishing", _vanishing("pi"), None),
+    (
+        "gamma-vanishing",
+        _vanishing("gamma"),
+        _if_negative_index("model carries negative-index classes"),
+    ),
+    ("fil-monotone", _monotone, None),
+    ("thm-fm-iso-filtration", _fm_mirror, None),
+    ("line-bundle-suite", _line_bundles, _without_e1),
+    ("gamma-coeff-stirling", _coeff_stirling, None),
+)
+
+
+def _run_checks(report: VerificationReport, timer: _Timer, run: _Run, table) -> None:
+    for sid, check, skip in table:
+        with timer.lap(sid):
+            reason = skip(run) if skip else None
+            if reason:
+                report.add(Statement(sid, "skipped", detail=reason))
+            else:
+                report.add(Statement.first_failure(sid, check(run)))
 
 
 def run_verify_suite(
@@ -171,7 +461,6 @@ def run_verify_suite(
     with_timings: bool = False,
 ) -> VerificationReport:
     """Every identity the theory proves, checked exactly on one model."""
-    g = model.g
     if order is None:
         order = model.default_series_order
     report = VerificationReport(
@@ -180,351 +469,42 @@ def run_verify_suite(
         config={"order": order, "seed": seed, "max_rounds": max_rounds},
     )
     timer = _Timer()
-
-    def run(stmt_id: str, fn: Callable[[], Statement]) -> None:
-        start = time.perf_counter()
-        report.add(fn())
-        timer.lap(stmt_id, start)
-
-    basis = model.basis_elements()
-
-    def model_validate() -> Statement:
-        v = validate(model)
-        if v.ok:
-            return Statement("model-validate", "pass")
-        return Statement("model-validate", "fail", detail=str(v))
-
-    run("model-validate", model_validate)
-
-    def identity_expansion() -> Statement:
-        ok = pushforward_identity_check(g, model)
-        return Statement("identity-expansion", "pass" if ok else "fail")
-
-    run("identity-expansion", identity_expansion)
-
-    def vandermonde() -> Statement:
-        det = vandermonde_det(g)
-        if det != 0:
-            return Statement("vandermonde-independence", "pass", detail=f"det={det}")
-        return Statement("vandermonde-independence", "fail")
-
-    run("vandermonde-independence", vandermonde)
-
-    def composite() -> Statement:
-        for m in range(-2, 3):
-            for n in range(-2, 3):
-                res = fm_composite_check(model, m, n)
-                if not res.ok:
-                    return Statement(
-                        "prop-F_qmF_pn",
-                        "fail",
-                        detail=f"(m, n)=({m}, {n})",
-                        witness=res.witness or "",
-                    )
-        return Statement("prop-F_qmF_pn", "pass")
-
-    run("prop-F_qmF_pn", composite)
-
-    def fm_iso() -> Statement:
-        inversion = pullback(model, -1)
-        sign = Fraction((-1) ** g)
-        for i, e in enumerate(basis):
-            if fourier(fourier(e)) != sign * inversion.apply(e):
-                return Statement(
-                    "thm-fm-iso", "fail", detail="square law",
-                    witness=model.labels[i],
-                )
-        for i in range(model.dim):
-            for j in range(i, model.dim):
-                lhs = fourier(star_product(basis[i], basis[j]))
-                rhs = fourier(basis[i]) * fourier(basis[j])
-                if lhs != rhs:
-                    return Statement(
-                        "thm-fm-iso", "fail", detail="multiplicativity",
-                        witness=f"({model.labels[i]}, {model.labels[j]})",
-                    )
-        for i, e in enumerate(basis):
-            if euler_char(e) != rank(fourier(e)):
-                return Statement(
-                    "thm-fm-iso", "fail", detail="augmentation exchange",
-                    witness=model.labels[i],
-                )
-            if star_product(model.star_unit(), e) != e:
-                return Statement(
-                    "thm-fm-iso", "fail", detail="origin class is not the unit",
-                    witness=model.labels[i],
-                )
-        return Statement("thm-fm-iso", "pass")
-
-    run("thm-fm-iso", fm_iso)
-
-    def exchange() -> Statement:
-        for n in range(-3, 4):
-            push = pushforward(model, n)
-            pull = pullback(model, n)
-            for i, e in enumerate(basis):
-                if fourier(push.apply(e)) != pull.apply(fourier(e)):
-                    return Statement(
-                        "exchange-law", "fail", detail=f"n={n}",
-                        witness=model.labels[i],
-                    )
-        return Statement("exchange-law", "pass")
-
-    run("exchange-law", exchange)
-
-    def semigroup() -> Statement:
-        from .adams import ADAMS_KINDS, adams_operator
-
-        for kind in ADAMS_KINDS:
-            for n in range(1, 7):
-                for m in range(1, 7):
-                    lhs = adams_operator(model, kind, n).compose(
-                        adams_operator(model, kind, m)
-                    )
-                    rhs = adams_operator(model, kind, n * m)
-                    if lhs != rhs:
-                        return Statement(
-                            "adams-semigroup", "fail", detail=f"{kind}, n={n}, m={m}"
-                        )
-        for k in range(-3, 4):
-            for l in range(-3, 4):
-                for name, family in (("pullback", pullback), ("pushforward", pushforward)):
-                    if family(model, k).compose(family(model, l)) != family(model, k * l):
-                        return Statement("adams-semigroup", "fail", detail=f"{name}, {k}*{l}")
-        return Statement("adams-semigroup", "pass")
-
-    run("adams-semigroup", semigroup)
-
-    def omega() -> Statement:
-        for n in range(1, 5):
-            for i in range(model.dim):
-                for j in range(i, model.dim):
-                    x, y = basis[i], basis[j]
-                    if adams(model, "composed", n, x * y) != adams(
-                        model, "composed", n, x
-                    ) * adams(model, "composed", n, y):
-                        return Statement(
-                            "prop-omega-n", "fail", detail=f"composed, n={n}",
-                            witness=f"({model.labels[i]}, {model.labels[j]})",
-                        )
-                    if adams(model, "pi_star", n, x * y) != adams(
-                        model, "pi_star", n, x
-                    ) * adams(model, "pi_star", n, y):
-                        return Statement(
-                            "prop-omega-n", "fail", detail=f"pi_star, n={n}",
-                            witness=f"({model.labels[i]}, {model.labels[j]})",
-                        )
-            for e in basis:
-                if rank(adams(model, "pi_star", n, e)) != rank(e):
-                    return Statement(
-                        "prop-omega-n", "fail", detail=f"rank preservation, n={n}"
-                    )
-                if adams(model, "composed", n, e).beauville_component(0) != (
-                    e.beauville_component(0)
-                ):
-                    return Statement(
-                        "prop-omega-n", "fail",
-                        detail=f"index-0 augmentation preservation, n={n}",
-                    )
-        return Statement("prop-omega-n", "pass")
-
-    run("prop-omega-n", omega)
-
-    def push_star_hom() -> Statement:
-        for m in range(-2, 3):
-            push = pushforward(model, m)
-            for i in range(model.dim):
-                for j in range(i, model.dim):
-                    lhs = push.apply(star_product(basis[i], basis[j]))
-                    rhs = star_product(push.apply(basis[i]), push.apply(basis[j]))
-                    if lhs != rhs:
-                        return Statement(
-                            "pushforward-star-hom", "fail", detail=f"m={m}",
-                            witness=f"({model.labels[i]}, {model.labels[j]})",
-                        )
-        return Statement("pushforward-star-hom", "pass")
-
-    run("pushforward-star-hom", push_star_hom)
-
-    def push_invertible() -> Statement:
-        for n in (1, -1, 2, -2, 3, -3):
-            if not all(pushforward(model, n).nums):
-                return Statement("pushforward-automorphism", "fail", detail=f"n={n}")
-        return Statement("pushforward-automorphism", "pass")
-
-    run("pushforward-automorphism", push_invertible)
-
-    def star_gamma_commute() -> Statement:
-        elements = list(basis) + _sample_elements(model)
-        for m in range(-2, 3):
-            push = pushforward(model, m)
-            for x in elements:
-                lhs_all = gamma_images(model, "star", push.apply(x), g + 1)
-                rhs_all = gamma_images(model, "star", x, g + 1)
-                for n in range(g + 2):
-                    if lhs_all[n] != push.apply(rhs_all[n]):
-                        return Statement(
-                            "star-pushforward-commute", "fail",
-                            detail=f"m={m}, n={n}", witness=str(x),
-                        )
-        return Statement("star-pushforward-commute", "pass")
-
-    run("star-pushforward-commute", star_gamma_commute)
-
-    def addition_law() -> Statement:
-        from .adams import ADAMS_KINDS
-
-        samples = _sample_elements(model, 2)
-        pairs = [(basis[0], basis[-1]), (samples[0], samples[1])]
-        for kind in ADAMS_KINDS:
-            for x, y in pairs:
-                left = gamma_series(model, kind, x + y, order)
-                right = gamma_series(model, kind, x, order) * gamma_series(
-                    model, kind, y, order
-                )
-                if left != right:
-                    return Statement(
-                        "gamma-addition-law", "fail", detail=kind, witness=str(x + y)
-                    )
-        return Statement("gamma-addition-law", "pass")
-
-    run("gamma-addition-law", addition_law)
-
-    negative = _has_negative_index(model)
-    fil: dict[str, FiltrationResult] = {}
-    for kind in ("gamma", "star", "pi", "Gamma"):
-        start = time.perf_counter()
-        fil[kind] = compute_filtration(model, kind, g + 2, order=order)
-        timer.lap(f"filtration-{kind}", start)
-
-    def star_vanishing() -> Statement:
-        if negative:
-            return Statement(
-                "cor-star-vanishing", "skipped",
-                detail=(
-                    "model carries negative-index classes; the convolution "
-                    "filtration mirrors the ordinary one, which need not "
-                    "vanish above g on such models"
-                ),
-            )
-        for n in range(g + 1, g + 3):
-            if fil["star"].stage(n).dim != 0:
-                return Statement("cor-star-vanishing", "fail", detail=f"stage {n}")
-        return Statement("cor-star-vanishing", "pass")
-
-    run("cor-star-vanishing", star_vanishing)
-
-    def pi_vanishing() -> Statement:
-        for n in range(g + 1, g + 3):
-            if fil["pi"].stage(n).dim != 0:
-                return Statement("lem-pi-vanishing", "fail", detail=f"stage {n}")
-        return Statement("lem-pi-vanishing", "pass")
-
-    run("lem-pi-vanishing", pi_vanishing)
-
-    def gamma_vanishing() -> Statement:
-        if negative:
-            return Statement(
-                "gamma-vanishing", "skipped",
-                detail="model carries negative-index classes",
-            )
-        for n in range(g + 1, g + 3):
-            if fil["gamma"].stage(n).dim != 0:
-                return Statement("gamma-vanishing", "fail", detail=f"stage {n}")
-        return Statement("gamma-vanishing", "pass")
-
-    run("gamma-vanishing", gamma_vanishing)
-
-    def monotone() -> Statement:
-        for kind, result in fil.items():
-            if not result.axiom_ok:
-                continue
-            for n in range(len(result.stages) - 1):
-                if not result.stage(n + 1).is_subspace_of(result.stage(n)):
-                    return Statement(
-                        "fil-monotone", "fail", detail=f"{kind}, stage {n + 1}"
-                    )
-        return Statement("fil-monotone", "pass")
-
-    run("fil-monotone", monotone)
-
-    def fm_mirror() -> Statement:
-        for n in range(len(fil["star"].stages)):
-            image = Subspace.span(
-                model.dim,
-                [
-                    fourier(Element(model, nums, den))
-                    for nums, den in fil["star"].stage(n).rows
-                ],
-            )
-            if image != fil["gamma"].stage(n):
-                return Statement(
-                    "thm-fm-iso-filtration", "fail", detail=f"stage {n}"
-                )
-        return Statement("thm-fm-iso-filtration", "pass")
-
-    run("thm-fm-iso-filtration", fm_mirror)
-
-    def line_bundles() -> Statement:
-        if "e1" not in model.labels:
-            return Statement(
-                "line-bundle-suite", "skipped", detail="no degree-one class"
-            )
-        e1 = model.basis_element(model.index_of("e1"))
-        L = exp_class(e1)
-        if log_class(L) != e1:
-            return Statement("line-bundle-suite", "fail", detail="log/exp inversion")
-        chi = euler_char(L)
-        for n in range(1, 6):
-            Ln = exp_class(n * e1)
-            if euler_char(Ln) != Fraction(n) ** g * chi:
-                return Statement(
-                    "line-bundle-suite", "fail", detail=f"Euler scaling, n={n}"
-                )
-            lhs = adams(model, "star", n, L)
-            rhs = Fraction(n) ** g * exp_class(Fraction(1, n) * e1)
-            if lhs != rhs:
-                return Statement(
-                    "line-bundle-suite", "fail", detail=f"convolution Adams, n={n}"
-                )
-        top = Fraction(1, factorial(g)) * (L - model.one()) ** g
-        if top != chi * model.star_unit():
-            return Statement(
-                "line-bundle-suite", "fail", detail="top self-intersection"
-            )
-        if "a" in model.labels:
-            a = model.basis_element(model.index_of("a"))
-            La = model.one() + a
-            if euler_char(La) != 0:
-                return Statement(
-                    "line-bundle-suite", "fail", detail="anti-symmetric Euler"
-                )
-            for n in range(1, 5):
-                if adams(model, "star", n, La) != Fraction(n) ** g * La:
-                    return Statement(
-                        "line-bundle-suite", "fail",
-                        detail=f"anti-symmetric convolution Adams, n={n}",
-                    )
-        return Statement("line-bundle-suite", "pass")
-
-    run("line-bundle-suite", line_bundles)
-
-    def coeff_table() -> Statement:
-        tables = {d: universal_gamma_coefficients(d, 6, 1) for d in range(1, 7)}
-        for i in range(1, 7):
-            for d in range(1, 7):
-                want = Fraction((-1) ** (i - 1) * factorial(i - 1) * stirling2(d, i))
-                if tables[d][i][1] != want:
-                    return Statement(
-                        "gamma-coeff-stirling", "fail", detail=f"i={i}, d={d}"
-                    )
-        return Statement("gamma-coeff-stirling", "pass")
-
-    run("gamma-coeff-stirling", coeff_table)
-
+    with timer.lap("total"):
+        run = _Run(model, order, model.basis_elements())
+        _run_checks(report, timer, run, _BEFORE_FILTRATIONS)
+        for kind in FILTRATION_KINDS:
+            run.fil[kind] = _filtration(timer, model, kind, model.g + 2, order)
+        _run_checks(report, timer, run, _AFTER_FILTRATIONS)
     if with_timings:
         report.timings = timer.laps
     return report
+
+
+def _pi_gamma_failures(pg: PiGammaReport) -> Failures:
+    failing = pg.failing_stages()
+    if failing:
+        witness = pg.verdict(failing[0]).witness
+        yield f"fails at q in {list(failing)}", "" if witness is None else str(witness)
+
+
+def _proved_case_failures(pg: PiGammaReport) -> Failures:
+    for bad in pg.proved_failures:
+        yield (
+            "model-validation failure: provable stage "
+            f"q={bad.q} fails, so the model violates the "
+            "one-dimensionality geometry behind those cases"
+        ), "" if bad.witness is None else str(bad.witness)
+    return f"stages {list(pg.proved_stages)}"
+
+
+def _equivalence_failures(model: ModelAlgebra, gamma: FiltrationResult) -> Failures:
+    for i in range(model.dim):
+        p, q = model.bidegrees[i]
+        if p <= 0 or model.g - q <= 0:
+            continue
+        res = check_lemma_equivalences(model, model.basis_element(i), gamma_result=gamma)
+        if not res.ok:
+            yield f"statements {res.statements}", model.labels[i]
 
 
 def run_conjecture_suite(
@@ -546,81 +526,28 @@ def run_conjecture_suite(
         config={"order": order, "seed": seed, "max_rounds": max_rounds},
     )
     timer = _Timer()
-    start_all = time.perf_counter()
-
-    def filtration(lap: str, kind: str, n_max: int) -> FiltrationResult:
-        start = time.perf_counter()
-        result = compute_filtration(model, kind, n_max, order=order)
-        timer.lap(lap, start)
-        return result
-
-    # stages 0..g do not depend on n_max, so one gamma filtration serves both
-    # the containment check (q <= g) and the equivalence criteria (i <= order)
-    pi_res = filtration("filtration-pi", "pi", g)
-    gamma = filtration("filtration-gamma", "gamma", order)
-    start = time.perf_counter()
-    pg = check_pi_subset_gamma(model, pi_result=pi_res, gamma_result=gamma)
-    if pg.ok:
-        report.add(Statement("conj-pi-subset-gamma", "pass"))
-    else:
-        failing = pg.failing_stages()
-        witness = pg.verdict(failing[0]).witness
-        report.add(
-            Statement(
-                "conj-pi-subset-gamma",
-                "fail",
-                detail=f"fails at q in {list(failing)}",
-                witness=str(witness) if witness is not None else "",
+    with timer.lap("total"):
+        # stages 0..g do not depend on n_max, so one gamma filtration serves
+        # both the containment check (q <= g) and the equivalence criteria
+        # (i <= order)
+        pi_res = _filtration(timer, model, "pi", g, order)
+        gamma = _filtration(timer, model, "gamma", order, order)
+        with timer.lap("conj-pi-subset-gamma"):
+            pg = check_pi_subset_gamma(model, pi_result=pi_res, gamma_result=gamma)
+            report.add(Statement.first_failure("conj-pi-subset-gamma", _pi_gamma_failures(pg)))
+            report.add(
+                Statement.first_failure("rem-conj-proved-cases", _proved_case_failures(pg))
             )
-        )
-
-    if pg.admissibility_ok:
-        report.add(Statement("rem-conj-proved-cases", "pass",
-                             detail=f"stages {list(pg.proved_stages)}"))
-    else:
-        bad = pg.proved_failures[0]
-        report.add(
-            Statement(
-                "rem-conj-proved-cases",
-                "fail",
-                detail=(
-                    "model-validation failure: provable stage "
-                    f"q={bad.q} fails, so the model violates the "
-                    "one-dimensionality geometry behind those cases"
-                ),
-                witness=str(bad.witness) if bad.witness is not None else "",
-            )
-        )
-    timer.lap("conj-pi-subset-gamma", start)
-
-    def equivalences() -> Statement:
-        for i in range(model.dim):
-            p, q = model.bidegrees[i]
-            if p <= 0 or g - q <= 0:
-                continue
-            res = check_lemma_equivalences(
-                model, model.basis_element(i), gamma_result=gamma
-            )
-            if not res.ok:
-                return Statement(
-                    "lem-conjecture-equivalences",
-                    "fail",
-                    detail=f"statements {res.statements}",
-                    witness=model.labels[i],
+        with timer.lap("lem-conjecture-equivalences"):
+            report.add(
+                Statement.first_failure(
+                    "lem-conjecture-equivalences", _equivalence_failures(model, gamma)
                 )
-        return Statement("lem-conjecture-equivalences", "pass")
-
-    start = time.perf_counter()
-    report.add(equivalences())
-    timer.lap("lem-conjecture-equivalences", start)
-
-    gamma_big = filtration("filtration-Gamma", "Gamma", g + 2)
-    start = time.perf_counter()
-    composed = check_composed_structure(model, gamma_big_result=gamma_big)
-    report.statements.extend(composed.statements.values())
-    timer.lap("composed-structure", start)
-
-    timer.lap("total", start_all)
+            )
+        gamma_big = _filtration(timer, model, "Gamma", g + 2, order)
+        with timer.lap("composed-structure"):
+            composed = check_composed_structure(model, gamma_big_result=gamma_big)
+            report.statements.extend(composed.statements.values())
     if with_timings:
         report.timings = timer.laps
     return report

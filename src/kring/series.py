@@ -218,14 +218,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    return s.exp()
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    return s.log()
-
-
 def substitute_gamma(s: TruncatedSeries) -> TruncatedSeries:
     return s.substitute_gamma()
 

@@ -42,8 +42,15 @@ parents = sorted({
     for name_id, _, _, parent in tracer.spans
     if parent >= 0
 })
+# the layers each suite calls directly, in call order: verify, conjecture,
+# filtration
+suites = [i for i, span in enumerate(tracer.spans) if names[span[0]] == "reports.suite"]
+direct = [
+    sorted({names[span[0]] for span in tracer.spans if span[3] == i}) for i in suites
+]
 print(json.dumps({
     "targets": sorted({name for _, _, name in TARGETS}),
+    "direct": direct,
     "calls": dict(calls),
     "raw": tracer.raw_metrics(0.0, clock),
     "parents": parents,
@@ -70,3 +77,13 @@ def test_tracer_records_every_target_and_cache():
     assert ("model.multiply", "series.exp") in parents
     assert ("operators.star_product", "series.exp") in parents
     assert ("operators.star_product", "series.mul") in parents
+    # the suites' checks call the traced layers through module globals: a
+    # check table that captured one at import time would bypass its wrapper
+    for layer in ("filtration.compute", "operators.fourier", "operators.star_product"):
+        assert (layer, "reports.suite") in parents
+    verify, conjecture, tables = map(set, doc["direct"])
+    assert verify >= {
+        "filtration.compute", "operators.fourier", "operators.star_product",
+        "model.validate", "adams.gamma_series", "adams.gamma_images",
+    }
+    assert "filtration.compute" in conjecture & tables

@@ -21,6 +21,7 @@ from kring import (
     run_filtration_tables,
     run_verify_suite,
 )
+from kring.filtration import Statement
 from kring.adams import gamma_images, kind_ring
 from kring.errors import DomainError, SeriesOrderError
 from kring.filtration import _saturation_stages, _scaled_kernel_basis, _with_pairwise_sums
@@ -75,7 +76,7 @@ def test_fourier_mirrors_star_into_gamma(name, g):
             m.dim,
             [
                 fourier(m.from_coords(row)).coords
-                for row in star.stage(n).basis_vectors()
+                for row in star.stage(n).basis.rows
             ],
         )
         assert image == gamma.stage(n)
@@ -551,6 +552,39 @@ def test_composed_structure_violator(violator2):
     skipped = rep.statements["lem-epsilon-gamma-morphism"]
     assert skipped.status == "skipped"
     assert "hypothesis violated" in skipped.detail
+
+
+# -- the first-failure helper ----------------------------------------------------
+
+
+def test_first_failure_passes_with_the_returned_detail():
+    def with_detail():
+        return "det=2"
+        yield
+
+    def without_detail():
+        return
+        yield
+
+    assert Statement.first_failure("s", with_detail()) == Statement("s", "pass", "det=2")
+    assert Statement.first_failure("s", without_detail()) == Statement("s", "pass", "")
+
+
+def test_first_failure_fails_with_the_first_yield():
+    def failing():
+        yield "first", "w1"
+        yield "second", "w2"
+        return "pass detail"
+
+    assert Statement.first_failure("s", failing()) == Statement("s", "fail", "first", "w1")
+
+
+def test_first_failure_never_advances_past_the_first_failure():
+    def check():
+        yield "first", "w"
+        raise AssertionError("the check was resumed after its first failure")
+
+    assert Statement.first_failure("s", check()) == Statement("s", "fail", "first", "w")
 
 
 def test_chern_classes_on_models(antisym2, pathological2):

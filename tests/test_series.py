@@ -12,8 +12,6 @@ from kring import (
     TruncatedSeries,
     harmonic_firstkind,
     kind_ring,
-    series_exp,
-    series_log,
     star_product,
     stirling1_unsigned,
     stirling2,
@@ -30,12 +28,12 @@ F = Fraction
 
 def test_exp_of_t():
     s = TruncatedSeries.rational([0, 1], order=3)
-    assert series_exp(s).coeffs == (F(1), F(1), F(1, 2), F(1, 6))
+    assert s.exp().coeffs == (F(1), F(1), F(1, 2), F(1, 6))
 
 
 def test_exp_log_inverse_on_rationals():
     s = TruncatedSeries.rational([0, 2, -1, F(1, 3)], order=5)
-    assert series_log(series_exp(s)) == TruncatedSeries.rational([0, 2, -1, F(1, 3)], order=5)
+    assert s.exp().log() == TruncatedSeries.rational([0, 2, -1, F(1, 3)], order=5)
 
 
 def test_exp_log_inverse_with_nilpotent_coefficients():
@@ -43,7 +41,7 @@ def test_exp_log_inverse_with_nilpotent_coefficients():
     e1 = m.basis_element(1)
     zero = m.zero()
     s = TruncatedSeries([zero, e1, zero, zero], kind_ring(m, "usual"))
-    assert series_log(series_exp(s)) == s
+    assert s.exp().log() == s
 
 
 def test_exp_coefficient_hand_expansion():
@@ -52,18 +50,18 @@ def test_exp_coefficient_hand_expansion():
     x = m.basis_element(1)
     zero = m.zero()
     s = TruncatedSeries([zero, x, -1 * x, zero], kind_ring(m, "usual"))
-    expanded = series_exp(s)
+    expanded = s.exp()
     assert expanded.coefficient(2) == -1 * x + F(1, 2) * (x * x)
 
 
 def test_exp_requires_zero_constant_term():
     with pytest.raises(DomainError):
-        series_exp(TruncatedSeries.rational([1, 1], order=2))
+        TruncatedSeries.rational([1, 1], order=2).exp()
 
 
 def test_log_requires_unit_constant_term():
     with pytest.raises(DomainError):
-        series_log(TruncatedSeries.rational([0, 1], order=2))
+        TruncatedSeries.rational([0, 1], order=2).log()
 
 
 def test_substitute_gamma_geometric_tail():
@@ -100,7 +98,7 @@ def test_substitution_respects_products(a, b):
 @given(rational_series())
 def test_exp_after_substitution_commutes(s):
     nil = s.like([F(0)] + list(s.coeffs[1:]))
-    assert substitute_gamma(series_exp(nil)) == series_exp(substitute_gamma(nil))
+    assert substitute_gamma(nil.exp()) == substitute_gamma(nil).exp()
 
 
 def _exp_by_powers(s: TruncatedSeries) -> TruncatedSeries:
@@ -117,7 +115,7 @@ def _exp_by_powers(s: TruncatedSeries) -> TruncatedSeries:
 @given(rational_series())
 def test_exp_recurrence_matches_power_sum_on_rationals(s):
     nil = s.like([F(0)] + list(s.coeffs[1:]))
-    assert series_exp(nil) == _exp_by_powers(nil)
+    assert nil.exp() == _exp_by_powers(nil)
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
@@ -133,7 +131,7 @@ def test_exp_recurrence_matches_power_sum_on_elements(name, g, kind):
             ring,
         )
         for s in (log_lambda, log_lambda.substitute_gamma()):
-            assert series_exp(s) == _exp_by_powers(s)
+            assert s.exp() == _exp_by_powers(s)
 
 
 def test_coefficient_beyond_order_raises():
@@ -215,7 +213,7 @@ def test_series_carry_only_coefficients_and_a_ring():
     m = theta_model(2)
     s = TruncatedSeries([m.zero(), m.basis_element(1)], kind_ring(m, "star"))
     assert s.like(s.coeffs).ring is s.ring
-    assert series_exp(s).coefficient(0) == m.star_unit()
+    assert s.exp().coefficient(0) == m.star_unit()
 
 
 def test_ring_powers_honour_the_limit():
