@@ -40,7 +40,7 @@ from .filtration import (
     check_pi_subset_gamma,
     compute_filtration,
 )
-from .linalg import Matrix, Subspace, rref, span, vandermonde_det, vandermonde_matrix
+from .linalg import Matrix, Subspace, vandermonde_det, vandermonde_matrix
 from .model import (
     Bidegree,
     Element,
@@ -89,7 +89,6 @@ from .series import (
     harmonic_firstkind,
     stirling1_unsigned,
     stirling2,
-    substitute_gamma,
 )
 
 __version__ = "0.1.0"

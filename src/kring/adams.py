@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Callable
 
 from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
@@ -79,15 +80,22 @@ def kind_ring(model: ModelAlgebra, kind: str) -> Ring:
     return Ring(model.multiply, model.zero(), model.one(), model.combine)
 
 
-def _log_lambda(
-    model: ModelAlgebra, kind: str, x: Element, order: int
+def _weighted_log(
+    model: ModelAlgebra,
+    kind: str,
+    x: Element,
+    order: int,
+    log: Callable[[int, int], TruncatedSeries],
 ) -> TruncatedSeries:
-    """The weighted Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, the
-    logarithm of the lambda series of x in the family's product."""
+    """sum_w L_w(t) x_w over the Adams eigencomponents x_w of x, where
+    L_w = ``log(w - 1, order)`` is a rational series."""
     ring = kind_ring(model, kind)
+    parts = [
+        (log(w - 1, order).coeffs, comp)
+        for w, comp in _weight_components(model, kind, x).items()
+    ]
     coeffs = [ring.zero] + [
-        Fraction((-1) ** (n - 1), n) * adams(model, kind, n, x)
-        for n in range(1, order + 1)
+        ring.sum([(s[m], comp) for s, comp in parts if s[m]]) for m in range(1, order + 1)
     ]
     return TruncatedSeries(coeffs, ring)
 
@@ -98,30 +106,25 @@ def gamma_series(
     """The gamma series of x: exp of the substituted weighted Adams series.
 
     Substituting t/(1-t) into the logarithm first and exponentiating after
-    is exact: the substitution is a ring map on truncated series.  As
-    psi^n(x) = sum_w n^w x_w over the Adams eigencomponents x_w, the
+    is exact: the substitution is a ring map on truncated series.  The
     substituted series is sum_w S_w(t) x_w with the rational series
-    S_w = ``_substituted_log(w - 1, order)``; only that scalar series is
-    shared with ``universal_gamma_coefficients``, while ``exp`` and its
-    products run on the model.
+    S_w = ``_substituted_log(w - 1, order)`` (see ``lambda_op``); only that
+    scalar series is shared with ``universal_gamma_coefficients``, while
+    ``exp`` and its products run on the model.
     """
     if order < 1:
         raise DomainError("series order must be at least 1")
-    ring = kind_ring(model, kind)
-    parts = [
-        (_substituted_log(w - 1, order).coeffs, comp)
-        for w, comp in _weight_components(model, kind, x).items()
-    ]
-    coeffs = [ring.zero] + [
-        ring.sum([(s[m], comp) for s, comp in parts if s[m]]) for m in range(1, order + 1)
-    ]
-    return TruncatedSeries(coeffs, ring).exp()
+    return _weighted_log(model, kind, x, order, _substituted_log).exp()
 
 
 def lambda_op(model: ModelAlgebra, kind: str, i: int, x: Element) -> Element:
     """Coefficient of t^i in the lambda series of x: exp of the weighted
-    Adams series, without the gamma substitution."""
-    return _log_lambda(model, kind, x, max(i, 1)).exp().coefficient(i)
+    Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, without the gamma
+    substitution.  As psi^n(x) / n = sum_w n^(w-1) x_w over the Adams
+    eigencomponents x_w, that series is sum_w L_w(t) x_w with the rational
+    series L_w = ``_adams_log(w - 1, i)``."""
+    order = max(i, 1)
+    return _weighted_log(model, kind, x, order, _adams_log).exp().coefficient(i)
 
 
 def gamma_op(
@@ -140,11 +143,17 @@ def gamma_op(
 
 
 @lru_cache(maxsize=None)
-def _substituted_log(exponent: int, order: int) -> TruncatedSeries:
-    """sum_n (-1)^{n-1} n^exponent t^n with t/(1-t) substituted for t."""
+def _adams_log(exponent: int, order: int) -> TruncatedSeries:
+    """sum_n (-1)^{n-1} n^exponent t^n, truncated at ``order``."""
     return TruncatedSeries.rational(
         [0] + [(-1) ** (n - 1) * Fraction(n) ** exponent for n in range(1, order + 1)]
-    ).substitute_gamma()
+    )
+
+
+@lru_cache(maxsize=None)
+def _substituted_log(exponent: int, order: int) -> TruncatedSeries:
+    """``_adams_log(exponent, order)`` with t/(1-t) substituted for t."""
+    return _adams_log(exponent, order).substitute_gamma()
 
 
 @lru_cache(maxsize=None)

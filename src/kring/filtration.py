@@ -87,15 +87,11 @@ class FiltrationSpec:
         """The partner masks of the family's product table (``kind_ring``)."""
         return model.star_partners if self.kind == "star" else model.mul_partners
 
-    def augmentation(self, model: ModelAlgebra, x: Element) -> Element:
-        """Projection onto the subring; for gamma this is rank(x) . 1, for
-        star the Euler characteristic times the origin class."""
-        return model.project(x, self.subring_indices(model))
-
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
-        """Whether the augmentation respects the family's product on the
-        basis; returns a witness pair when it does not.  The verdict is
-        checked once per model and kind and kept on the model."""
+        """Whether the augmentation, the projection onto the subring,
+        respects the family's product on the basis; returns a witness pair
+        when it does not.  The verdict is checked once per model and kind,
+        on first request, and kept on the model."""
         verdicts = model.augmentation_verdicts
         if self.kind not in verdicts:
             verdicts[self.kind] = self._augmentation_witness(model)
@@ -124,8 +120,6 @@ class FiltrationResult:
     method: str
     stages: tuple[Subspace, ...]
     rounds: tuple[tuple[int, ...], ...]
-    axiom_ok: bool
-    axiom_witness: str | None
     order: int
 
     @property
@@ -247,7 +241,9 @@ def compute_filtration(
     *,
     order: int | None = None,
 ) -> FiltrationResult:
-    """Compute stages 0..n_max of the filtration as canonical subspaces.
+    """Compute stages 0..n_max of the filtration as canonical subspaces;
+    whether the augmentation is a ring morphism is a separate question,
+    ``FiltrationSpec.augmentation_is_morphism``.
 
     The saturation method is exact.  Every Adams family is diagonal on the
     bigraded basis, and gamma_t(x + y) = gamma_t(x) gamma_t(y) (Fulton &
@@ -284,11 +280,8 @@ def compute_filtration(
             )
     else:
         raise DomainError(f"unknown filtration method {method!r}")
-    axiom_ok, axiom_witness = spec.augmentation_is_morphism(model)
     dims = tuple(s.dim for s in stages)
-    return FiltrationResult(
-        spec.kind, method, tuple(stages), (dims,), axiom_ok, axiom_witness, order
-    )
+    return FiltrationResult(spec.kind, method, tuple(stages), (dims,), order)
 
 
 # -- checkers -----------------------------------------------------------------

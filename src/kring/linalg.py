@@ -243,11 +243,6 @@ class Matrix:
         return tuple(sol)
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row-echelon form of ``m``."""
-    return m.rref()
-
-
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF basis) form: ``rows``
     holds one canonical integer row (numerators, denominator) per basis
@@ -353,10 +348,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def span(ambient_dim: int, vectors: Iterable) -> Subspace:
-    return Subspace.span(ambient_dim, vectors)
 
 
 def vandermonde_matrix(g: int) -> Matrix:

@@ -463,21 +463,18 @@ class ModelAlgebra:
         return _linear(self, self._fm, x)
 
     def fourier_inverse(self, x: Element) -> Element:
-        return _linear(self, self._scaled_fm_inverse, x)
+        return _linear(self, self._fm_inverse, x)
 
     @cached_property
-    def fm_inverse(self) -> Matrix:
+    def _fm_inverse(self) -> ScaledTable:
         try:
-            return self.fm.inverse()
+            inverse = self.fm.inverse()
         except StructureError:
             raise StructureError(
                 "the Fourier matrix is singular, so F^-1 and the convolution "
                 "product F^-1(F x . F y) are undefined"
             ) from None
-
-    @cached_property
-    def _scaled_fm_inverse(self) -> ScaledTable:
-        return _scaled_matrix(self.fm_inverse)
+        return _scaled_matrix(inverse)
 
     @cached_property
     def star_table(self) -> ScaledTable:

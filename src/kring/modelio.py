@@ -114,6 +114,8 @@ def import_model(text: str) -> ModelAlgebra:
             f"unsupported schema {doc.get('schema')!r}", field="schema"
         )
     g = _strict_int(doc.get("g"), "g")
+    if g < 1:
+        raise ModelParseError("g must be at least 1", field="g")
     if g > MAX_G:
         raise ModelParseError(f"g must be at most {MAX_G} (the cap MAX_G)", field="g")
     basis_raw = doc.get("basis")
@@ -153,6 +155,8 @@ def import_model(text: str) -> ModelAlgebra:
         if i > j:
             raise ModelParseError(f"{field}: triples must have i <= j", field)
         c = _parse_rational(raw, field)
+        if k in mul.get((i, j), {}):
+            raise ModelParseError(f"{field}: repeats the triple ({i}, {j}, {k})", field)
         mul.setdefault((i, j), {})[k] = c
         if i != j:
             mul.setdefault((j, i), {})[k] = c

@@ -8,8 +8,8 @@ multiplication by ``Fraction``; the product is a ``Ring``, so the same
 engine serves both the ordinary and the convolution-style multiplications
 of a model algebra.  Each output coefficient of a product, of ``exp`` and of
 the substitution is one ``Ring.sum``: over a model that is one integer
-numerator vector with a single gcd, not a left fold of ``+``; over Q it is
-the plain ``Fraction`` sum.
+numerator vector with a single gcd; over Q it is the plain ``Fraction``
+sum.
 
 ``exp`` runs the linear recurrence m a_m = sum_k k f_k a_{m-k} (Brent and
 Kung, "Fast algorithms for manipulating formal power series", JACM 1978)
@@ -36,8 +36,9 @@ from .errors import DomainError, SeriesOrderError, StructureError
 
 class Ring(NamedTuple):
     """A commutative, associative, unital product with its zero and unit,
-    and optionally a ``combine(terms, den)`` kernel for ``sum`` (a model's
-    ``ModelAlgebra.combine``); without one, ``sum`` folds ``+`` from zero."""
+    and the ``combine(terms, den)`` kernel that ``sum`` runs on (a model's
+    ``ModelAlgebra.combine``, ``_rational_sum`` over Q); a ring used only
+    for ``powers`` may leave it out."""
 
     mul: Callable
     zero: object
@@ -47,14 +48,7 @@ class Ring(NamedTuple):
     def sum(self, terms, den: int = 1):
         """The sum of c * x over the (scalar, value) ``terms``, over ``den``;
         an empty sum is ``zero`` itself."""
-        if not terms:
-            return self.zero
-        if self.combine is not None:
-            return self.combine(terms, den)
-        total = self.zero
-        for c, x in terms:
-            total = total + (x if c == 1 else c * x)
-        return total if den == 1 else Fraction(1, den) * total
+        return self.combine(terms, den) if terms else self.zero
 
     def powers(self, x, limit: int) -> list:
         """x, x^2, ..., at most ``limit`` of them, stopping before the first
@@ -69,7 +63,13 @@ class Ring(NamedTuple):
         return out
 
 
-RATIONALS = Ring(operator.mul, Fraction(0), Fraction(1))
+def _rational_sum(terms, den: int = 1) -> Fraction:
+    """The ``Fraction`` sum of c * x over ``terms``, over ``den``."""
+    total = sum((x if c == 1 else c * x for c, x in terms), Fraction(0))
+    return total if den == 1 else total / den
+
+
+RATIONALS = Ring(operator.mul, Fraction(0), Fraction(1), _rational_sum)
 
 
 class TruncatedSeries:
@@ -216,10 +216,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
-
-
-def substitute_gamma(s: TruncatedSeries) -> TruncatedSeries:
-    return s.substitute_gamma()
 
 
 @lru_cache(maxsize=None)

@@ -29,8 +29,9 @@ from kring import (
     stirling2,
     theta_model,
 )
-from kring.adams import _log_lambda, adams_weight, universal_gamma_coefficients
+from kring.adams import adams_weight, kind_ring, universal_gamma_coefficients
 from kring.errors import DomainError, SeriesOrderError
+from kring.series import TruncatedSeries
 from tests.conftest import bundled_models, model
 
 F = Fraction
@@ -441,10 +442,39 @@ def test_normalization_report_harmonic_connection():
     assert [harmonic_firstkind(n) for n in range(1, 6)] == list(rep.targets)
 
 
+def _log_lambda(m, kind, x, order):
+    """The weighted Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, one
+    Adams operator application per n: the route ``lambda_op`` took before it
+    summed L_w(t) x_w over the eigencomponents."""
+    ring = kind_ring(m, kind)
+    coeffs = [ring.zero] + [
+        F((-1) ** (n - 1), n) * adams(m, kind, n, x) for n in range(1, order + 1)
+    ]
+    return TruncatedSeries(coeffs, ring)
+
+
 def _gamma_series_by_substitution(m, kind, x, order):
     """The gamma series by substituting t/(1-t) into the whole log-lambda
     series, the route ``gamma_series`` took before it summed S_w(t) x_w."""
     return _log_lambda(m, kind, x, order).substitute_gamma().exp()
+
+
+def _samples(m):
+    return [
+        m.from_coords([F((-1) ** i * (i + 1), i % 3 + 1) for i in range(m.dim)]),
+        m.basis_element(m.dim - 1),
+        m.one() + m.star_unit(),
+    ]
+
+
+@pytest.mark.parametrize("name,g", bundled_models(3))
+@pytest.mark.parametrize("kind", ADAMS_KINDS)
+def test_lambda_op_matches_the_adams_operator_series(name, g, kind):
+    m = model(name, g)
+    for x in _samples(m) + [m.zero()]:
+        for i in range(g + 2):
+            want = _log_lambda(m, kind, x, max(i, 1)).exp().coefficient(i)
+            assert lambda_op(m, kind, i, x) == want
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
@@ -452,11 +482,6 @@ def _gamma_series_by_substitution(m, kind, x, order):
 def test_gamma_series_matches_whole_series_substitution(name, g, kind):
     m = model(name, g)
     order = g + 3
-    samples = [
-        m.from_coords([F((-1) ** i * (i + 1), i % 3 + 1) for i in range(m.dim)]),
-        m.basis_element(m.dim - 1),
-        m.one() + m.star_unit(),
-    ]
-    for x in samples:
+    for x in _samples(m):
         want = _gamma_series_by_substitution(m, kind, x, order)
         assert gamma_series(m, kind, x, order) == want

@@ -246,6 +246,29 @@ def test_import_requires_canonical_rationals(text):
     assert info.value.field == "mul[0]"
 
 
+def test_import_rejects_a_repeated_mul_triple():
+    doc = json.loads(export_model(theta_model(2)))
+    i, j, k, _ = doc["mul"][1]
+    doc["mul"].insert(2, [i, j, k, "5/1"])
+    with pytest.raises(ModelParseError) as info:
+        import_model(json.dumps(doc))
+    assert info.value.field == "mul[2]"
+    assert f"({i}, {j}, {k})" in str(info.value)
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_documents_below_g_one_are_rejected_before_any_suite(tmp_path, g):
+    doc = json.loads(export_model(theta_model(2)))
+    doc["g"] = g
+    path = tmp_path / "small_g.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "conjecture", "filtration", "model"):
+        res = run_cli(command, "--model-file", str(path), "--format", "structured")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "error [g]" in res.stderr and "at least 1" in res.stderr
+
+
 def test_verify_timings_cover_statements_and_filtrations():
     res = run_cli(
         "verify", "--builder", "theta", "--g", "2", "--format", "structured",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kring import (
+    FILTRATION_KINDS,
     Element,
     FiltrationSpec,
     ModelAlgebra,
@@ -57,7 +58,7 @@ def test_stages_decrease(name, g):
     m = model(name, g)
     for kind in ("gamma", "star", "pi", "Gamma"):
         res = filtration(name, g, kind, g + 2)
-        if not res.axiom_ok:
+        if not FiltrationSpec(kind).augmentation_is_morphism(m)[0]:
             # out-of-theory structure (the index projection is not a ring
             # map on this model); the literal stages need not be nested
             assert name == "violator" and kind == "Gamma"
@@ -213,6 +214,44 @@ def test_augmentation_checked_once_per_model_and_kind(monkeypatch):
     assert len({(id(m), kind) for m, kind in calls}) == 8
 
 
+def _augmentation_checks(monkeypatch, run):
+    """The kinds ``_augmentation_witness`` checks during ``run``, one entry
+    per check."""
+    calls = []
+    check = FiltrationSpec._augmentation_witness
+
+    def spy(self, m):
+        calls.append(self.kind)
+        return check(self, m)
+
+    monkeypatch.setattr(FiltrationSpec, "_augmentation_witness", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("name", ["theta", "antisym", "pathological", "violator"])
+def test_only_the_statements_that_read_a_verdict_check_the_augmentation(
+    name, monkeypatch
+):
+    def computed():
+        m = build_model(name, 3)
+        for kind in FILTRATION_KINDS:
+            for method in ("saturation", "eigen_sum"):
+                compute_filtration(m, kind, 5, method)
+
+    assert _augmentation_checks(monkeypatch, computed) == []
+    conjecture = _augmentation_checks(
+        monkeypatch, lambda: run_conjecture_suite(build_model(name, 3), name)
+    )
+    # lem-epsilon-gamma-morphism reads the Gamma verdict, and is skipped on
+    # violator, whose positive- and negative-index classes multiply
+    assert conjecture == ([] if name == "violator" else ["Gamma"])
+    for suite in (run_verify_suite, run_filtration_tables):
+        calls = _augmentation_checks(monkeypatch, lambda: suite(build_model(name, 3), name))
+        assert sorted(calls) == sorted(FILTRATION_KINDS)
+
+
 # -- skipped products: the unpruned loops as the reference ---------------------
 
 
@@ -310,7 +349,7 @@ def test_skipped_products_leave_the_stages_unchanged(name, g, kind):
     spec = FiltrationSpec(kind)
     generators = _scaled_kernel_basis(m, spec, res.order)
     assert res.stages == tuple(_unpruned_stages(m, spec, generators, g + 2, res.order))
-    assert (res.axiom_ok, res.axiom_witness) == _unpruned_witness(spec, m)
+    assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])

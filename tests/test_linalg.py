@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kring import Matrix, Subspace, rref, span, vandermonde_det, vandermonde_matrix
+from kring import Matrix, Subspace, vandermonde_det, vandermonde_matrix
 from kring.errors import DomainError, StructureError
 from kring.linalg import _integer_kernel
 from tests.conftest import bundled_models, model
@@ -22,12 +22,12 @@ def _identity(n: int) -> Matrix:
 
 def test_rref_identity_is_fixed():
     ident = _identity(3)
-    assert rref(ident) == ident
+    assert ident.rref() == ident
 
 
 def test_rref_rank_one_dependency():
     m = Matrix([[1, 1], [2, 2]])
-    assert rref(m) == Matrix([[1, 1], [0, 0]])
+    assert m.rref() == Matrix([[1, 1], [0, 0]])
     assert m.rank() == 1
 
 
@@ -66,8 +66,8 @@ def small_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rref_is_idempotent(m):
-    reduced = rref(m)
-    assert rref(reduced) == reduced
+    reduced = m.rref()
+    assert reduced.rref() == reduced
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +93,7 @@ def test_solve_unique_system():
 
 
 def test_span_empty_is_zero():
-    s = span(3, [])
+    s = Subspace.span(3, [])
     assert s.dim == 0
     assert s == Subspace.zero(3)
 
@@ -101,16 +101,16 @@ def test_span_empty_is_zero():
 def test_sum_of_coordinate_lines():
     e1 = [1, 0, 0]
     e2 = [0, 1, 0]
-    s = span(3, [e1]) + span(3, [e2])
+    s = Subspace.span(3, [e1]) + Subspace.span(3, [e2])
     assert s.dim == 2
 
 
 def test_intersection_hand_oracle():
     # span{e1+e2, e3} meets span{e1+e2, e1} exactly in span{e1+e2}
-    a = span(3, [[1, 1, 0], [0, 0, 1]])
-    b = span(3, [[1, 1, 0], [1, 0, 0]])
+    a = Subspace.span(3, [[1, 1, 0], [0, 0, 1]])
+    b = Subspace.span(3, [[1, 1, 0], [1, 0, 0]])
     meet = a.intersect(b)
-    assert meet == span(3, [[1, 1, 0]])
+    assert meet == Subspace.span(3, [[1, 1, 0]])
 
 
 @st.composite
@@ -119,7 +119,7 @@ def subspace_pairs(draw):
     vecs = st.lists(
         st.lists(rationals, min_size=dim, max_size=dim), min_size=0, max_size=3
     )
-    return span(dim, draw(vecs)), span(dim, draw(vecs))
+    return Subspace.span(dim, draw(vecs)), Subspace.span(dim, draw(vecs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,23 +134,23 @@ def test_dimension_formula(pair):
 def test_contains_agrees_with_span_growth(pair, vec):
     a, _ = pair
     v = vec[: a.ambient_dim]
-    grown = a + span(a.ambient_dim, [v])
+    grown = a + Subspace.span(a.ambient_dim, [v])
     assert a.contains(v) == (grown.dim == a.dim)
 
 
 def test_subspace_canonical_equality():
     # two generating sets of the same plane give identical representations
-    a = span(3, [[1, 1, 0], [0, 1, 1]])
-    b = span(3, [[1, 2, 1], [2, 3, 1]])
+    a = Subspace.span(3, [[1, 1, 0], [0, 1, 1]])
+    b = Subspace.span(3, [[1, 2, 1], [2, 3, 1]])
     assert a == b
     assert a.basis == b.basis
     # the stored integer rows are in lowest terms whatever the pivots met
-    assert span(2, [[2, 0], [0, 1]]) == Subspace.full(2)
+    assert Subspace.span(2, [[2, 0], [0, 1]]) == Subspace.full(2)
 
 
 def test_intersection_mismatched_ambient_raises():
     with pytest.raises(StructureError):
-        span(2, [[1, 0]]).intersect(span(3, [[1, 0, 0]]))
+        Subspace.span(2, [[1, 0]]).intersect(Subspace.span(3, [[1, 0, 0]]))
 
 
 def _vandermonde_product_oracle(g: int) -> Fraction:
@@ -276,7 +276,7 @@ def test_rref_matches_the_fraction_reference(case):
     assert reduced.rows == tuple(tuple(r) for r in want)
     assert list(pivots) == want_pivots
     assert m.rank() == len(want_pivots)
-    s = span(ncols, rows)
+    s = Subspace.span(ncols, rows)
     assert s.basis.rows == tuple(tuple(r) for r in want[: len(want_pivots)])
     assert list(s.pivots) == want_pivots
     assert s.dim == len(want_pivots)
@@ -286,7 +286,7 @@ def test_rref_matches_the_fraction_reference(case):
 @given(awkward_rows())
 def test_subspace_rows_are_canonical(case):
     ncols, rows = case
-    s = span(ncols, rows)
+    s = Subspace.span(ncols, rows)
     for (nums, den), p in zip(s.rows, s.pivots):
         assert all(type(n) is int for n in nums) and type(den) is int
         assert den > 0
@@ -294,8 +294,8 @@ def test_subspace_rows_are_canonical(case):
         assert gcd(den, *nums) == 1
         assert all(nums[q] == 0 for q in s.pivots if q != p)
     # any generating set of the same space gives the same stored form
-    assert span(ncols, [_fraction_row(r) for r in reversed(s.rows)]) == s
-    assert hash(span(ncols, list(reversed(rows)))) == hash(s)
+    assert Subspace.span(ncols, [_fraction_row(r) for r in reversed(s.rows)]) == s
+    assert hash(Subspace.span(ncols, list(reversed(rows)))) == hash(s)
 
 
 @st.composite
@@ -313,7 +313,7 @@ def subspaces_and_vector(draw):
 @given(subspaces_and_vector())
 def test_reduce_and_contains_match_the_reference(case):
     ncols, a, _, v = case
-    s = span(ncols, a)
+    s = Subspace.span(ncols, a)
     basis, pivots = _reference_span(a, ncols)
     want = _reference_reduce(basis, pivots, v)
     nums, den = s.reduce(v)
@@ -326,7 +326,7 @@ def test_reduce_and_contains_match_the_reference(case):
 @given(subspaces_and_vector())
 def test_intersect_and_inclusion_match_the_reference(case):
     ncols, a, b, _ = case
-    sa, sb = span(ncols, a), span(ncols, b)
+    sa, sb = Subspace.span(ncols, a), Subspace.span(ncols, b)
     basis_a, piv_a = _reference_span(a, ncols)
     basis_b, piv_b = _reference_span(b, ncols)
     a_in_b = not any(any(_reference_reduce(basis_b, piv_b, r)) for r in basis_a)
