@@ -27,11 +27,10 @@ sums) as a fast exact route that the series-engine route must agree with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
@@ -274,8 +273,7 @@ def nth_root(L: Element, n: int) -> Element:
 # -- Chern classes of the composed structure ---------------------------------
 
 
-@dataclass(frozen=True)
-class ChernClass:
+class ChernClass(NamedTuple):
     """Complete Chern data of the composed structure: the index-0 projection
     and the gamma components reduced modulo the next filtration stage."""
 
@@ -309,8 +307,7 @@ def complete_chern(
 # -- the index -1 series example ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesNormalizationReport:
+class SeriesNormalizationReport(NamedTuple):
     """Exact expansion of the composed-structure gamma series of a square-zero
     class of a given derived index, under both candidate logarithm scalings.
 

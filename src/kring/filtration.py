@@ -34,12 +34,11 @@ the top-stage vanishing statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .adams import adams_weight, complete_chern, gamma_images, kind_ring, lambda_op
 from .errors import DomainError, SeriesOrderError
@@ -51,15 +50,15 @@ FILTRATION_KINDS = ("gamma", "star", "pi", "Gamma")
 _FAMILY = {"gamma": "usual", "star": "star", "pi": "pi", "Gamma": "composed"}
 
 
-@dataclass(frozen=True)
 class FiltrationSpec:
     """One of the four filtration structures on a model."""
 
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in FILTRATION_KINDS:
-            raise DomainError(f"unknown filtration kind {self.kind!r}")
+    def __init__(self, kind: str):
+        if kind not in FILTRATION_KINDS:
+            raise DomainError(f"unknown filtration kind {kind!r}")
+        self.kind = kind
 
     @property
     def family(self) -> str:
@@ -114,8 +113,7 @@ class FiltrationSpec:
         return True, None
 
 
-@dataclass(frozen=True)
-class FiltrationResult:
+class FiltrationResult(NamedTuple):
     kind: str
     method: str
     stages: tuple[Subspace, ...]
@@ -287,15 +285,13 @@ def compute_filtration(
 # -- checkers -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QVerdict:
+class QVerdict(NamedTuple):
     q: int
     ok: bool
     witness: Element | None = None
 
 
-@dataclass(frozen=True)
-class PiGammaReport:
+class PiGammaReport(NamedTuple):
     """Per-stage verdicts of the inclusion of the pi filtration in the
     gamma one, with the unconditionally provable stages flagged."""
 
@@ -355,8 +351,7 @@ def check_pi_subset_gamma(
     return PiGammaReport(g, tuple(verdicts), proved, failures)
 
 
-@dataclass(frozen=True)
-class LemmaEquivalenceReport:
+class LemmaEquivalenceReport(NamedTuple):
     """Truth values of the four equivalent criteria for a homogeneous class
     x in K^p_q with p > 0 and g - q > 0:
 
@@ -407,8 +402,7 @@ def check_lemma_equivalences(
 Failures = Iterator[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """One verdict of a report, keyed by a stable identifier."""
 
     id: str
@@ -433,8 +427,7 @@ class Statement:
         return cls(id, "fail", detail=detail, witness=witness)
 
 
-@dataclass(frozen=True)
-class ComposedStructureReport:
+class ComposedStructureReport(NamedTuple):
     """Verdicts for the composed-structure statements on one model."""
 
     g: int

@@ -39,7 +39,6 @@ each product table also gets partner masks and a check of its unit law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
@@ -61,15 +60,13 @@ class Bidegree(NamedTuple):
         return self.p + self.q - g
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     witness: tuple = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

@@ -28,18 +28,17 @@ compare by their numerators and denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainError, StructureError
 from .linalg import vandermonde_matrix
 from .model import FOREIGN, Element, ModelAlgebra
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
+class DiagonalOperator(NamedTuple):
     """A model operator acting diagonally on the bigraded basis, with
     eigenvalue nums[i] / den on e_i, in lowest terms like an ``Element``."""
 
@@ -124,8 +123,7 @@ def euler_char(x: Element) -> Fraction:
     return x.coefficient(x.model.star_unit_index)
 
 
-@dataclass(frozen=True)
-class CompositeCheckResult:
+class CompositeCheckResult(NamedTuple):
     ok: bool
     m: int
     n: int
@@ -183,8 +181,7 @@ def pushforward_identity_check(g: int, model: ModelAlgebra | None = None) -> boo
     return True
 
 
-@dataclass(frozen=True)
-class PushforwardRelation:
+class PushforwardRelation(NamedTuple):
     """(k)-pushforward written in the basis of pushforwards by 0 .. 2g."""
 
     k: int

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterator
@@ -75,13 +74,20 @@ from .series import stirling2
 REPORT_SCHEMA = "kring-report/1"
 
 
-@dataclass
 class VerificationReport:
-    command: str
-    model: dict
-    config: dict
-    statements: list[Statement] = field(default_factory=list)
-    timings: dict | None = None
+    def __init__(
+        self,
+        command: str,
+        model: dict,
+        config: dict,
+        statements: list[Statement] | None = None,
+        timings: dict | None = None,
+    ):
+        self.command = command
+        self.model = model
+        self.config = config
+        self.statements = [] if statements is None else statements
+        self.timings = timings
 
     @property
     def ok(self) -> bool:
@@ -175,15 +181,15 @@ def _filtration(
         return compute_filtration(model, kind, n_max, order=order)
 
 
-@dataclass
 class _Run:
     """What a ``verify`` check reads: the model, its basis elements, the
     series order, and the filtrations computed between the two tables."""
 
-    model: ModelAlgebra
-    order: int
-    basis: tuple[Element, ...]
-    fil: dict[str, FiltrationResult] = field(default_factory=dict)
+    def __init__(self, model: ModelAlgebra, order: int, basis: tuple[Element, ...]):
+        self.model = model
+        self.order = order
+        self.basis = basis
+        self.fil: dict[str, FiltrationResult] = {}
 
     @property
     def g(self) -> int:

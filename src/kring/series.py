@@ -8,8 +8,8 @@ multiplication by ``Fraction``; the product is a ``Ring``, so the same
 engine serves both the ordinary and the convolution-style multiplications
 of a model algebra.  Each output coefficient of a product, of ``exp`` and of
 the substitution is one ``Ring.sum``: over a model that is one integer
-numerator vector with a single gcd; over Q it is the plain ``Fraction``
-sum.
+numerator vector with a single gcd; over Q it is one integer numerator
+over the lcm of the denominators, made a ``Fraction`` once.
 
 ``exp`` runs the linear recurrence m a_m = sum_k k f_k a_{m-k} (Brent and
 Kung, "Fast algorithms for manipulating formal power series", JACM 1978)
@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, SeriesOrderError, StructureError
@@ -64,9 +64,13 @@ class Ring(NamedTuple):
 
 
 def _rational_sum(terms, den: int = 1) -> Fraction:
-    """The ``Fraction`` sum of c * x over ``terms``, over ``den``."""
-    total = sum((x if c == 1 else c * x for c, x in terms), Fraction(0))
-    return total if den == 1 else total / den
+    """The sum of c * x over the rational ``terms``, over ``den``, as
+    ``ModelAlgebra.combine`` sums elements: integer numerators over the lcm
+    of the terms' denominators, and one ``Fraction`` at the end."""
+    dens = [c.denominator * x.denominator for c, x in terms]
+    common = lcm(*dens)
+    total = sum(c.numerator * x.numerator * (common // d) for (c, x), d in zip(terms, dens))
+    return Fraction(total, common * den)
 
 
 RATIONALS = Ring(operator.mul, Fraction(0), Fraction(1), _rational_sum)

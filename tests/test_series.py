@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kring import (
@@ -19,7 +19,7 @@ from kring import (
 )
 from kring.adams import ADAMS_KINDS, adams
 from kring.errors import DomainError, SeriesOrderError, StructureError
-from kring.series import RATIONALS
+from kring.series import RATIONALS, _rational_sum
 from tests.conftest import bundled_models, model
 
 F = Fraction
@@ -79,6 +79,31 @@ def test_substitute_gamma_fixes_constants():
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _fraction_fold(terms, den):
+    """Reference sum: one ``Fraction`` addition per term, then the division."""
+    total = F(0)
+    for c, x in terms:
+        total = total + F(c) * F(x)
+    return total / den
+
+
+rational_scalar = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(rational_scalar, rational_scalar), min_size=1, max_size=6),
+    st.integers(1, 9),
+)
+@example([(F(2, 3), F(-3, 4))], 5)  # a single term over den > 1
+@example([(1, F(1, 2)), (F(-1, 2), 1), (3, F(0))], 7)  # terms that cancel to zero
+def test_rational_sum_equals_a_fraction_fold(terms, den):
+    for sub in (terms, terms[:1], terms + [(-c, x) for c, x in terms]):
+        got = _rational_sum(sub, den)
+        assert type(got) is Fraction and got == _fraction_fold(sub, den)
+    assert _rational_sum(terms) == RATIONALS.sum(terms) == _fraction_fold(terms, 1)
 
 
 @st.composite
