@@ -18,12 +18,14 @@ from kring import (
     ModelAlgebra,
     TruncatedSeries,
     adams_operator,
+    build_model,
     fourier,
     fourier_inverse,
     gamma_series,
     kind_ring,
     pullback,
     pushforward,
+    run_verify_suite,
     star_product,
     theta_model,
 )
@@ -339,3 +341,29 @@ def test_gamma_series_builds_one_element_per_product_or_sum(kind, monkeypatch):
     # per term would cost about one more per product
     assert counts["products"] > 4 * order
     assert counts["elements"] <= counts["products"] + 2 * order + m.dim + 2
+
+
+def test_verify_computes_each_value_once(monkeypatch):
+    # a deterministic count, not a time: on violator(3), walking every pair
+    # and recomputing repeated values took 4,789 products and 30 series
+    # exps; leaving out the pairs with no table entry and reusing products,
+    # Fourier images, gamma images and gamma series takes 2,696 and 25
+    m = build_model("violator", 3)
+    m.star_table  # built once per model, before counting
+    model_module = importlib.import_module("kring.model")
+    bilinear, exp = model_module._bilinear, TruncatedSeries.exp
+    counts = {"products": 0, "exps": 0}
+
+    def counted_bilinear(*args):
+        counts["products"] += 1
+        return bilinear(*args)
+
+    def counted_exp(self):
+        counts["exps"] += 1
+        return exp(self)
+
+    monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
+    monkeypatch.setattr(TruncatedSeries, "exp", counted_exp)
+    assert run_verify_suite(m, "violator(g=3)").ok
+    assert counts["products"] <= 3000
+    assert counts["exps"] <= 25

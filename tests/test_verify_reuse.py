@@ -1,0 +1,212 @@
+"""The five ``verify`` checks that reuse values or leave out pairs with no
+table entry reach the same first failure as the plain loops they replace.
+
+The plain loops are kept here as test-local copies: each recomputes every
+product, Fourier image and gamma series and walks every basis pair.  For
+each model, ``Statement.first_failure`` must give the same status, detail
+and witness for the copy and for the check in ``kring.reports`` (or both
+must raise the same error).  The models are every builder at g = 2 and 3,
+theta(4), the perturbed documents of ``tests/test_failure_paths.py`` and a
+deterministic sweep of single-entry ``mul`` and ``fm`` edits of the g = 2
+documents (and ``mul`` constant edits at g = 3): an edit that breaks a
+product is where a wrongly skipped pair would hide a failure.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from kring import (
+    adams,
+    euler_char,
+    fourier,
+    gamma_images,
+    gamma_series,
+    modelio,
+    pullback,
+    pushforward,
+    rank,
+    reports,
+    star_product,
+)
+from kring.adams import ADAMS_KINDS
+from kring.filtration import Statement
+from tests.test_failure_paths import _fm00, _mul1, _rename_e1
+
+BUILDERS = ("theta", "antisym", "pathological", "violator")
+
+
+def _old_fm_iso(run):
+    model, basis, labels = run.model, run.basis, run.model.labels
+    inversion = pullback(model, -1)
+    sign = Fraction((-1) ** run.g)
+    for i, e in enumerate(basis):
+        if fourier(fourier(e)) != sign * inversion.apply(e):
+            yield "square law", labels[i]
+    for i in range(model.dim):
+        for j in range(i, model.dim):
+            lhs = fourier(star_product(basis[i], basis[j]))
+            if lhs != fourier(basis[i]) * fourier(basis[j]):
+                yield "multiplicativity", f"({labels[i]}, {labels[j]})"
+    for i, e in enumerate(basis):
+        if euler_char(e) != rank(fourier(e)):
+            yield "augmentation exchange", labels[i]
+        if star_product(model.star_unit(), e) != e:
+            yield "origin class is not the unit", labels[i]
+
+
+def _old_omega(run):
+    model, basis, labels = run.model, run.basis, run.model.labels
+    for n in range(1, 5):
+        for i in range(model.dim):
+            for j in range(i, model.dim):
+                x, y = basis[i], basis[j]
+                for kind in ("composed", "pi_star"):
+                    if adams(model, kind, n, x * y) != adams(model, kind, n, x) * adams(
+                        model, kind, n, y
+                    ):
+                        yield f"{kind}, n={n}", f"({labels[i]}, {labels[j]})"
+        for e in basis:
+            if rank(adams(model, "pi_star", n, e)) != rank(e):
+                yield f"rank preservation, n={n}", ""
+            if adams(model, "composed", n, e).beauville_component(0) != (
+                e.beauville_component(0)
+            ):
+                yield f"index-0 augmentation preservation, n={n}", ""
+
+
+def _old_push_star_hom(run):
+    model, basis, labels = run.model, run.basis, run.model.labels
+    for m in range(-2, 3):
+        push = pushforward(model, m)
+        for i in range(model.dim):
+            for j in range(i, model.dim):
+                lhs = push.apply(star_product(basis[i], basis[j]))
+                if lhs != star_product(push.apply(basis[i]), push.apply(basis[j])):
+                    yield f"m={m}", f"({labels[i]}, {labels[j]})"
+
+
+def _old_star_push_commute(run):
+    model, g = run.model, run.g
+    elements = list(run.basis) + reports._sample_elements(model)
+    for m in range(-2, 3):
+        push = pushforward(model, m)
+        for x in elements:
+            lhs_all = gamma_images(model, "star", push.apply(x), g + 1)
+            rhs_all = gamma_images(model, "star", x, g + 1)
+            for n in range(g + 2):
+                if lhs_all[n] != push.apply(rhs_all[n]):
+                    yield f"m={m}, n={n}", str(x)
+
+
+def _old_addition_law(run):
+    model, order = run.model, run.order
+    samples = reports._sample_elements(model, 2)
+    pairs = [(run.basis[0], run.basis[-1]), (samples[0], samples[1])]
+    for kind in ADAMS_KINDS:
+        for x, y in pairs:
+            left = gamma_series(model, kind, x + y, order)
+            right = gamma_series(model, kind, x, order) * gamma_series(
+                model, kind, y, order
+            )
+            if left != right:
+                yield kind, str(x + y)
+
+
+# statement id -> (plain loop, check under test)
+CHECKS = {
+    "thm-fm-iso": (_old_fm_iso, reports._fm_iso),
+    "prop-omega-n": (_old_omega, reports._omega),
+    "pushforward-star-hom": (_old_push_star_hom, reports._push_star_hom),
+    "star-pushforward-commute": (_old_star_push_commute, reports._star_push_commute),
+    "gamma-addition-law": (_old_addition_law, reports._addition_law),
+}
+
+
+def _outcome(sid, check, model):
+    run = reports._Run(model, model.default_series_order, model.basis_elements())
+    try:
+        s = Statement.first_failure(sid, check(run))
+    except Exception as exc:  # both versions must fail the same way
+        return type(exc).__name__, str(exc)
+    return s.status, s.detail, s.witness
+
+
+def _assert_same_outcomes(model):
+    statuses = {}
+    for sid, (old, new) in CHECKS.items():
+        want = _outcome(sid, old, model)
+        assert _outcome(sid, new, model) == want, sid
+        statuses[sid] = want[0]
+    return statuses
+
+
+def _document(builder, g):
+    return json.loads(modelio.export_model(modelio.build_model(builder, g)))
+
+
+@pytest.mark.parametrize(
+    "builder,g", [(b, g) for g in (2, 3) for b in BUILDERS] + [("theta", 4)]
+)
+def test_bundled_models(builder, g):
+    statuses = _assert_same_outcomes(modelio.build_model(builder, g))
+    assert set(statuses.values()) == {"pass"}
+
+
+@pytest.mark.parametrize(
+    "builder,edit",
+    [("pathological", _fm00), ("theta", _mul1), ("theta", _fm00), ("theta", _rename_e1)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_perturbed_documents(builder, edit):
+    doc = _document(builder, 2)
+    edit(doc)
+    _assert_same_outcomes(modelio.import_model(json.dumps(doc)))
+
+
+def _rational(c: Fraction) -> str:
+    return f"{c.numerator}/{c.denominator}"
+
+
+def _edits(doc, where):
+    """Single-entry edits of ``doc``: each mul constant or fm entry raised
+    by one, or one mul triple added to a pair i <= j that has none."""
+    if where == "mul":
+        for n, (_, _, _, raw) in enumerate(doc["mul"]):
+            yield lambda d, n=n, raw=raw: d["mul"][n].__setitem__(
+                3, _rational(Fraction(raw) + 1)
+            )
+    elif where == "new-mul":
+        dim = len(doc["basis"])
+        present = {(i, j) for i, j, _, _ in doc["mul"]}
+        for i in range(dim):
+            for j in range(i, dim):
+                if (i, j) not in present:
+                    k = (i + j) % dim
+                    yield lambda d, t=[i, j, k, "1/1"]: d["mul"].append(t)
+    else:
+        for r, row in enumerate(doc["fm"]):
+            for c, raw in enumerate(row):
+                yield lambda d, r=r, c=c, raw=raw: d["fm"][r].__setitem__(
+                    c, _rational(Fraction(raw) + 1)
+                )
+
+
+# the g = 3 constant edits add models whose addition law holds for the
+# ``usual`` family but fails for ``composed``: a gamma-series key that
+# ignored the Adams weights would hide that failure
+@pytest.mark.parametrize(
+    "g,where", [(2, "mul"), (2, "new-mul"), (2, "fm"), (3, "mul")]
+)
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_single_entry_edits(builder, g, where):
+    base = _document(builder, g)
+    failing = 0
+    for edit in _edits(base, where):
+        doc = json.loads(json.dumps(base))
+        edit(doc)
+        statuses = _assert_same_outcomes(modelio.import_model(json.dumps(doc)))
+        failing += "fail" in statuses.values()
+    # the sweep reaches failures, so a hidden one would show
+    assert failing
