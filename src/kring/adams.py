@@ -20,16 +20,17 @@ For an eigenvector x of weight d the substituted log-lambda series is
 S_d(t) x with S_d(t) = sum_n (-1)^{n-1} n^{d-1} (t/(1-t))^n, so the gamma
 series exp(S_d(t) x) has the closed form sum_m S_d(t)^m x^m / m!, and
 ``universal_gamma_coefficients`` reads a(i; d, m) = [t^i] S_d(t)^m / m!
-off the powers of one rational series.  ``gamma_images`` uses those
-coefficients (together with the multiplicativity of the gamma series over
-sums) as a fast exact route that the series-engine route must agree with.
+off the powers of one rational series, taken on its integer numerators.
+``gamma_images`` uses those coefficients (together with the
+multiplicativity of the gamma series over sums) as a fast exact route that
+the series-engine route must agree with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, SeriesOrderError
@@ -144,9 +145,11 @@ def gamma_op(
 @lru_cache(maxsize=None)
 def _adams_log(exponent: int, order: int) -> TruncatedSeries:
     """sum_n (-1)^{n-1} n^exponent t^n, truncated at ``order``."""
-    return TruncatedSeries.rational(
-        [0] + [(-1) ** (n - 1) * Fraction(n) ** exponent for n in range(1, order + 1)]
-    )
+    def term(n: int) -> Fraction:
+        sign = 1 if n % 2 else -1
+        return Fraction(sign * n**exponent) if exponent >= 0 else Fraction(sign, n**-exponent)
+
+    return TruncatedSeries.rational([0] + [term(n) for n in range(1, order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -162,16 +165,21 @@ def universal_gamma_coefficients(
     """Coefficients a(i; d, m) = [t^i] S_d(t)^m / m! of x^m in the i-th gamma
     operation of an eigenvector x of weight d.
 
-    Entry [i][m] is a(i; d, m) for 0 <= i <= order, 0 <= m <= m_max.
+    Entry [i][m] is a(i; d, m) for 0 <= i <= order, 0 <= m <= m_max.  The
+    powers of S_d run on its integer numerators s over their lcm D, as a
+    truncated integer convolution, so entry [i][m] is [t^i] s^m / (D^m m!).
     """
     if order < 1 or m_max < 1:
         raise DomainError("order and m_max must be at least 1")
-    s = _substituted_log(d - 1, order)
-    power = s.constant(Fraction(1))
-    columns = [power.coeffs]
+    coeffs = _substituted_log(d - 1, order).coeffs
+    den = lcm(*(c.denominator for c in coeffs))
+    s = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs) if c]
+    power = [1] + [0] * order
+    columns = [tuple(map(Fraction, power))]
     for m in range(1, m_max + 1):
-        power = power * s
-        columns.append(tuple(c / factorial(m) for c in power.coeffs))
+        power = [sum(c * power[i - k] for k, c in s if k <= i) for i in range(order + 1)]
+        scale = den**m * factorial(m)
+        columns.append(tuple(Fraction(n, scale) for n in power))
     return tuple(zip(*columns))
 
 

@@ -15,8 +15,12 @@ span, over the augmentation subring, of all products of gamma operations of
 kernel elements with total weight at least n.  The saturation method builds
 that span exactly, in one deterministic pass, from the gamma images of the
 scaled kernel basis vectors c . e_k, c = 1 .. nu_k (see
-``compute_filtration``).  The eigen_sum method sums the Adams eigenspaces
-of weight >= n, stage by stage.
+``compute_filtration``).  A stage n <= n_max uses a gamma image of
+weight i >= n_max only linearly: as a generator, and as a factor of its
+products with the kernel's monomials of weight >= 1.  So the images of all
+weights from n_max up to the series order are spanned as one bucket, not
+one span per weight.  The eigen_sum method sums the Adams eigenspaces of
+weight >= n, stage by stage.
 
 The saturation skips each product x . y for which no basis pair (i, j), i
 in the support of x and j in that of y, has an entry in the product table
@@ -35,15 +39,13 @@ the top-stage vanishing statements.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import factorial
-from operator import or_
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .adams import adams_weight, complete_chern, gamma_images, kind_ring, lambda_op
 from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
-from .model import Element, ModelAlgebra
+from .model import Element, ModelAlgebra, reach, support
 
 FILTRATION_KINDS = ("gamma", "star", "pi", "Gamma")
 
@@ -130,10 +132,8 @@ class FiltrationResult(NamedTuple):
 
 def _supported(model: ModelAlgebra, space: Subspace) -> list[tuple[Element, int]]:
     """The canonical basis of ``space``, each vector with its support bitmask."""
-    return [
-        (Element(model, nums, den), sum(1 << i for i, n in enumerate(nums) if n))
-        for nums, den in space.rows
-    ]
+    basis = [Element(model, nums, den) for nums, den in space.rows]
+    return [(x, support(x)) for x in basis]
 
 
 def _products(product: Callable, xs: Sequence, ys: Sequence) -> list[Element]:
@@ -189,6 +189,11 @@ def _saturation_stages(
     """Stages 0..n_max spanned by products of the gamma images of
     ``generators`` (and of their products with the augmentation subring).
 
+    The images of weight top = max(n_max, 1) and above are spanned as one
+    bucket: each enters M[n] as a generator and through its products with
+    M[1], both linear in the image (see ``compute_filtration``).  Zero
+    images are left out before they reach ``Subspace.span``.
+
     x . y is skipped when reach(x) & support(y) == 0, reach(x) being the OR
     of the partner masks over the support of x: then no table pair (i, j)
     has i in the support of x and j in that of y, so x . y is zero.
@@ -198,22 +203,27 @@ def _saturation_stages(
     dim = model.dim
 
     images = [gamma_images(model, spec.family, x, order) for x in generators]
+    top = max(n_max, 1)
 
-    # basis of the span of the gamma images per weight i, with their reaches
-    weight_basis: list[list[tuple[Element, int]]] = [[]]
-    for i in range(1, order + 1):
-        span = Subspace.span(dim, [img[i] for img in images])
-        weight_basis.append([
-            (v, reduce(or_, (p for k, p in enumerate(partners) if s >> k & 1), 0))
-            for v, s in _supported(model, span)
-        ])
+    def reached_basis(weights: range) -> list[tuple[Element, int]]:
+        """Basis of the span of the nonzero gamma images of the given
+        weights, each vector with its reach."""
+        nonzero = [img[i] for img in images for i in weights if not img[i].is_zero()]
+        return [
+            (v, reach(partners, s)) for v, s in _supported(model, Subspace.span(dim, nonzero))
+        ]
+
+    # weight_basis[i] spans the gamma images of weight i < top; the last
+    # entry, the bucket, spans those of every weight top .. order together
+    weights = [range(i, i + 1) for i in range(1, top)] + [range(top, order + 1)]
+    weight_basis = [[]] + [reached_basis(w) for w in weights]
 
     # monomial spans: M[n] = span of products of gamma images of total weight >= n
-    all_gamma = [pair for i in range(1, order + 1) for pair in weight_basis[i]]
+    all_gamma = [pair for basis in weight_basis for pair in basis]
     m_basis = {1: _supported(model, _close_under_products(model, product, all_gamma))}
     for n in range(2, n_max + 1):
         vectors: list[Element] = []
-        for i in range(1, order + 1):
+        for i in range(1, top + 1):
             if i >= n:
                 vectors.extend(v for v, _ in weight_basis[i])
             vectors.extend(_products(product, weight_basis[i], m_basis[max(n - i, 1)]))
@@ -253,6 +263,12 @@ def compute_filtration(
     separate terms a(i; w, m) e^m.  Products of those terms therefore span
     the same stages as the gamma images of all kernel elements, and one
     pass over the generators c . e_k yields the stages.
+
+    Weights from n_max on are spanned as one bucket.  For a stage n <= n_max
+    an image of weight i >= n_max is a generator of M[n], as i >= n, and
+    multiplies M[max(n - i, 1)] = M[1]; both uses are linear in the image,
+    so the span of all those images gives the same M[n] as the images of
+    each weight spanned apart.
     """
     if isinstance(spec, str):
         spec = FiltrationSpec(spec)

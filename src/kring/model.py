@@ -256,6 +256,21 @@ def _partner_masks(table: ScaledTable) -> tuple[int, ...]:
     return tuple(sum(1 << j for j, _ in row) for row in table.rows)
 
 
+def support(x: Element) -> int:
+    """The bitmask of the indices where x has a nonzero coordinate."""
+    return sum(1 << i for i, n in enumerate(x.nums) if n)
+
+
+def reach(partners: Sequence[int], mask: int) -> int:
+    """The OR of the partner masks over the indices in ``mask``: the j for
+    which some i in the mask has a table entry (i, j)."""
+    out = 0
+    for i, partner in enumerate(partners):
+        if mask >> i & 1:
+            out |= partner
+    return out
+
+
 def _two_sided_unit(table: ScaledTable, u: int) -> tuple[int, ...] | None:
     """The numerators of e_u if ``table`` has e_u e_i = e_i = e_i e_u for all i."""
     rows, den = table
@@ -479,11 +494,18 @@ class ModelAlgebra:
         multiplication table: entry (i, j) holds the nonzero coordinates of
         F^-1(F e_i . F e_j).  Both sides are bilinear, so the convolution of
         any two elements is exactly the table's bilinear form.  Built on
-        first use and owned by the model, so it lives as long as the model."""
+        first use and owned by the model, so it lives as long as the model.
+        A pair whose F e_i reaches (by ``mul_partners``) no index in the
+        support of F e_j has no product table entry to sum, so it is skipped
+        as zero."""
         images = [self.fourier(self.basis_element(i)) for i in range(self.dim)]
+        supports = [support(f) for f in images]
+        reaches = [reach(self.mul_partners, s) for s in supports]
         table = {}
         for i, fi in enumerate(images):
             for j, fj in enumerate(images):
+                if not reaches[i] & supports[j]:
+                    continue
                 z = self.fourier_inverse(_bilinear(self, self._table, fi, fj))
                 entries = tuple((k, z.coefficient(k)) for k, n in enumerate(z.nums) if n)
                 if entries:

@@ -1,6 +1,7 @@
 """Adams families, gamma operations, the universal coefficient table, and
 line-bundle calculus."""
 
+import importlib
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -29,12 +30,15 @@ from kring import (
     stirling2,
     theta_model,
 )
+from kring import reports
 from kring.adams import adams_weight, kind_ring, universal_gamma_coefficients
 from kring.errors import DomainError, SeriesOrderError
 from kring.series import TruncatedSeries
 from tests.conftest import bundled_models, model
 
 F = Fraction
+
+adams_module = importlib.import_module("kring.adams")
 
 
 # -- eigenvalue actions -------------------------------------------------------
@@ -336,6 +340,51 @@ def test_gamma_coeff_reproduces_gamma_op_on_eigenvectors():
 def test_universal_gamma_coefficients_table_entries():
     assert universal_gamma_coefficients(3, 4, 2)[2][1] == -3  # a(2; 3, 1)
     assert universal_gamma_coefficients(2, 4, 2)[2][2] == F(1, 2)  # a(2; 2, 2)
+
+
+def _old_adams_log(exponent, order):
+    """``adams._adams_log`` as a Fraction power times a sign."""
+    return TruncatedSeries.rational(
+        [0] + [(-1) ** (n - 1) * F(n) ** exponent for n in range(1, order + 1)]
+    )
+
+
+def _old_substituted_log(exponent, order):
+    return _old_adams_log(exponent, order).substitute_gamma()
+
+
+def _old_universal_gamma_coefficients(d, order, m_max):
+    """``universal_gamma_coefficients`` by series products over Q."""
+    s = _old_substituted_log(d - 1, order)
+    power = s.constant(F(1))
+    columns = [power.coeffs]
+    for m in range(1, m_max + 1):
+        power = power * s
+        columns.append(tuple(c / factorial(m) for c in power.coeffs))
+    return tuple(zip(*columns))
+
+
+@pytest.mark.parametrize("d", range(-3, 9))
+def test_integer_scalar_tables_match_the_rational_series_route(d):
+    for order in range(1, 21):
+        log = adams_module._adams_log(d - 1, order).coeffs
+        assert log == _old_adams_log(d - 1, order).coeffs
+        assert all(type(c) is F for c in log)
+        for m_max in sorted(set(range(1, 7)) | ({order} if d == 0 else set())):
+            table = universal_gamma_coefficients(d, order, m_max)
+            assert table == _old_universal_gamma_coefficients(d, order, m_max)
+            assert all(type(a) is F for row in table for a in row)
+
+
+def test_scalar_table_reports_match_the_rational_series_route(monkeypatch):
+    runs = (
+        lambda: reports.run_gamma_coeff_report(8, 8, 4),
+        lambda: reports.run_series_report(-1, 8),
+    )
+    new = [run().to_json() for run in runs]
+    monkeypatch.setattr(reports, "universal_gamma_coefficients", _old_universal_gamma_coefficients)
+    monkeypatch.setattr(adams_module, "_substituted_log", _old_substituted_log)
+    assert [run().to_json() for run in runs] == new
 
 
 # -- line bundles ---------------------------------------------------------------

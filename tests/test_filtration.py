@@ -1,6 +1,7 @@
 """Filtration computation (both methods) and the conjecture checkers."""
 
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -21,12 +22,14 @@ from kring import (
     run_conjecture_suite,
     run_filtration_tables,
     run_verify_suite,
+    modelio,
 )
 from kring.filtration import Statement
 from kring.adams import gamma_images, kind_ring
 from kring.errors import DomainError, SeriesOrderError
 from kring.filtration import _saturation_stages, _scaled_kernel_basis, _with_pairwise_sums
-from tests.conftest import bundled_models, filtration, model
+from kring.model import _scaled_table
+from tests.conftest import bundled_models, filtration, model, run_python
 from tests.test_model import _theta_raw
 
 F = Fraction
@@ -271,7 +274,8 @@ def _unpruned_close(m, product, seed_vectors, multipliers):
 
 
 def _unpruned_stages(m, spec, generators, n_max, order):
-    """``_saturation_stages`` making every product, the zero ones too."""
+    """``_saturation_stages`` making every product, the zero ones too, and
+    spanning the gamma images one weight at a time."""
     product = kind_ring(m, spec.family).mul
     dim = m.dim
     images = [gamma_images(m, spec.family, x, order) for x in generators]
@@ -390,6 +394,121 @@ def test_saturation_skips_the_vanishing_products(kind, monkeypatch):
     monkeypatch.setattr(model_module, "_bilinear", counted)
     compute_filtration(m, kind, 6)
     assert len(calls) <= 300
+
+
+# -- the bucket of high weights: the weight-by-weight spans as the reference ----
+
+
+def _bucket_cases(m):
+    """(n_max, order) pairs over n_max in {0, 1, 2, g, g + 2, g^2 + 2} and
+    order in {n_max, g + 2, g^2 + 2}, order >= n_max."""
+    g, top = m.g, m.default_series_order
+    return sorted({
+        (n_max, order)
+        for n_max in (0, 1, 2, g, g + 2, top)
+        for order in (n_max, g + 2, top)
+        if order >= n_max
+    })
+
+
+@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
+@pytest.mark.parametrize("name,g", bundled_models(4) + [(name, None) for name in BROKEN])
+def test_bucketed_weights_leave_the_stages_unchanged(name, g, kind):
+    m = _broken_table(name) if g is None else model(name, g)
+    spec = FiltrationSpec(kind)
+    reference = {}  # order -> all stages up to n_max = order, weight by weight
+    for n_max, order in _bucket_cases(m):
+        generators = _scaled_kernel_basis(m, spec, order)
+        if order not in reference:
+            reference[order] = _unpruned_stages(m, spec, generators, order, order)
+        stages = _saturation_stages(m, spec, generators, n_max, order)
+        assert stages == reference[order][: len(stages)], (n_max, order)
+
+
+def test_saturation_spans_few_rows_and_makes_no_rational_series_products():
+    # a deterministic count, not a time, in a fresh process so that the
+    # scalar tables start cold: one span per gamma weight, zero rows
+    # included, fed 1,906 rows and the tables took 11 series products over
+    # Q; the bucket of high weights without zero rows feeds 918 and the
+    # integer tables take none
+    result = run_python("-c", """
+import json
+from kring import Subspace, build_model, run_filtration_tables
+from kring.series import RATIONALS, TruncatedSeries
+
+counts = {"rows": 0, "rational_products": 0}
+span, mul = Subspace.span.__func__, TruncatedSeries.__mul__
+
+def counted_span(cls, ambient_dim, vectors):
+    vectors = list(vectors)
+    counts["rows"] += len(vectors)
+    return span(cls, ambient_dim, vectors)
+
+def counted_mul(self, other):
+    counts["rational_products"] += self.ring == RATIONALS
+    return mul(self, other)
+
+Subspace.span = classmethod(counted_span)
+TruncatedSeries.__mul__ = counted_mul
+run_filtration_tables(build_model("violator", 4), "violator(g=4)")
+print(json.dumps(counts))
+""")
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert counts["rows"] <= 1000
+    assert counts["rational_products"] == 0
+
+
+def _unpruned_star_table(m):
+    """``ModelAlgebra.star_table`` multiplying every pair of Fourier images."""
+    images = [m.fourier(m.basis_element(i)) for i in range(m.dim)]
+    table = {}
+    for i, fi in enumerate(images):
+        for j, fj in enumerate(images):
+            z = m.fourier_inverse(fi * fj)
+            entries = tuple((k, z.coefficient(k)) for k, n in enumerate(z.nums) if n)
+            if entries:
+                table[(i, j)] = entries
+    return _scaled_table(table, m.dim)
+
+
+def _fm_edited(name):
+    doc = json.loads(modelio.export_model(modelio.build_model(name, 2)))
+    doc["fm"][0][0] = "2/1"  # as in tests/test_failure_paths.py
+    return modelio.import_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    bundled_models(4)
+    + [(name, None) for name in BROKEN]
+    + [(name, "fm") for name in ("pathological", "theta")],
+)
+def test_star_table_skips_only_vanishing_pairs(name, g):
+    if g is None:
+        m = _broken_table(name)
+    elif g == "fm":
+        m = _fm_edited(name)
+    else:
+        m = build_model(name, g)  # a fresh model: its star_table is not built yet
+    assert m.star_table == _unpruned_star_table(m)
+
+
+def test_star_table_multiplies_only_reaching_pairs(monkeypatch):
+    # a deterministic count: multiplying every pair of Fourier images of
+    # violator(4) took 169 products, the pairs that can meet in the table 45
+    m = build_model("violator", 4)
+    m.mul_partners  # read off the multiplication table before counting
+    model_module = importlib.import_module("kring.model")
+    bilinear, calls = model_module._bilinear, []
+
+    def counted(*args):
+        calls.append(args)
+        return bilinear(*args)
+
+    monkeypatch.setattr(model_module, "_bilinear", counted)
+    m.star_table
+    assert len(calls) <= 60
 
 
 def test_order_below_stage_raises(theta2):
