@@ -40,7 +40,7 @@ from .filtration import (
     check_pi_subset_gamma,
     compute_filtration,
 )
-from .linalg import Matrix, Subspace, vandermonde_det, vandermonde_matrix
+from .linalg import Subspace, vandermonde_det, vandermonde_matrix
 from .model import (
     Bidegree,
     Element,

@@ -309,7 +309,9 @@ class QVerdict(NamedTuple):
 
 class PiGammaReport(NamedTuple):
     """Per-stage verdicts of the inclusion of the pi filtration in the
-    gamma one, with the unconditionally provable stages flagged."""
+    gamma one, with the unconditionally provable stages flagged.  A failing
+    provable stage (in ``proved_failures``) means the model violates the
+    one-dimensionality facts the proof of those stages rests on."""
 
     g: int
     verdicts: tuple[QVerdict, ...]
@@ -319,12 +321,6 @@ class PiGammaReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return all(v.ok for v in self.verdicts)
-
-    @property
-    def admissibility_ok(self) -> bool:
-        """False when a provable stage fails: the model then violates the
-        one-dimensionality facts the proof of those stages rests on."""
-        return not self.proved_failures
 
     def verdict(self, q: int) -> QVerdict:
         return self.verdicts[q]

@@ -1,13 +1,14 @@
 """Exact linear algebra over the rationals, run on integers.
 
-Dense matrices with ``Fraction`` entries, deterministic reduced row-echelon
-form, and canonical subspaces of Q^n.  Every elimination runs on integer
-rows: a rational row is first scaled by the least common multiple of its
-denominators, which changes neither its span nor the RREF, and one
-fraction-free Gauss-Jordan core (``_bareiss``) reduces the integer rows
-with exact integer divisions only.  Determinism matters here: each
-elimination step pivots on the first nonzero column and, within it, the
-smallest candidate row index.
+Deterministic reduced row-echelon form and canonical subspaces of Q^n.
+Every elimination runs on integer rows: a rational row is first scaled by
+the least common multiple of its denominators, which changes neither its
+span nor the RREF, and one fraction-free Gauss-Jordan core (``_bareiss``)
+reduces the integer rows with exact integer divisions only; ``_rref_rows``
+puts its result in canonical form.  The model's Fourier inverse, the
+Vandermonde determinant and the pushforward relations run on that core
+too.  Determinism matters here: each elimination step pivots on the first
+nonzero column and, within it, the smallest candidate row index.
 
 A ``Subspace`` stores its RREF basis with zero rows dropped, each row as
 integer numerators over one positive denominator in lowest terms, so the
@@ -26,7 +27,7 @@ degree-zero rows behave like constant functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, StructureError
@@ -133,116 +134,6 @@ def _integer_kernel(rows: list[Sequence[int]], ncols: int) -> list[tuple[list[in
     return out
 
 
-class Matrix:
-    """Immutable dense matrix over Q."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        norm = tuple(vector(r) for r in rows)
-        if norm:
-            width = len(norm[0])
-            if any(len(r) != width for r in norm):
-                raise StructureError("rows have inconsistent lengths")
-            if ncols is not None and ncols != width:
-                raise StructureError("explicit column count disagrees with rows")
-        elif ncols is None:
-            raise StructureError("an empty matrix needs an explicit column count")
-        else:
-            width = ncols
-        self.rows = norm
-        self.nrows = len(norm)
-        self.ncols = width
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Matrix({[list(map(str, r)) for r in self.rows]})"
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[r][c] for r in range(self.nrows)] for c in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise StructureError("inner dimensions do not match")
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = [
-            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols]
-            for row in self.rows
-        ]
-        return Matrix(out, ncols=other.ncols)
-
-    def _cleared(self) -> list[Sequence[int]]:
-        """Each row times the least common multiple of its denominators."""
-        return [_integer_row(r)[0] for r in self.rows]
-
-    def rref(self) -> "Matrix":
-        return self.rref_with_pivots()[0]
-
-    def rref_with_pivots(self) -> tuple["Matrix", tuple[int, ...]]:
-        reduced, pivots = _rref_rows(self._cleared(), self.ncols)
-        rows = [_fractions(nums, den) for nums, den in reduced]
-        rows += [(Fraction(0),) * self.ncols] * (self.nrows - len(rows))
-        return Matrix(rows, ncols=self.ncols), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(_bareiss(self._cleared(), self.ncols)[0])
-
-    def det(self) -> Fraction:
-        """The last Bareiss pivot of the cleared rows, over the product of
-        the factors that cleared them."""
-        if self.nrows != self.ncols:
-            raise StructureError("determinant of a non-square matrix")
-        cleared = [_integer_row(r) for r in self.rows]
-        pivots, last = _bareiss([nums for nums, _ in cleared], self.ncols)
-        if len(pivots) < self.nrows:
-            return Fraction(0)
-        return Fraction(last, prod(den for _, den in cleared))
-
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise StructureError("inverse of a non-square matrix")
-        n = self.nrows
-        # row i of [M | I] times the factor that clears row i of M
-        aug = [
-            list(nums) + [den if j == i else 0 for j in range(n)]
-            for i, (nums, den) in enumerate(map(_integer_row, self.rows))
-        ]
-        reduced, pivots = _rref_rows(aug, 2 * n)
-        if pivots != list(range(n)):
-            raise StructureError("matrix is singular")
-        return Matrix([_fractions(nums[n:], den) for nums, den in reduced], ncols=n)
-
-    def solve(self, rhs: Sequence[Fraction]) -> Vector:
-        """Unique solution of M x = rhs; requires full column rank."""
-        if len(rhs) != self.nrows:
-            raise StructureError("right-hand side length does not match")
-        n = self.ncols
-        aug = [_integer_row(r + (Fraction(b),))[0] for r, b in zip(self.rows, rhs)]
-        reduced, pivots = _rref_rows(aug, n + 1)
-        if n in pivots:
-            raise StructureError("inconsistent linear system")
-        if len(pivots) != n:
-            raise StructureError("system is underdetermined")
-        sol = [Fraction(0)] * n
-        for (nums, den), p in zip(reduced, pivots):
-            sol[p] = Fraction(nums[n], den)
-        return tuple(sol)
-
-
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF basis) form: ``rows``
     holds one canonical integer row (numerators, denominator) per basis
@@ -281,11 +172,9 @@ class Subspace:
         return len(self.rows)
 
     @property
-    def basis(self) -> Matrix:
-        """The RREF basis as a matrix of ``Fraction``s."""
-        return Matrix(
-            [_fractions(nums, den) for nums, den in self.rows], ncols=self.ambient_dim
-        )
+    def basis(self) -> tuple[Vector, ...]:
+        """The RREF basis as rows of ``Fraction``s."""
+        return tuple(_fractions(nums, den) for nums, den in self.rows)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -350,16 +239,15 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def vandermonde_matrix(g: int) -> Matrix:
-    """The (2g+1) x (2g+1) matrix with entry m**k at (row m, column k)."""
+def vandermonde_matrix(g: int) -> tuple[tuple[int, ...], ...]:
+    """The (2g+1) x (2g+1) integer rows with entry m**k at (row m, column k)."""
     if g < 1:
         raise DomainError("g must be at least 1")
     size = 2 * g + 1
-    return Matrix(
-        [[Fraction(m) ** k for k in range(size)] for m in range(size)]
-    )
+    return tuple(tuple(m**k for k in range(size)) for m in range(size))
 
 
-def vandermonde_det(g: int) -> Fraction:
-    """Determinant of the power matrix (m**k), 0 <= m, k <= 2g; never zero."""
-    return vandermonde_matrix(g).det()
+def vandermonde_det(g: int) -> int:
+    """Determinant of the power matrix (m**k), 0 <= m, k <= 2g: the last
+    Bareiss pivot, since distinct nodes make the matrix nonsingular."""
+    return _bareiss(list(vandermonde_matrix(g)), 2 * g + 1)[1]

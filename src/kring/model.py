@@ -32,7 +32,10 @@ over the whole vector instead of one per coordinate.  The structure
 constants of both products and of the Fourier operator and its inverse
 are likewise integers over one model-wide denominator (``ScaledTable``),
 built once per model: the multiplication table and the Fourier operator at
-construction, the convolution table and the inverse on first use.
+construction, the convolution table and the inverse on first use.  That
+table is the Fourier operator's only form: the constructor scales the dense
+rows it is given straight into it, the inverse is the RREF of the integer
+rows [F * den | den * I], and export writes the dense rows back from it.
 ``Element.coords`` hands the coordinates out as ``Fraction``s.  On first use
 each product table also gets partner masks and a check of its unit law.
 """
@@ -45,7 +48,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, StructureError
-from .linalg import Matrix, _bareiss
+from .linalg import _bareiss, _integer_row, _rref_rows
 
 MulTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
@@ -241,14 +244,24 @@ def _scaled_table(
     return ScaledTable(tuple(map(tuple, rows)), den)
 
 
-def _scaled_matrix(matrix: Matrix) -> ScaledTable:
-    """The nonzero entries of ``matrix`` over their least common denominator."""
-    den = lcm(*(c.denominator for row in matrix.rows for c in row))
-    rows = tuple(
-        tuple((j, c.numerator * (den // c.denominator)) for j, c in enumerate(row) if c)
-        for row in matrix.rows
+def _scaled_rows(rows: Sequence[tuple[Sequence[int], int]]) -> ScaledTable:
+    """The linear operator whose row i is nums / d for (nums, d) = rows[i],
+    as its nonzero entries over their least common denominator."""
+    den = lcm(*(d // gcd(d, *nums) for nums, d in rows))
+    return ScaledTable(
+        tuple(tuple((j, a * den // d) for j, a in enumerate(nums) if a) for nums, d in rows),
+        den,
     )
-    return ScaledTable(rows, den)
+
+
+def _dense(table: ScaledTable, width: int) -> list[list[int]]:
+    """The numerators of the linear operator ``table`` as dense integer rows
+    of length ``width``, zero-padded on the right."""
+    out = [[0] * width for _ in table.rows]
+    for dense, row in zip(out, table.rows):
+        for j, c in row:
+            dense[j] = c
+    return out
 
 
 def _partner_masks(table: ScaledTable) -> tuple[int, ...]:
@@ -333,7 +346,7 @@ class ModelAlgebra:
         g: int,
         basis: Sequence[tuple[str, tuple[int, int]]],
         mul: MulTable,
-        fm: Matrix | Sequence[Sequence],
+        fm: Sequence[Sequence],
         unit_index: int,
         star_unit_index: int,
     ):
@@ -350,16 +363,17 @@ class ModelAlgebra:
         table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for (i, j), entries in mul.items():
             cleaned = tuple(
-                (int(k), Fraction(c)) for k, c in sorted(entries.items()) if Fraction(c)
+                (int(k), f) for k, c in sorted(entries.items()) if (f := Fraction(c))
             )
             if cleaned:
                 table[(int(i), int(j))] = cleaned
         self._mul = table
         self._table = _scaled_table(table, self.dim)
-        self.fm = fm if isinstance(fm, Matrix) else Matrix(fm)
-        if self.fm.nrows != self.dim or self.fm.ncols != self.dim:
+        # each row over the lcm of its denominators, one coercion per entry
+        fm_rows = [_integer_row(row) for row in fm]
+        if len(fm_rows) != self.dim or any(len(nums) != self.dim for nums, _ in fm_rows):
             raise StructureError("Fourier matrix must be square of the basis size")
-        self._fm = _scaled_matrix(self.fm)
+        self._fm = _scaled_rows(fm_rows)
         self._index_of = {label: i for i, label in enumerate(self.labels)}
         # filtration kind -> whether its augmentation is a ring morphism (and
         # a witness pair if not), filled by the filtration module on first
@@ -471,7 +485,7 @@ class ModelAlgebra:
         return _partner_masks(self.star_table)
 
     def fourier(self, x: Element) -> Element:
-        """Image under the Fourier operator (row i of ``fm`` = image of e_i)."""
+        """Image under the Fourier operator (row i of ``_fm`` = image of e_i)."""
         return _linear(self, self._fm, x)
 
     def fourier_inverse(self, x: Element) -> Element:
@@ -479,14 +493,18 @@ class ModelAlgebra:
 
     @cached_property
     def _fm_inverse(self) -> ScaledTable:
-        try:
-            inverse = self.fm.inverse()
-        except StructureError:
+        """F^-1 from the RREF of the integer rows [F * den | den * I]."""
+        n, den = self.dim, self._fm.den
+        aug = _dense(self._fm, 2 * n)
+        for i, row in enumerate(aug):
+            row[n + i] = den
+        reduced, pivots = _rref_rows(aug, 2 * n)
+        if pivots != list(range(n)):
             raise StructureError(
                 "the Fourier matrix is singular, so F^-1 and the convolution "
                 "product F^-1(F x . F y) are undefined"
-            ) from None
-        return _scaled_matrix(inverse)
+            )
+        return _scaled_rows([(nums[n:], d) for nums, d in reduced])
 
     @cached_property
     def star_table(self) -> ScaledTable:
@@ -637,11 +655,7 @@ def validate(model: ModelAlgebra) -> ValidationReport:
                         )
 
     fm = model._fm
-    dense = [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(fm.rows):
-        for k, c in row:
-            dense[i][k] = c
-    if len(_bareiss(dense, dim)[0]) != dim:
+    if len(_bareiss(_dense(fm, dim), dim)[0]) != dim:
         flag("fm-invertible", "the Fourier matrix is singular")
 
     for i, row in enumerate(fm.rows):
@@ -726,9 +740,9 @@ def _build(
         a, v = labels.index("a"), labels.index("v")
         target = labels.index("z") if "z" in labels else g
         mul[(a, v)] = mul[(v, a)] = {target: Fraction(1)}
-    fm_rows = [[Fraction(0)] * len(basis) for _ in basis]
+    fm_rows = [[0] * len(basis) for _ in basis]
     for row, col, sign in fm_entries:
-        fm_rows[row][col] = Fraction(sign)
+        fm_rows[row][col] = sign
     model = ModelAlgebra(g, basis, mul, fm_rows, unit_index=0, star_unit_index=g)
     return _self_check(model, name)
 

@@ -79,6 +79,19 @@ def _parse_rational(text: str, field: str) -> Fraction:
     return value
 
 
+def _dense_fm(model: ModelAlgebra) -> list[list[str]]:
+    """The Fourier operator as dense rows of "num/den" strings: only the
+    nonzero entries of ``model._fm`` are formatted, the rest read "0/1"."""
+    rows, den = model._fm
+    out = []
+    for row in rows:
+        dense = ["0/1"] * model.dim
+        for j, c in row:
+            dense[j] = _format_rational(Fraction(c, den))
+        out.append(dense)
+    return out
+
+
 def export_model(model: ModelAlgebra) -> str:
     triples = []
     for (i, j), entries in model._mul.items():
@@ -97,7 +110,7 @@ def export_model(model: ModelAlgebra) -> str:
         "unit": model.unit_index,
         "star_unit": model.star_unit_index,
         "mul": triples,
-        "fm": [[_format_rational(c) for c in row] for row in model.fm.rows],
+        "fm": _dense_fm(model),
     }
     return json.dumps(doc, indent=1) + "\n"
 

@@ -34,7 +34,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import DomainError, StructureError
-from .linalg import vandermonde_matrix
+from .linalg import _rref_rows, vandermonde_matrix
 from .model import FOREIGN, Element, ModelAlgebra
 
 
@@ -61,9 +61,6 @@ class DiagonalOperator(NamedTuple):
     @property
     def eigenvalues(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
 
     def apply(self, x: Element) -> Element:
         if x.model is not self.model:
@@ -199,11 +196,9 @@ def pushforward_relation(k: int, g: int) -> PushforwardRelation:
     The system matrix is the invertible (m^d) matrix, so the coefficients
     are unique; whether they are integers is reported, not assumed.
     """
-    if g < 1:
-        raise DomainError("g must be at least 1")
-    size = 2 * g + 1
-    # equations indexed by d: rows of the transposed power matrix
-    system = vandermonde_matrix(g).transpose()
-    rhs = [Fraction(k) ** d for d in range(size)]
-    sol = system.solve(rhs)
-    return PushforwardRelation(k, g, tuple(sol))
+    # equation d is column d of the power matrix, then k^d: the integer
+    # rows [m^d | k^d], whose RREF holds the solution in its last column
+    columns = zip(*vandermonde_matrix(g))
+    system = [[*col, k**d] for d, col in enumerate(columns)]
+    reduced, _ = _rref_rows(system, 2 * g + 2)
+    return PushforwardRelation(k, g, tuple(Fraction(nums[-1], den) for nums, den in reduced))

@@ -6,16 +6,18 @@ once and sharing it across test modules keeps the whole suite fast.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import kring
-from kring import build_model, compute_filtration
+from kring import build_model, compute_filtration, export_model
 
 # the directory this kring was imported from, for child interpreters
 SRC = str(Path(kring.__file__).resolve().parent.parent)
@@ -47,6 +49,12 @@ def model(name: str, g: int):
 @lru_cache(maxsize=None)
 def filtration(name: str, g: int, kind: str, n_max: int, method: str = "saturation"):
     return compute_filtration(model(name, g), kind, n_max, method)
+
+
+def fm_rows(m) -> list[list[Fraction]]:
+    """The dense Fourier rows of ``m`` as ``Fraction``s, read from its
+    exported document (row i = image of e_i)."""
+    return [[Fraction(c) for c in row] for row in json.loads(export_model(m))["fm"]]
 
 
 def bundled_models(g_max: int = 4):

@@ -231,7 +231,7 @@ def test_criterion_7_conjecture_checker_behaviour():
             pi_result=filtration(name, g, "pi", g),
             gamma_result=filtration(name, g, "gamma", g),
         )
-        assert rep.ok and rep.admissibility_ok
+        assert rep.ok and not rep.proved_failures
 
     p2 = model("pathological", 2)
     rep2 = check_pi_subset_gamma(
@@ -246,7 +246,7 @@ def test_criterion_7_conjecture_checker_behaviour():
     assert v_line.contains(witness.coords)
     # q = 2 = g is a provable stage here, so the checker must report the
     # failure as a defect of the model itself
-    assert not rep2.admissibility_ok
+    assert rep2.proved_failures
     assert [vq.q for vq in rep2.proved_failures] == [2]
 
     # on the g = 4 control the provable stages 0 and 1 pass while the

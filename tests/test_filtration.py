@@ -80,7 +80,7 @@ def test_fourier_mirrors_star_into_gamma(name, g):
             m.dim,
             [
                 fourier(m.from_coords(row)).coords
-                for row in star.stage(n).basis.rows
+                for row in star.stage(n).basis
             ],
         )
         assert image == gamma.stage(n)
@@ -554,7 +554,7 @@ def test_pi_subset_gamma_on_compliant_models(name, g):
         gamma_result=filtration(name, g, "gamma", g),
     )
     assert rep.ok
-    assert rep.admissibility_ok
+    assert not rep.proved_failures
 
 
 def test_pi_subset_gamma_pathological2_fails_at_two(pathological2):
@@ -572,7 +572,7 @@ def test_pi_subset_gamma_pathological2_fails_at_two(pathological2):
     # q = 2 = g is among the provable stages, so the checker must flag the
     # model itself
     assert 2 in rep.proved_stages
-    assert not rep.admissibility_ok
+    assert rep.proved_failures
 
 
 def test_pi_subset_gamma_pathological4_alerts_at_g_minus_one():

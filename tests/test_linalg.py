@@ -2,46 +2,65 @@
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kring import Matrix, Subspace, vandermonde_det, vandermonde_matrix
+from kring import (
+    ModelAlgebra,
+    Subspace,
+    fourier,
+    fourier_inverse,
+    vandermonde_det,
+    vandermonde_matrix,
+)
 from kring.errors import DomainError, StructureError
-from kring.linalg import _integer_kernel
+from kring.linalg import _bareiss, _integer_kernel, _integer_row, _rref_rows
 from tests.conftest import bundled_models, model
 
 F = Fraction
 
 
-def _identity(n: int) -> Matrix:
-    return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _cleared(rows) -> list:
+    """Each rational row times the least common multiple of its denominators."""
+    return [_integer_row(r)[0] for r in rows]
+
+
+def _fourier_model(rows) -> ModelAlgebra:
+    """A model whose Fourier matrix is the square ``rows``, with no products:
+    ``ModelAlgebra`` checks shapes only, so any square matrix will do."""
+    basis = [(f"b{i}", (0, 0)) for i in range(len(rows))]
+    return ModelAlgebra(1, basis, {}, rows, unit_index=0, star_unit_index=0)
 
 
 def test_rref_identity_is_fixed():
-    ident = _identity(3)
-    assert ident.rref() == ident
+    rows = [(tuple(r), 1) for r in _identity(3)]
+    assert _rref_rows(_identity(3), 3) == (rows, [0, 1, 2])
 
 
 def test_rref_rank_one_dependency():
-    m = Matrix([[1, 1], [2, 2]])
-    assert m.rref() == Matrix([[1, 1], [0, 0]])
-    assert m.rank() == 1
+    rows = [[1, 1], [2, 2]]
+    assert _rref_rows([list(r) for r in rows], 2) == ([((1, 1), 1)], [0])
+    assert Subspace.span(2, rows).dim == 1
 
 
 def test_rref_small_power_matrix_full_rank():
     # nodes 0, 1, 2 against exponents 0, 1, 2, with 0**0 = 1
-    m = Matrix([[F(a) ** k for k in range(3)] for a in range(3)])
-    assert m.rank() == 3
+    rows = [[a**k for k in range(3)] for a in range(3)]
+    assert Subspace.span(3, rows).dim == 3
     # product-formula oracle for the determinant
     nodes = [0, 1, 2]
     oracle = F(1)
     for i in range(3):
         for j in range(i + 1, 3):
             oracle *= nodes[j] - nodes[i]
-    assert m.det() == oracle == 2
+    assert _bareiss(rows, 3)[1] == oracle == 2
 
 
 rationals = st.fractions(
@@ -60,36 +79,49 @@ def small_matrices(draw):
             max_size=nrows,
         )
     )
-    return Matrix(rows)
+    return ncols, rows
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
-def test_rref_is_idempotent(m):
-    reduced = m.rref()
-    assert reduced.rref() == reduced
+def test_rref_is_idempotent(case):
+    ncols, rows = case
+    reduced = _rref_rows(_cleared(rows), ncols)
+    assert _rref_rows(_cleared(rows), ncols) == reduced
+    assert _rref_rows([list(nums) for nums, _ in reduced[0]], ncols) == reduced
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
-def test_kernel_vectors_annihilate(m):
-    kernel = _integer_kernel(m._cleared(), m.ncols)
+def test_kernel_vectors_annihilate(case):
+    ncols, rows = case
+    kernel = _integer_kernel(_cleared(rows), ncols)
     for x, s in kernel:
         assert s > 0 and s in x
-        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m.rows)
-    assert m.rank() + len(kernel) == m.ncols
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+    assert Subspace.span(ncols, rows).dim + len(kernel) == ncols
+
+
+def _assert_inverse(rows):
+    """``fourier_inverse`` inverts the Fourier matrix ``rows`` on both
+    sides: F^-1 F and F F^-1 fix every basis vector."""
+    m = _fourier_model(rows)
+    for e in m.basis_elements():
+        assert fourier_inverse(fourier(e)) == e
+        assert fourier(fourier_inverse(e)) == e
 
 
 def test_matrix_inverse_roundtrip():
-    m = Matrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
-    assert m * m.inverse() == _identity(3)
-    with pytest.raises(StructureError):
-        Matrix([[1, 1], [1, 1]]).inverse()
+    _assert_inverse([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    singular = _fourier_model([[1, 1], [1, 1]])
+    with pytest.raises(StructureError, match="singular"):
+        fourier_inverse(singular.one())
 
 
 def test_solve_unique_system():
-    m = Matrix([[2, 0], [1, 1]])
-    assert m.solve([4, 3]) == (F(2), F(1))
+    # the RREF of the augmented integer rows [M | b] holds the solution of
+    # M x = b in its last column, as ``pushforward_relation`` reads it
+    assert _rref_rows([[2, 0, 4], [1, 1, 3]], 3) == ([((1, 0, 2), 1), ((0, 1, 1), 1)], [0, 1])
 
 
 def test_span_empty_is_zero():
@@ -143,7 +175,7 @@ def test_subspace_canonical_equality():
     a = Subspace.span(3, [[1, 1, 0], [0, 1, 1]])
     b = Subspace.span(3, [[1, 2, 1], [2, 3, 1]])
     assert a == b
-    assert a.basis == b.basis
+    assert a.basis == b.basis == ((1, 0, -1), (0, 1, 1))
     # the stored integer rows are in lowest terms whatever the pivots met
     assert Subspace.span(2, [[2, 0], [0, 1]]) == Subspace.full(2)
 
@@ -176,8 +208,7 @@ def test_vandermonde_det_nonzero_and_matches_product(g):
 
 def test_vandermonde_zero_power_convention():
     # first row is (0^0, 0^1, ...) = (1, 0, 0, ...)
-    m = vandermonde_matrix(1)
-    assert m.rows[0] == (F(1), F(0), F(0))
+    assert vandermonde_matrix(1) == ((1, 0, 0), (1, 1, 1), (1, 2, 4))
 
 
 def test_vandermonde_requires_positive_g():
@@ -271,13 +302,11 @@ CORE = settings(max_examples=40, deadline=None)
 def test_rref_matches_the_fraction_reference(case):
     ncols, rows = case
     want, want_pivots = _reference_rref(rows, ncols)
-    m = Matrix(rows, ncols=ncols)
-    reduced, pivots = m.rref_with_pivots()
-    assert reduced.rows == tuple(tuple(r) for r in want)
-    assert list(pivots) == want_pivots
-    assert m.rank() == len(want_pivots)
+    reduced, pivots = _rref_rows(_cleared(rows), ncols)
+    assert [_fraction_row(r) for r in reduced] == [tuple(r) for r in want[: len(pivots)]]
+    assert pivots == want_pivots
     s = Subspace.span(ncols, rows)
-    assert s.basis.rows == tuple(tuple(r) for r in want[: len(want_pivots)])
+    assert s.basis == tuple(tuple(r) for r in want[: len(want_pivots)])
     assert list(s.pivots) == want_pivots
     assert s.dim == len(want_pivots)
 
@@ -334,7 +363,7 @@ def test_intersect_and_inclusion_match_the_reference(case):
     meet = sa.intersect(sb)
     # meet lies in both spaces and has dimension dim a + dim b - dim (a + b),
     # which pins it down as the intersection
-    for r in meet.basis.rows:
+    for r in meet.basis:
         assert not any(_reference_reduce(basis_a, piv_a, r))
         assert not any(_reference_reduce(basis_b, piv_b, r))
     joint = len(_reference_span(basis_a + basis_b, ncols)[1])
@@ -358,19 +387,23 @@ def square_matrices(draw):
     n = draw(st.integers(1, 4))
     _, rows = draw(awkward_rows(ncols=n, max_rows=n))
     rows = (rows + draw(st.lists(st.lists(mixed, min_size=n, max_size=n), min_size=n, max_size=n)))[:n]
-    return Matrix(rows)
+    return rows
 
 
 @CORE
 @given(square_matrices())
-def test_bareiss_det_and_inverse(m):
-    det = m.det()
-    assert det == _leibniz_det(m.rows)
+def test_bareiss_det_and_inverse(rows):
+    # the last Bareiss pivot of the cleared rows, over the product of the
+    # factors that cleared them, is the determinant
+    cleared = [_integer_row(r) for r in rows]
+    pivots, last = _bareiss([nums for nums, _ in cleared], len(rows))
+    det = F(last, prod(den for _, den in cleared)) if len(pivots) == len(rows) else 0
+    assert det == _leibniz_det(rows)
     if det:
-        assert m * m.inverse() == _identity(m.nrows)
+        _assert_inverse(rows)
     else:
-        with pytest.raises(StructureError):
-            m.inverse()
+        with pytest.raises(StructureError, match="singular"):
+            fourier_inverse(_fourier_model(rows).one())
 
 
 @st.composite

@@ -6,11 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kring import (
     Element,
-    Matrix,
     ModelAlgebra,
+    fourier,
+    fourier_inverse,
     antisym_model,
     build_model,
     export_model,
@@ -23,7 +26,8 @@ from kring import (
 )
 from kring.errors import DomainError, StructureError
 from kring.model import ValidationReport, Violation, _inversion_sign
-from tests.conftest import bundled_models, model
+from tests.conftest import bundled_models, fm_rows, model
+from tests.test_linalg import _reference_rref
 
 F = Fraction
 
@@ -113,8 +117,7 @@ def _raw(m):
         for j in range(m.dim)
     }
     basis = [(label, tuple(bd)) for label, bd in zip(m.labels, m.bidegrees)]
-    fm = [list(r) for r in m.fm.rows]
-    return basis, mul, fm
+    return basis, mul, fm_rows(m)
 
 
 def _theta2_raw():
@@ -260,7 +263,8 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
     """The dense ``Fraction`` validation that the sparse integer one
     replaced, with its associativity loop widened to the bracketings
     (e_i e_j) e_k, (e_i e_k) e_j and (e_j e_k) e_i: it builds ``Element``
-    products of basis vectors and squares the Fourier ``Matrix``."""
+    products of basis vectors, and takes the rank and the square of the
+    dense ``Fraction`` Fourier rows of the exported document."""
     g = model.g
     violations = []
 
@@ -348,12 +352,13 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
                             labels,
                         )
 
-    if model.fm.rank() != model.dim:
+    fm = fm_rows(model)
+    if len(_reference_rref(fm, model.dim)[1]) != model.dim:
         flag("fm-invertible", "the Fourier matrix is singular")
 
     for i in range(model.dim):
         p, q = model.bidegrees[i]
-        for k, c in enumerate(model.fm.rows[i]):
+        for k, c in enumerate(fm[i]):
             if c and model.bidegrees[k] != (q, p):
                 flag(
                     "fm-bidegree",
@@ -362,11 +367,11 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
                 )
                 break
 
-    square = model.fm * model.fm
     for i in range(model.dim):
+        square = [sum(fm[i][j] * fm[j][k] for j in range(model.dim)) for k in range(model.dim)]
         want = [F(0)] * model.dim
         want[i] = F((-1) ** g * _inversion_sign(model, i))
-        if list(square.rows[i]) != want:
+        if square != want:
             flag(
                 "fm-involution",
                 f"the Fourier square does not act as (-1)^{g} times the inversion "
@@ -374,7 +379,7 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
                 (model.labels[i],),
             )
 
-    if model.fm.rows[model.star_unit_index] != model.one().coords:
+    if tuple(fm[model.star_unit_index]) != model.one().coords:
         flag(
             "fm-origin",
             "the Fourier image of the origin class must be the unit "
@@ -434,9 +439,60 @@ def test_validate_stays_sparse(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("validate left the sparse integer tables")
 
-    monkeypatch.setattr(Matrix, "__mul__", forbidden)
     monkeypatch.setattr(ModelAlgebra, "multiply", forbidden)
     monkeypatch.setattr(Element, "__init__", forbidden)
     for name, g in bundled_models(4):
         assert validate(build_model(name, g)).ok
     assert validate(load_model(NONASSOCIATIVE)).codes() == ("mul-associativity",)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda fm: fm[:-1],
+        lambda fm: [row[:-1] for row in fm],
+        lambda fm: fm[:1] + [row + [F(0)] for row in fm[1:]],
+    ],
+    ids=["missing-row", "short-rows", "ragged"],
+)
+def test_non_square_fourier_matrix_is_refused(change):
+    basis, mul, fm = _theta2_raw()
+    with pytest.raises(StructureError, match="square"):
+        ModelAlgebra(2, basis, mul, change(fm), unit_index=0, star_unit_index=2)
+
+
+fm_entry = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@st.composite
+def documents_with_rational_fm(draw):
+    """A bundled model's document with its dense ``fm`` replaced by entries
+    of mixed denominators, signs and zeros (no builder writes one: every
+    builder entry is 0 or +-1), and a vector of the model."""
+    name, g = draw(st.sampled_from(bundled_models(3)))
+    doc = json.loads(export_model(model(name, g)))
+    dim = len(doc["basis"])
+    row = st.lists(fm_entry, min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=dim, max_size=dim))
+    doc["fm"] = [[f"{c.numerator}/{c.denominator}" for c in row] for row in rows]
+    x = draw(row)
+    return json.dumps(doc, indent=1) + "\n", rows, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(documents_with_rational_fm())
+def test_rational_fourier_matrices_round_trip(case):
+    text, rows, coords = case
+    m = import_model(text)
+    assert export_model(m) == text
+    x = m.from_coords(coords)
+    if len(_reference_rref(rows, m.dim)[1]) < m.dim:
+        with pytest.raises(StructureError, match="singular"):
+            fourier_inverse(x)
+    else:
+        assert fourier_inverse(fourier(x)) == x
+        assert fourier(fourier_inverse(x)) == x

@@ -21,7 +21,7 @@ from kring import (
     star_product,
     theta_model,
 )
-from tests.conftest import bundled_models, model
+from tests.conftest import bundled_models, fm_rows, model
 
 F = Fraction
 
@@ -240,7 +240,7 @@ def test_composite_check_reports_first_failing_vector():
     from kring import ModelAlgebra
 
     good = theta_model(1)
-    fm = [list(r) for r in good.fm.rows]
+    fm = fm_rows(good)
     fm[0][1] *= 3
     mul = {
         (i, j): {k: c for k, c in good.mul_basis(i, j)}

@@ -1,0 +1,90 @@
+"""Every public function and method of ``src/kring`` has a caller inside
+the package or is library API kept on purpose.
+
+An ``ast`` scan collects the public (no leading underscore) module-level
+functions and class methods, and every name and attribute read in the
+package's modules other than ``__init__.py``, whose re-exports are no
+caller.  A definition's own body does not count as its caller.  Names are
+matched by spelling only, so a method sharing its name with another
+function counts as used: the scan can miss an orphan, never invent one.
+``DELIBERATE`` mirrors the deliberate-API paragraph of README.md.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import kring
+
+SRC = Path(kring.__file__).resolve().parent
+README = SRC.parent.parent / "README.md"
+
+# module.qualname -> why it is kept as library API; a name here may also
+# have a caller (load_model serves the CLI), as in the README paragraph
+DELIBERATE = {
+    "adams.gamma_op": "one gamma operation, cross-checked against gamma_pi_coeff",
+    "adams.gamma_pi_coeff": "one universal coefficient of the pi-structure expansion",
+    "adams.nth_root": "the n-th root of a unipotent line-bundle class",
+    "linalg.Subspace.basis": "the RREF rows as Fractions",
+    "modelio.load_model": "read a model document from a file",
+    "model.ModelAlgebra.mul_basis": "the product of two basis vectors",
+    "model.ModelAlgebra.element": "an element from label -> coefficient",
+    "model.Element.component": "the (p, q) block of an element",
+    "model.ValidationReport.codes": "the violated constraint codes",
+    "operators.DiagonalOperator.eigenvalues": "the eigenvalues as Fractions",
+    "operators.PushforwardRelation.integral": "whether the coefficients are integers",
+    "operators.pushforward_relation": "a pushforward in the basis of pushforwards by 0 .. 2g",
+    "series.TruncatedSeries.log": "the logarithm of a unipotent series",
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def _names_read(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _scan() -> tuple[dict, Counter]:
+    definitions, reads = {}, Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        definitions.update(_definitions(tree, path.stem))
+        if path.name != "__init__.py":
+            reads += _names_read(tree)
+    return definitions, reads
+
+
+def test_every_public_name_has_a_caller_or_is_deliberate():
+    definitions, reads = _scan()
+    orphans = []
+    for qualname, node in definitions.items():
+        name = qualname.rsplit(".", 1)[1]
+        if name.startswith("_") or qualname in DELIBERATE:
+            continue
+        if reads[name] - _names_read(node)[name] <= 0:
+            orphans.append(qualname)
+    assert not orphans, (
+        f"public names without a caller in src/kring: {orphans}; delete them, "
+        "or keep them as library API in README.md and in DELIBERATE"
+    )
+
+
+def test_deliberate_names_exist_and_are_documented():
+    definitions, _ = _scan()
+    readme = README.read_text(encoding="utf-8")
+    for qualname in DELIBERATE:
+        assert qualname in definitions, f"{qualname} is no longer defined"
+        name = qualname.rsplit(".", 1)[1]
+        assert f"{name}`" in readme, f"README.md does not name {qualname}"
