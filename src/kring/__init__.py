@@ -35,9 +35,7 @@ from .filtration import (
     FILTRATION_KINDS,
     FiltrationResult,
     FiltrationSpec,
-    check_composed_structure,
     check_lemma_equivalences,
-    check_pi_subset_gamma,
     compute_filtration,
 )
 from .linalg import Subspace, vandermonde_det, vandermonde_matrix

@@ -42,12 +42,16 @@ def _add_model_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model-file", type=Path, help="model document to load")
 
 
-def _add_run_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, help="series truncation order override")
+def _add_output(parser: argparse.ArgumentParser, out_help: str | None = None) -> None:
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text", dest="fmt"
     )
-    parser.add_argument("--out", type=Path, help="write the report to this file")
+    parser.add_argument("--out", type=Path, help=out_help)
+
+
+def _add_run_config(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--order", type=int, help="series truncation order override")
+    _add_output(parser, "write the report to this file")
     parser.add_argument(
         "--timings", action="store_true",
         help="include wall-clock timings (breaks byte-determinism)",
@@ -121,18 +125,10 @@ def _cmd_model(args) -> int:
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
-def _cmd_verify(args) -> int:
+def _cmd_suite(args) -> int:
+    """``verify`` or ``conjecture``: the subcommand's ``args.suite`` runner."""
     model, source = _resolve_model(args)
-    report = reports.run_verify_suite(
-        model, source,
-        order=_check_order(args, model.g + 2), with_timings=args.timings,
-    )
-    return _emit_report(args, report)
-
-
-def _cmd_conjecture(args) -> int:
-    model, source = _resolve_model(args)
-    report = reports.run_conjecture_suite(
+    report = args.suite(
         model, source,
         order=_check_order(args, model.g + 2), with_timings=args.timings,
     )
@@ -181,19 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("model", help="build, validate, and export a model")
     _add_model_source(p_model)
-    p_model.add_argument("--out", type=Path)
-    p_model.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
+    _add_output(p_model)
     p_model.set_defaults(fn=_cmd_model)
 
-    p_verify = sub.add_parser("verify", help="run the proved-identity suite")
-    _add_model_source(p_verify)
-    _add_run_config(p_verify)
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    p_conj = sub.add_parser("conjecture", help="run the conjecture checkers")
-    _add_model_source(p_conj)
-    _add_run_config(p_conj)
-    p_conj.set_defaults(fn=_cmd_conjecture)
+    for command, runner, help_text in (
+        ("verify", reports.run_verify_suite, "run the proved-identity suite"),
+        ("conjecture", reports.run_conjecture_suite, "run the conjecture checkers"),
+    ):
+        p_suite = sub.add_parser(command, help=help_text)
+        _add_model_source(p_suite)
+        _add_run_config(p_suite)
+        p_suite.set_defaults(fn=_cmd_suite, suite=runner)
 
     p_fil = sub.add_parser("filtration", help="filtration dimension tables")
     _add_model_source(p_fil)
@@ -211,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma.add_argument("--d", type=int, required=True, help="weight d >= 1")
     p_gamma.add_argument("--i", type=int, required=True, help="largest gamma index")
     p_gamma.add_argument("--m-max", type=int, default=4, help="largest power")
-    p_gamma.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
-    p_gamma.add_argument("--out", type=Path)
+    _add_output(p_gamma)
     p_gamma.set_defaults(fn=_cmd_gamma_coeffs)
 
     p_series = sub.add_parser(
@@ -220,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_series.add_argument("--j", type=int, default=-1, help="derived index of the class")
     p_series.add_argument("--order", type=int, default=5)
-    p_series.add_argument("--format", choices=("text", "structured"), default="text", dest="fmt")
-    p_series.add_argument("--out", type=Path)
+    _add_output(p_series)
     p_series.set_defaults(fn=_cmd_series)
 
     return parser

@@ -1,4 +1,4 @@
-"""Gamma-type filtrations of a model and the conjecture/theorem checkers.
+"""Gamma-type filtrations of a model and the four-way equivalence criterion.
 
 Four decreasing filtrations are computed as exact subspaces, one per
 structure:
@@ -27,22 +27,17 @@ in the support of x and j in that of y, has an entry in the product table
 (the model's partner masks): it is the zero vector, on every model, as the
 rule reads the table and assumes no bigrading.
 
-The checkers cover the inclusion of the pi filtration in the gamma one
-(with the unconditionally provable cases flagged separately), the
-four-way equivalence criterion for homogeneous classes, and the composed
-structure: the index-product vanishing, the augmentation morphism (skipped
-with a note where the index-product hypothesis fails), the stage bounds of
-index blocks, the two computations of the complete-Chern-class kernel, and
-the top-stage vanishing statements.
+``check_lemma_equivalences`` answers a query about one homogeneous class:
+the truth values of the four equivalent criteria.  The conjecture
+statements themselves are checks of the ``conjecture`` suite
+(``kring.reports``), which read the filtrations computed here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .adams import adams_weight, complete_chern, gamma_images, kind_ring, lambda_op
+from .adams import adams_weight, gamma_images, kind_ring
 from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
 from .model import Element, ModelAlgebra, reach, support
@@ -141,14 +136,6 @@ def _products(product: Callable, xs: Sequence, ys: Sequence) -> list[Element]:
     ``ys``, skipping the pairs with reach & support == 0."""
     prods = (product(x, y) for x, reach in xs for y, support in ys if reach & support)
     return [prod for prod in prods if not prod.is_zero()]
-
-
-def _with_pairwise_sums(vectors: Sequence[Element]) -> list[Element]:
-    return list(vectors) + [
-        vectors[i] + vectors[j]
-        for i in range(len(vectors))
-        for j in range(i + 1, len(vectors))
-    ]
 
 
 def _close_under_products(
@@ -298,69 +285,7 @@ def compute_filtration(
     return FiltrationResult(spec.kind, method, tuple(stages), (dims,), order)
 
 
-# -- checkers -----------------------------------------------------------------
-
-
-class QVerdict(NamedTuple):
-    q: int
-    ok: bool
-    witness: Element | None = None
-
-
-class PiGammaReport(NamedTuple):
-    """Per-stage verdicts of the inclusion of the pi filtration in the
-    gamma one, with the unconditionally provable stages flagged.  A failing
-    provable stage (in ``proved_failures``) means the model violates the
-    one-dimensionality facts the proof of those stages rests on."""
-
-    g: int
-    verdicts: tuple[QVerdict, ...]
-    proved_stages: tuple[int, ...]
-    proved_failures: tuple[QVerdict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(v.ok for v in self.verdicts)
-
-    def verdict(self, q: int) -> QVerdict:
-        return self.verdicts[q]
-
-    def failing_stages(self) -> tuple[int, ...]:
-        return tuple(v.q for v in self.verdicts if not v.ok)
-
-
-def _first_missing(
-    model: ModelAlgebra, sub: Subspace, space: Subspace
-) -> Element | None:
-    for nums, den in sub.rows:
-        if not space.contains(nums):
-            return Element(model, nums, den)
-    return None
-
-
-def _stages(result: FiltrationResult, kind: str, n_max: int) -> tuple[Subspace, ...]:
-    """The stages of a filtration handed to a checker, which must be the
-    ``kind`` filtration and reach stage ``n_max``."""
-    if result.kind != kind or len(result.stages) <= n_max:
-        raise DomainError(f"need the {kind} filtration up to stage {n_max}")
-    return result.stages
-
-
-def check_pi_subset_gamma(
-    model: ModelAlgebra, *, pi_result: FiltrationResult, gamma_result: FiltrationResult
-) -> PiGammaReport:
-    """Check stage-wise containment of the pi filtration in the gamma one,
-    at q = 0 .. g."""
-    g = model.g
-    pi_stages = _stages(pi_result, "pi", g)
-    gamma_stages = _stages(gamma_result, "gamma", g)
-    verdicts = []
-    for q in range(g + 1):
-        missing = _first_missing(model, pi_stages[q], gamma_stages[q])
-        verdicts.append(QVerdict(q, missing is None, missing))
-    proved = tuple(sorted({0, 1, g - 1, g}))
-    failures = tuple(v for v in verdicts if v.q in proved and not v.ok)
-    return PiGammaReport(g, tuple(verdicts), proved, failures)
+# -- the equivalence criteria -----------------------------------------------
 
 
 class LemmaEquivalenceReport(NamedTuple):
@@ -398,9 +323,10 @@ def check_lemma_equivalences(
     if p <= 0 or g - q <= 0:
         raise DomainError("the equivalence criteria need p > 0 and q < g")
     order = gamma_result.order
-    stages = _stages(gamma_result, "gamma", order)
+    if gamma_result.kind != "gamma" or len(gamma_result.stages) <= order:
+        raise DomainError(f"need the gamma filtration up to stage {order}")
     images = gamma_images(model, "pi", x, order)
-    in_stage = [stages[i].contains(images[i]) for i in range(order + 1)]
+    in_stage = [gamma_result.stage(i).contains(images[i]) for i in range(order + 1)]
     statements = {
         1: p >= g - q,
         2: all(in_stage[1:]),
@@ -408,174 +334,3 @@ def check_lemma_equivalences(
         4: in_stage[p + 1] if p + 1 <= order else True,
     }
     return LemmaEquivalenceReport(p, q, statements)
-
-
-# a check's failures: one (detail, witness) pair each, then its pass detail
-Failures = Iterator[tuple[str, str]]
-
-
-class Statement(NamedTuple):
-    """One verdict of a report, keyed by a stable identifier."""
-
-    id: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str = ""
-    witness: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
-    @classmethod
-    def first_failure(cls, id: str, failures: Failures) -> "Statement":
-        """The verdict of a check written as a generator that yields a
-        (detail, witness) pair per failure and returns its pass detail:
-        fail with the first pair, without advancing past it, or pass with
-        the returned detail ("" if none)."""
-        try:
-            detail, witness = next(failures)
-        except StopIteration as done:
-            return cls(id, "pass", detail=done.value or "")
-        return cls(id, "fail", detail=detail, witness=witness)
-
-
-class ComposedStructureReport(NamedTuple):
-    """Verdicts for the composed-structure statements on one model."""
-
-    g: int
-    statements: dict[str, Statement]
-    stage_dims: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.statements.values())
-
-
-def _pair(model: ModelAlgebra, i: int, j: int) -> str:
-    return f"({model.labels[i]}, {model.labels[j]})"
-
-
-def _index_product_failures(model: ModelAlgebra) -> Failures:
-    for i in range(model.dim):
-        ji = model.beauville_index_of(i)
-        if ji <= 0:
-            continue
-        for k in range(model.dim):
-            jk = model.beauville_index_of(k)
-            if jk < 0 and not (model.basis_element(i) * model.basis_element(k)).is_zero():
-                yield f"index {ji} class times index {jk} class is nonzero", _pair(model, i, k)
-
-
-def _bloch_product_failures(model: ModelAlgebra) -> Failures:
-    g = model.g
-    for i in range(model.dim):
-        p1, q1 = model.bidegrees[i]
-        if q1 != g or p1 < 1:
-            continue
-        for k in range(model.dim):
-            if p1 >= model.bidegrees[k].q + 1 and not (
-                model.basis_element(i) * model.basis_element(k)
-            ).is_zero():
-                yield "a K^r_g class with r > n meets a K^s_n class", _pair(model, i, k)
-
-
-def _binomial_lambda(model: ModelAlgebra, y: Element, i: int) -> Element:
-    """lambda_beta^i(y) = y (y-1) ... (y-i+1) / i! in the index-0 subring."""
-    result = model.one()
-    for t in range(i):
-        result = result * (y - t * model.one())
-    return Fraction(1, factorial(i)) * result
-
-
-_EPSILON_HYPOTHESIS = (
-    "hypothesis violated: nonzero product of positive- and negative-index "
-    "classes, so the index-0 projection is not a ring morphism"
-)
-
-
-def _epsilon_morphism_failures(model: ModelAlgebra) -> Failures:
-    morphism_ok, pair = FiltrationSpec("Gamma").augmentation_is_morphism(model)
-    if not morphism_ok:
-        yield "", pair or ""
-    for i in range(model.dim):
-        x = model.basis_element(i)
-        for idx in range(1, model.g + 1):
-            # lambda of the composed structure, then project
-            lhs = lambda_op(model, "composed", idx, x).beauville_component(0)
-            if lhs != _binomial_lambda(model, x.beauville_component(0), idx):
-                yield "", f"{model.labels[i]} at i={idx}"
-
-
-def _fil1_failures(model: ModelAlgebra, stages) -> Failures:
-    # stage 1 of the composed filtration sits inside the rank kernel
-    kernel_gamma = Subspace.span(
-        model.dim,
-        [model.basis_element(i) for i in FiltrationSpec("gamma").kernel_indices(model)],
-    )
-    if not stages[1].is_subspace_of(kernel_gamma):
-        yield "", ""
-
-
-def _fil2_failures(model: ModelAlgebra, stages) -> Failures:
-    # index blocks lie deep in the filtration: K[j] in stage r for j<0 or j>=r
-    for j in range(-model.g, model.g + 1):
-        idx = model.indices_by_index(j)
-        if not idx:
-            continue
-        block = Subspace.span(model.dim, [model.basis_element(i) for i in idx])
-        for r in range(model.g + 3):
-            if (j < 0 or j >= r) and not block.is_subspace_of(stages[r]):
-                yield "", f"index {j} block at stage {r}"
-
-
-def _kernel_c_failures(model: ModelAlgebra, stages) -> Failures:
-    """The complete-Chern kernel, computed two independent ways."""
-    g = model.g
-    intersection = stages[0]
-    for s in stages[1:]:
-        intersection = intersection.intersect(s)
-    stabilised = stages[g + 1] == stages[g + 2]
-
-    base = [model.basis_element(i) for i in FiltrationSpec("Gamma").kernel_indices(model)]
-    survivors = [
-        x for x in _with_pairwise_sums(base) if complete_chern(model, x, stages).is_zero
-    ]
-    searched = Subspace.span(model.dim, survivors)
-
-    detail = (
-        f"intersection dim {intersection.dim}, spanning-search dim "
-        f"{searched.dim}, stage {g + 1} dim {stages[g + 1].dim}, "
-        f"stages {g + 1} and {g + 2} "
-        + ("stabilised" if stabilised else "did not stabilise")
-    )
-    if not (searched == intersection and stabilised and intersection == stages[g + 1]):
-        yield detail, ""
-    return detail
-
-
-def _top_stage_failures(model: ModelAlgebra, stages) -> Failures:
-    top = stages[model.g + 1]
-    if top.dim:
-        yield "", str(Element(model, *top.rows[0]))
-
-
-def check_composed_structure(
-    model: ModelAlgebra, *, gamma_big_result: FiltrationResult
-) -> ComposedStructureReport:
-    stages = list(_stages(gamma_big_result, "Gamma", model.g + 2))
-    checks = (
-        ("conj-2-products", _index_product_failures(model)),
-        ("lem-epsilon-gamma-morphism", _epsilon_morphism_failures(model)),
-        ("lem-fil1", _fil1_failures(model, stages)),
-        ("lem-fil2", _fil2_failures(model, stages)),
-        ("prop-kernel-c", _kernel_c_failures(model, stages)),
-        ("conj-3-vanishing", _top_stage_failures(model, stages)),
-        ("bloch-products", _bloch_product_failures(model)),
-    )
-    statements: dict[str, Statement] = {}
-    for sid, failures in checks:
-        if sid == "lem-epsilon-gamma-morphism" and not statements["conj-2-products"].ok:
-            statements[sid] = Statement(sid, "skipped", detail=_EPSILON_HYPOTHESIS)
-        else:
-            statements[sid] = Statement.first_failure(sid, failures)
-    return ComposedStructureReport(model.g, statements, tuple(s.dim for s in stages))

@@ -6,23 +6,26 @@ configuration.  Structured output is deterministic: two runs with the same
 model document and configuration produce byte-identical JSON (timings are
 opt-in precisely because they would break that).
 
-The ``verify`` suite is two ordered tables of ``(id, check, skip)``, and
-the table order is the report order.  The four filtrations are computed
-between the two tables, so only the checks of the second read them.  A
-check is a generator over the suite's ``_Run``: it yields a
-``(detail, witness)`` pair for each failure and may return a pass detail;
-``Statement.first_failure`` keeps the first pair and never resumes the
-check.  A check computes each distinct value once (a product, a Fourier
-image, a gamma series) and may leave out a basis pair that has no entry
-in the product table it tests: there both sides of a diagonal operator's
-multiplicativity are zero.  ``thm-fm-iso`` walks every pair, because its
-zero right-hand sides are part of what it proves.  A skip is data:
-``skip(run)`` returns the reason a statement does not apply
-(negative-index classes, no class labelled ``e1``) or ``None``.
-Each entry and each filtration is one ``--timings`` lap, and ``total``
-covers them all.  Checks call the traced layers (``fourier``,
-``star_product``, ``validate``, ...) through this module's globals, which
-a tracer may rebind.
+Both model suites, ``verify`` and ``conjecture``, are ordered tables of
+``(id, check, skip)``, and the table order is the report order.  ``verify``
+computes its four filtrations between its two tables, so only the checks
+of the second read them; ``conjecture`` computes the pi, gamma and Gamma
+filtrations first and then runs one table.  A check is a generator over
+the suite's ``_Run``: it yields a ``(detail, witness)`` pair for each
+failure and may return a pass detail; ``Statement.first_failure`` keeps
+the first pair and never resumes the check.  A check computes each
+distinct value once (a product, a Fourier image, a gamma series) and may
+leave out a basis pair that has no entry in the product table it tests:
+there both sides of a diagonal operator's multiplicativity are zero, and
+a product of two basis vectors is zero exactly there.  ``thm-fm-iso``
+walks every pair, because its zero right-hand sides are part of what it
+proves.  A skip is data: ``skip(run)`` returns the reason a statement
+does not apply (negative-index classes, no class labelled ``e1``, a
+violated index-product hypothesis) or ``None``.  Each entry and each
+filtration is one ``--timings`` lap, and ``total`` covers them all.
+Checks call the traced layers (``fourier``, ``star_product``,
+``validate``, ...) through this module's globals, which a tracer may
+rebind.
 
 The model suites still accept ``seed`` and ``max_rounds`` and quote them in
 the report's ``config``, so recorded reports keep their bytes; the
@@ -36,7 +39,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import modelio
 from .adams import (
@@ -44,23 +47,20 @@ from .adams import (
     adams,
     adams_operator,
     adams_weight,
+    complete_chern,
     gamma_images,
     gamma_normalization_report,
     gamma_series,
     exp_class,
+    lambda_op,
     log_class,
     universal_gamma_coefficients,
 )
 from .filtration import (
     FILTRATION_KINDS,
-    Failures,
     FiltrationResult,
     FiltrationSpec,
-    PiGammaReport,
-    Statement,
-    check_composed_structure,
     check_lemma_equivalences,
-    check_pi_subset_gamma,
     compute_filtration,
 )
 from .linalg import Subspace, vandermonde_det
@@ -78,6 +78,34 @@ from .operators import (
 from .series import stirling2
 
 REPORT_SCHEMA = "kring-report/1"
+
+# a check's failures: one (detail, witness) pair each, then its pass detail
+Failures = Iterator[tuple[str, str]]
+
+
+class Statement(NamedTuple):
+    """One verdict of a report, keyed by a stable identifier."""
+
+    id: str
+    status: str  # "pass" | "fail" | "skipped"
+    detail: str = ""
+    witness: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "fail"
+
+    @classmethod
+    def first_failure(cls, id: str, failures: Failures) -> "Statement":
+        """The verdict of a check written as a generator that yields a
+        (detail, witness) pair per failure and returns its pass detail:
+        fail with the first pair, without advancing past it, or pass with
+        the returned detail ("" if none)."""
+        try:
+            detail, witness = next(failures)
+        except StopIteration as done:
+            return cls(id, "pass", detail=done.value or "")
+        return cls(id, "fail", detail=detail, witness=witness)
 
 
 class VerificationReport:
@@ -188,8 +216,8 @@ def _filtration(
 
 
 class _Run:
-    """What a ``verify`` check reads: the model, its basis elements, the
-    series order, and the filtrations computed between the two tables."""
+    """What a suite check reads: the model, its basis elements, the series
+    order, and the filtrations the suite has computed so far, by kind."""
 
     def __init__(self, model: ModelAlgebra, order: int, basis: tuple[Element, ...]):
         self.model = model
@@ -526,31 +554,184 @@ def run_verify_suite(
     return report
 
 
-def _pi_gamma_failures(pg: PiGammaReport) -> Failures:
-    failing = pg.failing_stages()
+def _pi_outside_gamma(run: _Run, stages: Sequence[int]) -> Iterator[tuple[int, Element]]:
+    """(q, x) for each q in ``stages`` whose pi stage is not inside gamma
+    stage q, x the first basis vector of the pi stage that lies outside."""
+    pi, gamma = run.fil["pi"], run.fil["gamma"]
+    for q in stages:
+        for nums, den in pi.stage(q).rows:
+            if not gamma.stage(q).contains(nums):
+                yield q, Element(run.model, nums, den)
+                break
+
+
+def _pi_subset_gamma(run: _Run) -> Failures:
+    failing = list(_pi_outside_gamma(run, range(run.g + 1)))
     if failing:
-        witness = pg.verdict(failing[0]).witness
-        yield f"fails at q in {list(failing)}", "" if witness is None else str(witness)
+        yield f"fails at q in {[q for q, _ in failing]}", str(failing[0][1])
 
 
-def _proved_case_failures(pg: PiGammaReport) -> Failures:
-    for bad in pg.proved_failures:
+def _proved_cases(run: _Run) -> Failures:
+    """The stages q = 0, 1, g - 1, g of the inclusion are proved; a failure
+    there means the model violates the one-dimensionality facts the proof
+    rests on."""
+    proved = sorted({0, 1, run.g - 1, run.g})
+    for q, x in _pi_outside_gamma(run, proved):
         yield (
             "model-validation failure: provable stage "
-            f"q={bad.q} fails, so the model violates the "
+            f"q={q} fails, so the model violates the "
             "one-dimensionality geometry behind those cases"
-        ), "" if bad.witness is None else str(bad.witness)
-    return f"stages {list(pg.proved_stages)}"
+        ), str(x)
+    return f"stages {proved}"
 
 
-def _equivalence_failures(model: ModelAlgebra, gamma: FiltrationResult) -> Failures:
+def _equivalences(run: _Run) -> Failures:
+    model = run.model
     for i in range(model.dim):
         p, q = model.bidegrees[i]
         if p <= 0 or model.g - q <= 0:
             continue
-        res = check_lemma_equivalences(model, model.basis_element(i), gamma_result=gamma)
+        res = check_lemma_equivalences(model, run.basis[i], gamma_result=run.fil["gamma"])
         if not res.ok:
             yield f"statements {res.statements}", model.labels[i]
+
+
+def _pair(model: ModelAlgebra, i: int, j: int) -> str:
+    return f"({model.labels[i]}, {model.labels[j]})"
+
+
+def _index_products(run: _Run) -> Failures:
+    # e_i . e_k is nonzero exactly when (i, k) has an entry in the table
+    model = run.model
+    for i in range(model.dim):
+        ji = model.beauville_index_of(i)
+        if ji <= 0:
+            continue
+        for k in range(model.dim):
+            jk = model.beauville_index_of(k)
+            if jk < 0 and model.mul_partners[i] >> k & 1:
+                yield f"index {ji} class times index {jk} class is nonzero", _pair(model, i, k)
+
+
+def _bloch_products(run: _Run) -> Failures:
+    model, g = run.model, run.g
+    for i in range(model.dim):
+        p1, q1 = model.bidegrees[i]
+        if q1 != g or p1 < 1:
+            continue
+        for k in range(model.dim):
+            if p1 >= model.bidegrees[k].q + 1 and model.mul_partners[i] >> k & 1:
+                yield "a K^r_g class with r > n meets a K^s_n class", _pair(model, i, k)
+
+
+def _binomial_lambda(model: ModelAlgebra, y: Element, i: int) -> Element:
+    """lambda_beta^i(y) = y (y-1) ... (y-i+1) / i! in the index-0 subring."""
+    result = model.one()
+    for t in range(i):
+        result = result * (y - t * model.one())
+    return Fraction(1, factorial(i)) * result
+
+
+def _epsilon_morphism(run: _Run) -> Failures:
+    model = run.model
+    morphism_ok, pair = FiltrationSpec("Gamma").augmentation_is_morphism(model)
+    if not morphism_ok:
+        yield "", pair or ""
+    for i, x in enumerate(run.basis):
+        for idx in range(1, model.g + 1):
+            # lambda of the composed structure, then project
+            lhs = lambda_op(model, "composed", idx, x).beauville_component(0)
+            if lhs != _binomial_lambda(model, x.beauville_component(0), idx):
+                yield "", f"{model.labels[i]} at i={idx}"
+
+
+def _if_index_products(run: _Run) -> str | None:
+    """The epsilon statement's hypothesis: no nonzero product of a
+    positive- and a negative-index class."""
+    if next(_index_products(run), None) is None:
+        return None
+    return (
+        "hypothesis violated: nonzero product of positive- and negative-index "
+        "classes, so the index-0 projection is not a ring morphism"
+    )
+
+
+def _fil1(run: _Run) -> Failures:
+    # stage 1 of the composed filtration sits inside the rank kernel
+    model = run.model
+    kernel_gamma = Subspace.span(
+        model.dim, [run.basis[i] for i in FiltrationSpec("gamma").kernel_indices(model)]
+    )
+    if not run.fil["Gamma"].stage(1).is_subspace_of(kernel_gamma):
+        yield "", ""
+
+
+def _fil2(run: _Run) -> Failures:
+    # index blocks lie deep in the filtration: K[j] in stage r for j<0 or j>=r
+    model, stages = run.model, run.fil["Gamma"].stages
+    for j in range(-model.g, model.g + 1):
+        idx = model.indices_by_index(j)
+        if not idx:
+            continue
+        block = Subspace.span(model.dim, [run.basis[i] for i in idx])
+        for r in range(model.g + 3):
+            if (j < 0 or j >= r) and not block.is_subspace_of(stages[r]):
+                yield "", f"index {j} block at stage {r}"
+
+
+def _with_pairwise_sums(vectors: Sequence[Element]) -> list[Element]:
+    return list(vectors) + [
+        vectors[i] + vectors[j]
+        for i in range(len(vectors))
+        for j in range(i + 1, len(vectors))
+    ]
+
+
+def _kernel_c(run: _Run) -> Failures:
+    """The complete-Chern kernel, computed two independent ways."""
+    model, g, stages = run.model, run.g, run.fil["Gamma"].stages
+    intersection = stages[0]
+    for s in stages[1:]:
+        intersection = intersection.intersect(s)
+    stabilised = stages[g + 1] == stages[g + 2]
+
+    base = [run.basis[i] for i in FiltrationSpec("Gamma").kernel_indices(model)]
+    survivors = [
+        x for x in _with_pairwise_sums(base) if complete_chern(model, x, stages).is_zero
+    ]
+    searched = Subspace.span(model.dim, survivors)
+
+    detail = (
+        f"intersection dim {intersection.dim}, spanning-search dim "
+        f"{searched.dim}, stage {g + 1} dim {stages[g + 1].dim}, "
+        f"stages {g + 1} and {g + 2} "
+        + ("stabilised" if stabilised else "did not stabilise")
+    )
+    if not (searched == intersection and stabilised and intersection == stages[g + 1]):
+        yield detail, ""
+    return detail
+
+
+def _top_stage(run: _Run) -> Failures:
+    top = run.fil["Gamma"].stage(run.g + 1)
+    if top.dim:
+        yield "", str(Element(run.model, *top.rows[0]))
+
+
+# (id, check, skip) in report order; the pi, gamma and Gamma filtrations
+# are computed before the table
+_CONJECTURE = (
+    ("conj-pi-subset-gamma", _pi_subset_gamma, None),
+    ("rem-conj-proved-cases", _proved_cases, None),
+    ("lem-conjecture-equivalences", _equivalences, None),
+    ("conj-2-products", _index_products, None),
+    ("lem-epsilon-gamma-morphism", _epsilon_morphism, _if_index_products),
+    ("lem-fil1", _fil1, None),
+    ("lem-fil2", _fil2, None),
+    ("prop-kernel-c", _kernel_c, None),
+    ("conj-3-vanishing", _top_stage, None),
+    ("bloch-products", _bloch_products, None),
+)
 
 
 def run_conjecture_suite(
@@ -573,27 +754,13 @@ def run_conjecture_suite(
     )
     timer = _Timer()
     with timer.lap("total"):
+        run = _Run(model, order, model.basis_elements())
         # stages 0..g do not depend on n_max, so one gamma filtration serves
         # both the containment check (q <= g) and the equivalence criteria
         # (i <= order)
-        pi_res = _filtration(timer, model, "pi", g, order)
-        gamma = _filtration(timer, model, "gamma", order, order)
-        with timer.lap("conj-pi-subset-gamma"):
-            pg = check_pi_subset_gamma(model, pi_result=pi_res, gamma_result=gamma)
-            report.add(Statement.first_failure("conj-pi-subset-gamma", _pi_gamma_failures(pg)))
-            report.add(
-                Statement.first_failure("rem-conj-proved-cases", _proved_case_failures(pg))
-            )
-        with timer.lap("lem-conjecture-equivalences"):
-            report.add(
-                Statement.first_failure(
-                    "lem-conjecture-equivalences", _equivalence_failures(model, gamma)
-                )
-            )
-        gamma_big = _filtration(timer, model, "Gamma", g + 2, order)
-        with timer.lap("composed-structure"):
-            composed = check_composed_structure(model, gamma_big_result=gamma_big)
-            report.statements.extend(composed.statements.values())
+        for kind, n_max in (("pi", g), ("gamma", order), ("Gamma", g + 2)):
+            run.fil[kind] = _filtration(timer, model, kind, n_max, order)
+        _run_checks(report, timer, run, _CONJECTURE)
     if with_timings:
         report.timings = timer.laps
     return report

@@ -120,10 +120,6 @@ class TruncatedSeries:
             )
         return self.coeffs[i]
 
-    def is_zero(self) -> bool:
-        zero = self.ring.zero
-        return all(c == zero for c in self.coeffs)
-
     def _same_ring(self, other: "TruncatedSeries") -> bool:
         return self.ring is other.ring or self.ring == other.ring
 

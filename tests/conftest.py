@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import kring
-from kring import build_model, compute_filtration, export_model
+from kring import ModelAlgebra, build_model, compute_filtration, export_model
 
 # the directory this kring was imported from, for child interpreters
 SRC = str(Path(kring.__file__).resolve().parent.parent)
@@ -51,10 +51,75 @@ def filtration(name: str, g: int, kind: str, n_max: int, method: str = "saturati
     return compute_filtration(model(name, g), kind, n_max, method)
 
 
+@lru_cache(maxsize=None)
+def conjecture(name: str, g: int) -> dict:
+    """The ``conjecture`` statements on a bundled model, by id."""
+    report = kring.run_conjecture_suite(model(name, g), f"{name}(g={g})")
+    return {s.id: s for s in report.statements}
+
+
 def fm_rows(m) -> list[list[Fraction]]:
     """The dense Fourier rows of ``m`` as ``Fraction``s, read from its
     exported document (row i = image of e_i)."""
     return [[Fraction(c) for c in row] for row in json.loads(export_model(m))["fm"]]
+
+
+def basis_change(m) -> list[list[Fraction]]:
+    """A fixed invertible rational P, block-diagonal over the bidegree
+    blocks of ``m``, that keeps the unit, the origin class and ``e1`` and
+    rescales and mixes every other basis vector.
+
+    Within a block, list the kept vectors first and then the others in
+    index order; row t of a vector that moves is s_t e_t plus a multiple of
+    every vector listed before it.  So the block is lower triangular in that
+    order with nonzero diagonal, and P is invertible.
+    """
+    keep = {m.unit_index, m.star_unit_index}
+    if "e1" in m.labels:
+        keep.add(m.index_of("e1"))
+    P = [[Fraction(int(i == k)) for k in range(m.dim)] for i in range(m.dim)]
+    for bidegree in dict.fromkeys(m.bidegrees):
+        block = [i for i in range(m.dim) if m.bidegrees[i] == bidegree]
+        order = [i for i in block if i in keep] + [i for i in block if i not in keep]
+        for t, i in enumerate(order):
+            if i in keep:
+                continue
+            P[i][i] = (-1) ** t * Fraction(t + 2, t + 3)
+            for u, k in enumerate(order[:t]):
+                P[i][k] = Fraction((-1) ** u, u + 2)
+    return P
+
+
+def conjugate(m, P) -> ModelAlgebra:
+    """``m`` rebuilt in the basis f_i = sum_k P[i][k] e_k, with the same
+    labels, bidegrees, unit and origin indices (P must keep those two
+    vectors and each bidegree block)."""
+    from tests.test_linalg import _reference_rref  # test_linalg imports this module
+
+    n = m.dim
+    identity = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    reduced, _ = _reference_rref([row + e for row, e in zip(P, identity)], n)
+    Q = [row[n:] for row in reduced]  # P^-1: e_c = sum_l Q[c][l] f_l
+
+    def in_f(x: list[Fraction]) -> list[Fraction]:
+        return [sum(x[c] * Q[c][l] for c in range(n)) for l in range(n)]
+
+    mul = {}
+    for i in range(n):
+        for j in range(n):
+            x = [Fraction(0)] * n
+            for a in range(n):
+                for b in range(n):
+                    if P[i][a] and P[j][b]:
+                        for c, coeff in m.mul_basis(a, b):
+                            x[c] += P[i][a] * P[j][b] * coeff
+            y = in_f(x)
+            if any(y):
+                mul[(i, j)] = {l: c for l, c in enumerate(y) if c}
+    F = fm_rows(m)
+    fm = [in_f([sum(P[i][a] * F[a][c] for a in range(n)) for c in range(n)]) for i in range(n)]
+    basis = list(zip(m.labels, m.bidegrees))
+    return ModelAlgebra(m.g, basis, mul, fm, m.unit_index, m.star_unit_index)
 
 
 def bundled_models(g_max: int = 4):

@@ -15,8 +15,6 @@ from kring import (
     Subspace,
     adams,
     adams_operator,
-    check_composed_structure,
-    check_pi_subset_gamma,
     complete_chern,
     euler_char,
     exp_class,
@@ -36,7 +34,7 @@ from kring import (
     stirling2,
     theta_model,
 )
-from tests.conftest import bundled_models, filtration, model, run_cli
+from tests.conftest import bundled_models, conjecture, filtration, model, run_cli
 
 F = Fraction
 
@@ -226,47 +224,34 @@ def test_criterion_7_conjecture_checker_behaviour():
     for name, g in [("theta", gg) for gg in range(1, 5)] + [
         ("antisym", gg) for gg in range(2, 5)
     ]:
-        rep = check_pi_subset_gamma(
-            model(name, g),
-            pi_result=filtration(name, g, "pi", g),
-            gamma_result=filtration(name, g, "gamma", g),
-        )
-        assert rep.ok and not rep.proved_failures
+        statements = conjecture(name, g)
+        assert statements["conj-pi-subset-gamma"].status == "pass"
+        assert statements["rem-conj-proved-cases"].status == "pass"
 
     p2 = model("pathological", 2)
-    rep2 = check_pi_subset_gamma(
-        p2,
-        pi_result=filtration("pathological", 2, "pi", 2),
-        gamma_result=filtration("pathological", 2, "gamma", 2),
-    )
-    assert rep2.failing_stages() == (2,)
-    witness = rep2.verdict(2).witness
-    assert witness is not None
-    v_line = Subspace.span(p2.dim, [p2.basis_element(p2.index_of("v")).coords])
-    assert v_line.contains(witness.coords)
+    statements = conjecture("pathological", 2)
+    conj = statements["conj-pi-subset-gamma"]
+    assert (conj.status, conj.detail) == ("fail", "fails at q in [2]")
+    v = p2.basis_element(p2.index_of("v"))
+    assert conj.witness == str(v)
     # q = 2 = g is a provable stage here, so the checker must report the
     # failure as a defect of the model itself
-    assert rep2.proved_failures
-    assert [vq.q for vq in rep2.proved_failures] == [2]
+    proved = statements["rem-conj-proved-cases"]
+    assert proved.status == "fail" and proved.witness == str(v)
+    assert "provable stage q=2 fails" in proved.detail
 
     # on the g = 4 control the provable stages 0 and 1 pass while the
     # negative-index pair still trips stages 2 and 3 (3 = g-1 is provable,
     # and the checker flags it)
-    rep4 = check_pi_subset_gamma(
-        model("pathological", 4),
-        pi_result=filtration("pathological", 4, "pi", 4),
-        gamma_result=filtration("pathological", 4, "gamma", 4),
-    )
-    assert rep4.failing_stages() == (2, 3)
-    assert rep4.verdict(0).ok and rep4.verdict(1).ok and rep4.verdict(4).ok
-    assert [vq.q for vq in rep4.proved_failures] == [3]
+    statements = conjecture("pathological", 4)
+    assert statements["conj-pi-subset-gamma"].detail == "fails at q in [2, 3]"
+    proved = statements["rem-conj-proved-cases"]
+    assert proved.status == "fail" and proved.witness == "w"
+    assert "provable stage q=3 fails" in proved.detail
 
-    viol = model("violator", 2)
-    comp = check_composed_structure(
-        viol, gamma_big_result=filtration("violator", 2, "Gamma", 4)
-    )
-    assert comp.statements["conj-2-products"].status == "fail"
-    assert comp.statements["conj-2-products"].witness == "(a, v)"
+    statements = conjecture("violator", 2)
+    assert statements["conj-2-products"].status == "fail"
+    assert statements["conj-2-products"].witness == "(a, v)"
     _passed(
         7,
         "containment passes on compliant models; pathological(2) fails at "
@@ -277,20 +262,15 @@ def test_criterion_7_conjecture_checker_behaviour():
 
 def test_criterion_8_composed_structure_suite():
     for name, g in [("theta", 2), ("theta", 3), ("antisym", 2), ("antisym", 3)]:
-        m = model(name, g)
-        rep = check_composed_structure(
-            m, gamma_big_result=filtration(name, g, "Gamma", g + 2)
-        )
-        assert rep.statements["prop-kernel-c"].status == "pass"
-        assert rep.statements["conj-3-vanishing"].status == "pass"
-        assert rep.stage_dims[g + 1] == 0
+        statements = conjecture(name, g)
+        assert statements["prop-kernel-c"].status == "pass"
+        assert statements["conj-3-vanishing"].status == "pass"
+        assert filtration(name, g, "Gamma", g + 2).dims[g + 1] == 0
 
     p2 = model("pathological", 2)
-    rep = check_composed_structure(
-        p2, gamma_big_result=filtration("pathological", 2, "Gamma", 4)
-    )
-    assert rep.statements["prop-kernel-c"].status == "pass"  # both routes agree
-    assert rep.statements["conj-3-vanishing"].status == "fail"
+    statements = conjecture("pathological", 2)
+    assert statements["prop-kernel-c"].status == "pass"  # both routes agree
+    assert statements["conj-3-vanishing"].status == "fail"
     res = filtration("pathological", 2, "Gamma", 4)
     v = p2.basis_element(p2.index_of("v"))
     w = p2.basis_element(p2.index_of("w"))

@@ -13,23 +13,22 @@ from kring import (
     FiltrationSpec,
     ModelAlgebra,
     Subspace,
-    check_composed_structure,
     check_lemma_equivalences,
     build_model,
-    check_pi_subset_gamma,
     compute_filtration,
     fourier,
     run_conjecture_suite,
     run_filtration_tables,
     run_verify_suite,
     modelio,
+    reports,
 )
-from kring.filtration import Statement
 from kring.adams import gamma_images, kind_ring
 from kring.errors import DomainError, SeriesOrderError
-from kring.filtration import _saturation_stages, _scaled_kernel_basis, _with_pairwise_sums
+from kring.filtration import FiltrationResult, _saturation_stages, _scaled_kernel_basis
 from kring.model import _scaled_table
-from tests.conftest import bundled_models, filtration, model, run_python
+from kring.reports import Statement, _with_pairwise_sums
+from tests.conftest import bundled_models, conjecture, filtration, model, run_python
 from tests.test_model import _theta_raw
 
 F = Fraction
@@ -212,7 +211,7 @@ def test_augmentation_checked_once_per_model_and_kind(monkeypatch):
         m = build_model(name, 4)
         # both methods per kind, then the Gamma pair again
         run_filtration_tables(m, name)
-        check_composed_structure(m, gamma_big_result=compute_filtration(m, "Gamma", 6))
+        run_conjecture_suite(m, name)
     assert len(calls) == 8
     assert len({(id(m), kind) for m, kind in calls}) == 8
 
@@ -541,51 +540,59 @@ def test_stages_do_not_depend_on_n_max(name, g, kind):
     assert deep.stages[: g + 1] == shallow.stages
 
 
-# -- pi-inside-gamma checker ---------------------------------------------------
+# -- pi-inside-gamma statements -------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "name,g", [("theta", g) for g in range(1, 5)] + [("antisym", g) for g in range(2, 5)]
 )
 def test_pi_subset_gamma_on_compliant_models(name, g):
-    rep = check_pi_subset_gamma(
-        model(name, g),
-        pi_result=filtration(name, g, "pi", g),
-        gamma_result=filtration(name, g, "gamma", g),
-    )
-    assert rep.ok
-    assert not rep.proved_failures
+    statements = conjecture(name, g)
+    assert statements["conj-pi-subset-gamma"] == Statement("conj-pi-subset-gamma", "pass")
+    proved = statements["rem-conj-proved-cases"]
+    assert proved.status == "pass"
+    assert proved.detail == f"stages {sorted({0, 1, g - 1, g})}"
 
 
 def test_pi_subset_gamma_pathological2_fails_at_two(pathological2):
-    rep = check_pi_subset_gamma(
-        pathological2,
-        pi_result=filtration("pathological", 2, "pi", 2),
-        gamma_result=filtration("pathological", 2, "gamma", 2),
-    )
-    assert rep.failing_stages() == (2,)
-    witness = rep.verdict(2).witness
-    assert witness is not None
+    statements = conjecture("pathological", 2)
+    conj = statements["conj-pi-subset-gamma"]
+    assert (conj.status, conj.detail, conj.witness) == ("fail", "fails at q in [2]", "v")
+    # the witness v lies in pi stage 2 and not in gamma stage 2
     v = pathological2.basis_element(pathological2.index_of("v"))
-    # the witness is a rational multiple of v
-    assert Subspace.span(5, [v.coords]).contains(witness.coords)
-    # q = 2 = g is among the provable stages, so the checker must flag the
+    assert filtration("pathological", 2, "pi", 2).stage(2).contains(v.coords)
+    assert not filtration("pathological", 2, "gamma", 2).stage(2).contains(v.coords)
+    # q = 2 = g is among the provable stages, so the suite must flag the
     # model itself
-    assert 2 in rep.proved_stages
-    assert rep.proved_failures
+    proved = statements["rem-conj-proved-cases"]
+    assert proved.status == "fail" and proved.witness == "v"
+    assert proved.detail.startswith("model-validation failure: provable stage q=2 fails")
+
+
+def _run_with(m, **fil):
+    """A suite ``_Run`` on ``m`` holding the given filtrations by kind."""
+    run = reports._Run(m, m.default_series_order, m.basis_elements())
+    run.fil.update(fil)
+    return run
 
 
 def test_pi_subset_gamma_pathological4_alerts_at_g_minus_one():
-    rep = check_pi_subset_gamma(
-        model("pathological", 4),
-        pi_result=filtration("pathological", 4, "pi", 4),
-        gamma_result=filtration("pathological", 4, "gamma", 4),
-    )
+    statements = conjecture("pathological", 4)
     # v fails at stage 2 (not provable for g = 4), w at stage 3 = g - 1
-    assert rep.failing_stages() == (2, 3)
-    assert rep.proved_stages == (0, 1, 3, 4)
-    assert [v.q for v in rep.proved_failures] == [3]
-    assert rep.verdict(0).ok and rep.verdict(1).ok and rep.verdict(4).ok
+    conj = statements["conj-pi-subset-gamma"]
+    assert (conj.status, conj.detail, conj.witness) == ("fail", "fails at q in [2, 3]", "v")
+    proved = statements["rem-conj-proved-cases"]
+    assert proved.status == "fail" and proved.witness == "w"
+    # of the provable stages 0, 1, 3, 4, only q = 3 fails
+    run = _run_with(
+        model("pathological", 4),
+        pi=filtration("pathological", 4, "pi", 4),
+        gamma=filtration("pathological", 4, "gamma", 4),
+    )
+    failures = list(reports._proved_cases(run))
+    assert [witness for _, witness in failures] == ["w"]
+    assert failures[0][0] == proved.detail
+    assert "provable stage q=3 fails" in proved.detail
 
 
 # -- the four-way equivalence criterion ------------------------------------------
@@ -640,76 +647,86 @@ def test_equivalences_read_the_order_of_their_filtration(theta2):
 
 
 def test_checkers_refuse_the_wrong_filtration(theta2):
-    pi, gamma = filtration("theta", 2, "pi", 2), filtration("theta", 2, "gamma", 2)
-    with pytest.raises(DomainError):
-        check_pi_subset_gamma(theta2, pi_result=gamma, gamma_result=gamma)
-    with pytest.raises(DomainError):
-        check_pi_subset_gamma(
-            theta2, pi_result=filtration("theta", 2, "pi", 1), gamma_result=gamma
-        )
     with pytest.raises(DomainError):
         check_lemma_equivalences(
             theta2, theta2.basis_element(1),
             gamma_result=filtration("theta", 2, "pi", theta2.default_series_order),
         )
-    with pytest.raises(DomainError):
-        check_composed_structure(
-            theta2, gamma_big_result=filtration("theta", 2, "gamma", 4)
-        )
-    with pytest.raises(DomainError):
-        check_composed_structure(
-            theta2, gamma_big_result=filtration("theta", 2, "Gamma", 3)
-        )
-    assert check_pi_subset_gamma(theta2, pi_result=pi, gamma_result=gamma).ok
 
 
 # -- composed structure ----------------------------------------------------------
 
+COMPOSED_IDS = (
+    "conj-2-products",
+    "lem-epsilon-gamma-morphism",
+    "lem-fil1",
+    "lem-fil2",
+    "prop-kernel-c",
+    "conj-3-vanishing",
+    "bloch-products",
+)
 
-def test_composed_structure_theta(theta2):
-    rep = check_composed_structure(
-        theta2, gamma_big_result=filtration("theta", 2, "Gamma", 4)
-    )
-    assert all(s.status == "pass" for s in rep.statements.values())
-    assert rep.stage_dims[1:] == (0, 0, 0, 0)
+
+def test_composed_structure_theta():
+    statements = conjecture("theta", 2)
+    assert all(statements[sid].status == "pass" for sid in COMPOSED_IDS)
+    assert filtration("theta", 2, "Gamma", 4).dims[1:] == (0, 0, 0, 0)
 
 
-def test_composed_structure_antisym(antisym2):
-    rep = check_composed_structure(
-        antisym2, gamma_big_result=filtration("antisym", 2, "Gamma", 4)
-    )
-    assert all(s.status == "pass" for s in rep.statements.values())
+def test_composed_structure_antisym():
+    statements = conjecture("antisym", 2)
+    assert all(statements[sid].status == "pass" for sid in COMPOSED_IDS)
     # stage 1 is the index kernel (the two translates), stage 2 vanishes
-    assert rep.stage_dims == (5, 2, 0, 0, 0)
+    assert filtration("antisym", 2, "Gamma", 4).dims == (5, 2, 0, 0, 0)
 
 
 def test_composed_structure_pathological(pathological2):
-    rep = check_composed_structure(
-        pathological2, gamma_big_result=filtration("pathological", 2, "Gamma", 4)
-    )
-    assert rep.statements["conj-2-products"].status == "pass"
-    assert rep.statements["lem-epsilon-gamma-morphism"].status == "pass"
-    assert rep.statements["lem-fil1"].status == "pass"
-    assert rep.statements["lem-fil2"].status == "pass"
+    statements = conjecture("pathological", 2)
+    assert statements["conj-2-products"].status == "pass"
+    assert statements["lem-epsilon-gamma-morphism"].status == "pass"
+    assert statements["lem-fil1"].status == "pass"
+    assert statements["lem-fil2"].status == "pass"
     # both kernel computations agree and equal stage g+1, which is nonzero
-    assert rep.statements["prop-kernel-c"].status == "pass"
-    assert rep.statements["conj-3-vanishing"].status == "fail"
+    assert statements["prop-kernel-c"].status == "pass"
+    assert statements["conj-3-vanishing"].status == "fail"
     res = filtration("pathological", 2, "Gamma", 4)
     v = pathological2.basis_element(pathological2.index_of("v"))
     w = pathological2.basis_element(pathological2.index_of("w"))
     assert res.stage(3) == Subspace.span(5, [v.coords, w.coords])
 
 
-def test_composed_structure_violator(violator2):
-    rep = check_composed_structure(
-        violator2, gamma_big_result=filtration("violator", 2, "Gamma", 4)
-    )
-    conj2 = rep.statements["conj-2-products"]
+def test_composed_structure_violator():
+    statements = conjecture("violator", 2)
+    conj2 = statements["conj-2-products"]
     assert conj2.status == "fail"
     assert conj2.witness == "(a, v)"
-    skipped = rep.statements["lem-epsilon-gamma-morphism"]
+    skipped = statements["lem-epsilon-gamma-morphism"]
     assert skipped.status == "skipped"
     assert "hypothesis violated" in skipped.detail
+
+
+def _with_gamma_stages(m, stage):
+    """A ``_Run`` on ``m`` whose Gamma filtration is ``stage`` at every n."""
+    stages = (stage,) * (m.g + 3)
+    dims = tuple(s.dim for s in stages)
+    return _run_with(
+        m, Gamma=FiltrationResult("Gamma", "saturation", stages, (dims,), m.default_series_order)
+    )
+
+
+def test_fil1_fails_when_stage_one_leaves_the_rank_kernel(antisym2):
+    run = _with_gamma_stages(antisym2, Subspace.full(antisym2.dim))
+    assert Statement.first_failure("lem-fil1", reports._fil1(run)) == Statement(
+        "lem-fil1", "fail"
+    )
+
+
+def test_fil2_fails_at_stage_zero_on_the_first_index_block(antisym2):
+    # antisym(2) has index blocks 0 and 1 only
+    run = _with_gamma_stages(antisym2, Subspace.span(antisym2.dim, []))
+    assert Statement.first_failure("lem-fil2", reports._fil2(run)) == Statement(
+        "lem-fil2", "fail", "", "index 0 block at stage 0"
+    )
 
 
 # -- the first-failure helper ----------------------------------------------------

@@ -10,17 +10,10 @@ import pytest
 
 from kring import DomainError, FiltrationSpec, Subspace, VerificationReport
 from kring.adams import ChernClass, SeriesNormalizationReport
-from kring.filtration import (
-    ComposedStructureReport,
-    FiltrationResult,
-    LemmaEquivalenceReport,
-    PiGammaReport,
-    QVerdict,
-    Statement,
-)
+from kring.filtration import FiltrationResult, LemmaEquivalenceReport
 from kring.model import ValidationReport, Violation
 from kring.operators import CompositeCheckResult, DiagonalOperator, PushforwardRelation
-from kring.reports import _Run
+from kring.reports import Statement, _Run
 from tests.conftest import model, run_python
 
 F = Fraction
@@ -31,7 +24,6 @@ def _cases():
     m = model("theta", 2)
     e = m.basis_element(1)
     space = Subspace.span(m.dim, [e.nums])
-    ok = Statement("fil-monotone", "pass")
     return [
         (Violation, ("unit", "no unit", (1, 2))),
         (ValidationReport, ((Violation("unit", "no unit"),),)),
@@ -45,11 +37,8 @@ def _cases():
         (CompositeCheckResult, (False, 1, -2, "e1")),
         (PushforwardRelation, (2, 1, (F(1), F(-1, 2), F(1, 2)))),
         (FiltrationResult, ("gamma", "saturation", (space,), ((1,),), 4)),
-        (QVerdict, (1, False, e)),
-        (PiGammaReport, (2, (QVerdict(0, True),), (0, 1), ())),
         (LemmaEquivalenceReport, (1, 0, {1: True, 2: False})),
         (Statement, ("conj-x", "fail", "a detail", "(e1, e2)")),
-        (ComposedStructureReport, (2, {ok.id: ok}, (6, 5, 1))),
     ]
 
 
@@ -110,7 +99,6 @@ def test_record_defaults():
     assert Statement("s", "pass").detail == ""
     assert Statement("s", "pass").witness == ""
     assert Violation("code", "message").witness == ()
-    assert QVerdict(0, True).witness is None
     assert CompositeCheckResult(True, 1, 1).witness is None
 
 

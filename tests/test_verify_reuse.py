@@ -31,7 +31,7 @@ from kring import (
     star_product,
 )
 from kring.adams import ADAMS_KINDS
-from kring.filtration import Statement
+from kring.reports import Statement
 from tests.test_failure_paths import _fm00, _mul1, _rename_e1
 
 BUILDERS = ("theta", "antisym", "pathological", "violator")
