@@ -15,7 +15,6 @@ from .adams import (
     complete_chern,
     exp_class,
     gamma_images,
-    gamma_normalization_report,
     gamma_op,
     gamma_pi_coeff,
     gamma_series,
@@ -61,13 +60,11 @@ from .modelio import (
 from .operators import (
     DiagonalOperator,
     euler_char,
-    fm_composite_check,
     fourier,
     fourier_inverse,
     identity_expansion_coefficients,
     pullback,
     pushforward,
-    pushforward_identity_check,
     pushforward_relation,
     rank,
     star_product,

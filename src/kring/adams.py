@@ -21,6 +21,8 @@ S_d(t) x with S_d(t) = sum_n (-1)^{n-1} n^{d-1} (t/(1-t))^n, so the gamma
 series exp(S_d(t) x) has the closed form sum_m S_d(t)^m x^m / m!, and
 ``universal_gamma_coefficients`` reads a(i; d, m) = [t^i] S_d(t)^m / m!
 off the powers of one rational series, taken on its integer numerators.
+Column m = 1 is S_d itself, whose coefficients the ``series`` report of
+``kring.reports`` reads.
 ``gamma_images`` uses those coefficients (together with the
 multiplicativity of the gamma series over sums) as a fast exact route that
 the series-engine route must agree with.
@@ -37,7 +39,7 @@ from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
 from .model import Element, ModelAlgebra
 from .operators import DiagonalOperator, star_product
-from .series import Ring, TruncatedSeries, harmonic_firstkind
+from .series import Ring, TruncatedSeries
 
 ADAMS_KINDS = ("usual", "star", "pi", "composed", "pi_star")
 
@@ -310,54 +312,3 @@ def complete_chern(
         for i in range(1, g + 1)
     )
     return ChernClass(x.beauville_component(0), comps)
-
-
-# -- the index -1 series example ----------------------------------------------
-
-
-class SeriesNormalizationReport(NamedTuple):
-    """Exact expansion of the composed-structure gamma series of a square-zero
-    class of a given derived index, under both candidate logarithm scalings.
-
-    ``log_gamma`` holds, per normalization, the rational coefficient of x at
-    t^n in log Gamma_t(x) for n = 1..order; ``numerators`` scales those by
-    n! so they can be compared against the scaled harmonic numbers."""
-
-    weight: int
-    order: int
-    log_gamma: dict[str, tuple[Fraction, ...]]
-    numerators: dict[str, tuple[Fraction, ...]]
-    targets: tuple[int, ...]
-    matches: dict[str, bool]
-
-    @property
-    def matching_normalizations(self) -> tuple[str, ...]:
-        return tuple(k for k, v in self.matches.items() if v)
-
-
-def gamma_normalization_report(
-    weight: int = -1, order: int = 5
-) -> SeriesNormalizationReport:
-    """Expand Gamma_t(x) for a square-zero eigenvector x of the composed
-    structure with the given derived index, under the standard logarithm
-    (coefficient (-1)^{n-1} n^{weight-1}) and the unscaled variant
-    (coefficient (-1)^{n-1} n^{weight}), and compare the n!-scaled
-    coefficients against the scaled harmonic numbers."""
-    if order < 1:
-        raise DomainError("order must be at least 1")
-    results_log: dict[str, tuple[Fraction, ...]] = {}
-    results_num: dict[str, tuple[Fraction, ...]] = {}
-    matches: dict[str, bool] = {}
-    targets = tuple(harmonic_firstkind(n) for n in range(1, order + 1))
-    for name, shift in (("standard", -1), ("unscaled", 0)):
-        # x^2 = 0 makes the substituted logarithm exact as stated
-        substituted = _substituted_log(weight + shift, order).coeffs[1:]
-        numerators = tuple(
-            c * factorial(m) for m, c in enumerate(substituted, start=1)
-        )
-        results_log[name] = substituted
-        results_num[name] = numerators
-        matches[name] = all(a == b for a, b in zip(numerators, targets))
-    return SeriesNormalizationReport(
-        weight, order, results_log, results_num, targets, matches
-    )

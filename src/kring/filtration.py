@@ -86,14 +86,8 @@ class FiltrationSpec:
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
         """Whether the augmentation, the projection onto the subring,
         respects the family's product on the basis; returns a witness pair
-        when it does not.  The verdict is checked once per model and kind,
-        on first request, and kept on the model."""
-        verdicts = model.augmentation_verdicts
-        if self.kind not in verdicts:
-            verdicts[self.kind] = self._augmentation_witness(model)
-        return verdicts[self.kind]
-
-    def _augmentation_witness(self, model: ModelAlgebra) -> tuple[bool, str | None]:
+        when it does not.  Each call checks anew: a suite asks once per
+        kind it reads."""
         product = kind_ring(model, self.family).mul
         partners = self.partners(model)
         keep = self.subring_indices(model)
@@ -303,12 +297,9 @@ class LemmaEquivalenceReport(NamedTuple):
     statements: dict[int, bool]
 
     @property
-    def equivalent(self) -> bool:
-        return len(set(self.statements.values())) == 1
-
-    @property
     def ok(self) -> bool:
-        return self.equivalent
+        """Whether the four criteria agree."""
+        return len(set(self.statements.values())) == 1
 
 
 def check_lemma_equivalences(

@@ -335,7 +335,8 @@ def _linear(model: "ModelAlgebra", matrix: ScaledTable, x: Element) -> Element:
 class ModelAlgebra:
     """A validated-on-demand bigraded algebra with a Fourier operator.
 
-    Instances are immutable after construction; ``validate`` never mutates.
+    Instances are immutable after construction (derived tables such as
+    ``star_table`` are built once, on first use); ``validate`` never mutates.
     The multiplication table is stored sparsely: ``mul[(i, j)]`` maps basis
     index k to the coefficient of basis vector k in e_i . e_j, and absent
     pairs multiply to zero.  Products run on its ``ScaledTable`` form.
@@ -375,10 +376,6 @@ class ModelAlgebra:
             raise StructureError("Fourier matrix must be square of the basis size")
         self._fm = _scaled_rows(fm_rows)
         self._index_of = {label: i for i, label in enumerate(self.labels)}
-        # filtration kind -> whether its augmentation is a ring morphism (and
-        # a witness pair if not), filled by the filtration module on first
-        # use and owned by the model like ``star_table``
-        self.augmentation_verdicts: dict[str, tuple[bool, str | None]] = {}
 
     # -- basic accessors -------------------------------------------------
 

@@ -148,6 +148,12 @@ def import_model(text: str) -> ModelAlgebra:
             field = f"basis[{n}].label"
             raise ModelParseError(f"{field}: expected a JSON string, got {label!r}", field)
         p, q = (_strict_int(entry.get(k), f"basis[{n}].{k}") for k in ("p", "q"))
+        # with p, q in 0..g every pullback and pushforward weight g -+ (p - q)
+        # is >= 0, so no operator raises 0 to a negative power
+        for key, value in (("p", p), ("q", q)):
+            if not 0 <= value <= g:
+                field = f"basis[{n}].{key}"
+                raise ModelParseError(f"{field}: must lie in 0..g = 0..{g}, got {value}", field)
         basis.append((label, (p, q)))
     dim = len(basis)
     for key in ("unit", "star_unit"):

@@ -6,10 +6,14 @@ Fourier operator and its inverse, the convolution product the Fourier
 operator transports from the ordinary one, the two augmentation
 functionals, and the universal relations of the pushforward family:
 
-* the alternating-binomial expansion of the identity in terms of the
-  pushforwards by 0, -1, ..., -2g, and
+* the coefficients of the alternating-binomial expansion of the identity
+  in terms of the pushforwards by 0, -1, ..., -2g, and
 * the exact resolution of any (k)-pushforward as a combination of the
   pushforwards by 0 .. 2g, via the invertible power matrix (m^k).
+
+The module returns values only: the identities these operators satisfy
+(the expansion of the identity, the composite of two twisted Fourier
+transforms, ...) are checked by the statements of ``kring.reports``.
 
 Operators are materialised once per model and cached; the caches are
 read-only after construction, so concurrent readers are safe.
@@ -120,62 +124,12 @@ def euler_char(x: Element) -> Fraction:
     return x.coefficient(x.model.star_unit_index)
 
 
-class CompositeCheckResult(NamedTuple):
-    ok: bool
-    m: int
-    n: int
-    witness: str | None = None
-
-
-def fm_composite_check(model: ModelAlgebra, m: int, n: int) -> CompositeCheckResult:
-    """Check pullback(m) . F . F . pushforward(n) = (-1)^g pullback(-m) . pushforward(n).
-
-    The left side is the composite of the twisted Fourier transforms
-    attached to the n-th and m-th powers of the kernel class; the check is
-    exact on every basis vector and reports the first failure.
-    """
-    g = model.g
-    sign = Fraction((-1) ** g)
-    pull_m = pullback(model, m)
-    push_n = pushforward(model, n)
-    pull_neg_m = pullback(model, -m)
-    for i in range(model.dim):
-        e = model.basis_element(i)
-        lhs = pull_m.apply(fourier(fourier(push_n.apply(e))))
-        rhs = sign * pull_neg_m.apply(push_n.apply(e))
-        if lhs != rhs:
-            return CompositeCheckResult(False, m, n, witness=model.labels[i])
-    return CompositeCheckResult(True, m, n)
-
-
 def identity_expansion_coefficients(g: int) -> tuple[int, ...]:
     """Coefficients (-1)^m C(2g+1, m+1) of the pushforwards by -m, m = 0..2g,
     in the expansion of the identity."""
     if g < 1:
         raise DomainError("g must be at least 1")
     return tuple((-1) ** m * comb(2 * g + 1, m + 1) for m in range(2 * g + 1))
-
-
-def pushforward_identity_check(g: int, model: ModelAlgebra | None = None) -> bool:
-    """Verify sum_m (-1)^m C(2g+1, m+1) (-m)^d = 1 for every d in 0..2g,
-    and, when a model is supplied, the same combination of pushforward
-    operators equals the identity exactly."""
-    coeffs = identity_expansion_coefficients(g)
-    for d in range(2 * g + 1):
-        total = sum(c * Fraction(-m) ** d for m, c in enumerate(coeffs))
-        if total != 1:
-            return False
-    if model is not None:
-        if model.g != g:
-            raise DomainError("model dimension does not match g")
-        for i in range(model.dim):
-            e = model.basis_element(i)
-            acc = model.zero()
-            for m, c in enumerate(coeffs):
-                acc = acc + c * pushforward(model, -m).apply(e)
-            if acc != e:
-                return False
-    return True
 
 
 class PushforwardRelation(NamedTuple):

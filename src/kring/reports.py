@@ -6,6 +6,9 @@ configuration.  Structured output is deterministic: two runs with the same
 model document and configuration produce byte-identical JSON (timings are
 opt-in precisely because they would break that).
 
+Statements are built only here: the library modules return values and
+records, which the suite checks and the report runners below judge.
+
 Both model suites, ``verify`` and ``conjecture``, are ordered tables of
 ``(id, check, skip)``, and the table order is the report order.  ``verify``
 computes its four filtrations between its two tables, so only the checks
@@ -49,13 +52,13 @@ from .adams import (
     adams_weight,
     complete_chern,
     gamma_images,
-    gamma_normalization_report,
     gamma_series,
     exp_class,
     lambda_op,
     log_class,
     universal_gamma_coefficients,
 )
+from .errors import DomainError
 from .filtration import (
     FILTRATION_KINDS,
     FiltrationResult,
@@ -67,15 +70,14 @@ from .linalg import Subspace, vandermonde_det
 from .model import Element, ModelAlgebra, validate
 from .operators import (
     euler_char,
-    fm_composite_check,
     fourier,
+    identity_expansion_coefficients,
     pullback,
     pushforward,
-    pushforward_identity_check,
     rank,
     star_product,
 )
-from .series import stirling2
+from .series import harmonic_firstkind, stirling2
 
 REPORT_SCHEMA = "kring-report/1"
 
@@ -230,7 +232,6 @@ class _Run:
         return self.model.g
 
 
-
 def _model_validate(run: _Run) -> Failures:
     v = validate(run.model)
     if not v.ok:
@@ -238,8 +239,17 @@ def _model_validate(run: _Run) -> Failures:
 
 
 def _identity_expansion(run: _Run) -> Failures:
-    if not pushforward_identity_check(run.g, run.model):
-        yield "", ""
+    """The identity is sum_m (-1)^m C(2g+1, m+1) pushforward(-m), m = 0..2g:
+    on each eigenvalue (-m)^d, d = 0..2g, and on each basis vector."""
+    model, g = run.model, run.g
+    coeffs = identity_expansion_coefficients(g)
+    for d in range(2 * g + 1):
+        if sum(c * (-m) ** d for m, c in enumerate(coeffs)) != 1:
+            yield "", ""
+    pushes = [pushforward(model, -m) for m in range(2 * g + 1)]
+    for e in run.basis:
+        if model.combine([(c, push.apply(e)) for c, push in zip(coeffs, pushes)]) != e:
+            yield "", ""
 
 
 def _vandermonde(run: _Run) -> Failures:
@@ -250,11 +260,19 @@ def _vandermonde(run: _Run) -> Failures:
 
 
 def _fm_composite(run: _Run) -> Failures:
-    for m in range(-2, 3):
-        for n in range(-2, 3):
-            res = fm_composite_check(run.model, m, n)
-            if not res.ok:
-                yield f"(m, n)=({m}, {n})", res.witness or ""
+    """pullback(m) F F pushforward(n) = (-1)^g pullback(-m) pushforward(n) on
+    every basis vector: the composite of the twisted Fourier transforms
+    attached to the n-th and m-th powers of the kernel class."""
+    model, sign = run.model, Fraction((-1) ** run.g)
+    twists = range(-2, 3)
+    pushed = {n: [pushforward(model, n).apply(e) for e in run.basis] for n in twists}
+    twice = {n: [fourier(fourier(x)) for x in xs] for n, xs in pushed.items()}
+    for m in twists:
+        pull_m, pull_neg_m = pullback(model, m), pullback(model, -m)
+        for n in twists:
+            for i, x in enumerate(pushed[n]):
+                if pull_m.apply(twice[n][i]) != sign * pull_neg_m.apply(x):
+                    yield f"(m, n)=({m}, {n})", model.labels[i]
 
 
 def _fm_iso(run: _Run) -> Failures:
@@ -279,11 +297,12 @@ def _fm_iso(run: _Run) -> Failures:
 
 
 def _exchange(run: _Run) -> Failures:
+    images = [fourier(e) for e in run.basis]
     for n in range(-3, 4):
         push = pushforward(run.model, n)
         pull = pullback(run.model, n)
         for i, e in enumerate(run.basis):
-            if fourier(push.apply(e)) != pull.apply(fourier(e)):
+            if fourier(push.apply(e)) != pull.apply(images[i]):
                 yield f"n={n}", run.model.labels[i]
 
 
@@ -793,12 +812,12 @@ def run_filtration_tables(
         },
     )
     for kind in kinds:
+        morphism_ok, witness = FiltrationSpec(kind).augmentation_is_morphism(model)
         results = {}
         for method in methods:
             res = compute_filtration(model, kind, n_max, method, order=order)
             results[method] = res
             detail = f"dims {list(res.dims)}"
-            morphism_ok, witness = FiltrationSpec(kind).augmentation_is_morphism(model)
             if not morphism_ok:
                 detail += f"; augmentation is not a ring morphism here (witness {witness})"
             report.add(Statement(f"filtration-{kind}-{method}", "pass", detail=detail))
@@ -837,7 +856,14 @@ def run_gamma_coeff_report(i_max: int, d_max: int, m_max: int) -> VerificationRe
 
 
 def run_series_report(weight: int, order: int) -> VerificationReport:
-    res = gamma_normalization_report(weight, order)
+    """Expand Gamma_t(x) for a square-zero eigenvector x of the composed
+    structure with derived index ``weight``, under the standard logarithm
+    (coefficient (-1)^{n-1} n^{weight-1}) and the unscaled variant
+    (coefficient (-1)^{n-1} n^{weight}), and compare the n!-scaled
+    coefficients of log Gamma_t(x) with the scaled harmonic numbers."""
+    if order < 1:
+        raise DomainError("order must be at least 1")
+    targets = [harmonic_firstkind(n) for n in range(1, order + 1)]
     report = VerificationReport(
         command="series",
         model={"source": "universal", "g": 0, "dim": 0, "fingerprint": ""},
@@ -847,12 +873,21 @@ def run_series_report(weight: int, order: int) -> VerificationReport:
         Statement(
             "series-targets",
             "pass",
-            detail="scaled harmonic numbers " + ", ".join(map(str, res.targets)),
+            detail="scaled harmonic numbers " + ", ".join(map(str, targets)),
         )
     )
-    for name in ("standard", "unscaled"):
-        log_c = ", ".join(str(c) for c in res.log_gamma[name])
-        nums = ", ".join(str(c) for c in res.numerators[name])
+    matching = []
+    for name, shift in (("standard", -1), ("unscaled", 0)):
+        # log Gamma_t(x) = S(t) x, S the substituted logarithm of exponent
+        # weight + shift: column m = 1 of the table at d = weight + shift + 1
+        table = universal_gamma_coefficients(weight + shift + 1, order, 1)
+        log_gamma = [table[n][1] for n in range(1, order + 1)]
+        numerators = [c * factorial(n) for n, c in enumerate(log_gamma, start=1)]
+        matches = numerators == targets
+        if matches:
+            matching.append(name)
+        log_c = ", ".join(map(str, log_gamma))
+        nums = ", ".join(map(str, numerators))
         report.add(
             Statement(
                 f"series-{name}",
@@ -860,11 +895,10 @@ def run_series_report(weight: int, order: int) -> VerificationReport:
                 detail=(
                     f"log-gamma coefficients [{log_c}]; "
                     f"n!-scaled numerators [{nums}]; "
-                    f"matches targets: {res.matches[name]}"
+                    f"matches targets: {matches}"
                 ),
             )
         )
-    matching = res.matching_normalizations
     report.add(
         Statement(
             "series-normalization-finding",

@@ -58,6 +58,30 @@ def conjecture(name: str, g: int) -> dict:
     return {s.id: s for s in report.statements}
 
 
+def series_values(weight: int, order: int) -> dict:
+    """The values the ``series`` report states, read back from its details:
+    ``targets``, the scaled harmonic numbers, and per normalization
+    (``standard``, ``unscaled``) its log-gamma coefficients, its n!-scaled
+    numerators (both as ``Fraction``s) and whether they match the targets;
+    ``matching`` is the finding's list of matching normalizations."""
+    details = {s.id: s.detail for s in kring.run_series_report(weight, order).statements}
+
+    def fractions(text: str) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c) for c in text.split(", "))
+
+    out = {"targets": fractions(details["series-targets"].removeprefix("scaled harmonic numbers "))}
+    for name in ("standard", "unscaled"):
+        log_c, nums, matches = details[f"series-{name}"].split("; ")
+        out[name] = (
+            fractions(log_c.removeprefix("log-gamma coefficients [").removesuffix("]")),
+            fractions(nums.removeprefix("n!-scaled numerators [").removesuffix("]")),
+            {"matches targets: True": True, "matches targets: False": False}[matches],
+        )
+    finding = details["series-normalization-finding"].removeprefix("matching normalizations: ")
+    out["matching"] = () if finding == "none" else tuple(finding.split(", "))
+    return out
+
+
 def fm_rows(m) -> list[list[Fraction]]:
     """The dense Fourier rows of ``m`` as ``Fraction``s, read from its
     exported document (row i = image of e_i)."""

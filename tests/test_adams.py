@@ -15,7 +15,6 @@ from kring import (
     euler_char,
     exp_class,
     gamma_images,
-    gamma_normalization_report,
     gamma_op,
     gamma_pi_coeff,
     gamma_series,
@@ -28,13 +27,14 @@ from kring import (
     star_product,
     stirling1_unsigned,
     stirling2,
+    run_series_report,
     theta_model,
 )
 from kring import reports
 from kring.adams import adams_weight, kind_ring, universal_gamma_coefficients
 from kring.errors import DomainError, SeriesOrderError
 from kring.series import TruncatedSeries
-from tests.conftest import bundled_models, model
+from tests.conftest import bundled_models, model, series_values
 
 F = Fraction
 
@@ -443,21 +443,22 @@ def test_log_rejects_wrong_rank(theta2):
 
 
 def test_normalization_report_exact_values():
-    rep = gamma_normalization_report(-1, 5)
-    assert rep.targets == (1, 3, 11, 50, 274)
-    assert rep.log_gamma["standard"] == (
-        F(1), F(3, 4), F(11, 18), F(25, 48), F(137, 300)
+    rep = series_values(-1, 5)
+    assert rep["targets"] == (1, 3, 11, 50, 274)
+    assert rep["standard"] == (
+        (F(1), F(3, 4), F(11, 18), F(25, 48), F(137, 300)),
+        (F(1), F(3, 2), F(11, 3), F(25, 2), F(274, 5)),
+        False,
     )
-    assert rep.numerators["standard"] == (F(1), F(3, 2), F(11, 3), F(25, 2), F(274, 5))
-    assert rep.log_gamma["unscaled"] == (F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 5))
-    assert rep.numerators["unscaled"] == (F(1), F(1), F(2), F(6), F(24))
+    assert rep["unscaled"] == (
+        (F(1), F(1, 2), F(1, 3), F(1, 4), F(1, 5)),
+        (F(1), F(1), F(2), F(6), F(24)),
+        False,
+    )
     # neither normalization reproduces the scaled harmonic targets; the
     # standard one is off by exactly a factor n at t^n
-    assert rep.matches == {"standard": False, "unscaled": False}
-    assert rep.matching_normalizations == ()
-    for n, (num, target) in enumerate(
-        zip(rep.numerators["standard"], rep.targets), start=1
-    ):
+    assert rep["matching"] == ()
+    for n, (num, target) in enumerate(zip(rep["standard"][1], rep["targets"]), start=1):
         assert n * num == target
 
 
@@ -479,16 +480,36 @@ def test_normalization_report_oracle():
         u[k] - F(1, 4) * u2[k] + F(1, 9) * u3[k]
         for k in range(4)
     ]
-    rep = gamma_normalization_report(-1, 3)
-    assert tuple(s[1:]) == rep.log_gamma["standard"]
+    assert tuple(s[1:]) == series_values(-1, 3)["standard"][0]
 
 
 def test_normalization_report_harmonic_connection():
-    rep = gamma_normalization_report(-1, 5)
-    for n, c in enumerate(rep.log_gamma["standard"], start=1):
+    rep = series_values(-1, 5)
+    for n, c in enumerate(rep["standard"][0], start=1):
         harmonic = sum(F(1, k) for k in range(1, n + 1))
         assert c == harmonic / n
-    assert [harmonic_firstkind(n) for n in range(1, 6)] == list(rep.targets)
+    assert [harmonic_firstkind(n) for n in range(1, 6)] == list(rep["targets"])
+
+
+def test_normalization_report_reads_the_substituted_logarithm():
+    # the report's log-gamma coefficients are column m = 1 of the universal
+    # table, which is the substituted logarithm of weight - 1 (standard) or
+    # weight (unscaled) itself
+    for weight in range(-8, 9):
+        for order in (1, 2, 5, 12):
+            rep = series_values(weight, order)
+            for name, shift in (("standard", -1), ("unscaled", 0)):
+                want = adams_module._substituted_log(weight + shift, order).coeffs[1:]
+                assert rep[name][0] == tuple(want)
+
+
+def test_normalization_report_order_one_matches_both():
+    # at order 1 both numerators are 1 = 1! H_1, whatever the weight
+    for weight in range(-3, 4):
+        rep = series_values(weight, 1)
+        assert rep["matching"] == ("standard", "unscaled")
+    with pytest.raises(DomainError, match="order must be at least 1"):
+        run_series_report(-1, 0)
 
 
 def _log_lambda(m, kind, x, order):

@@ -89,28 +89,12 @@ def test_tracer_records_every_target_and_cache():
     assert "filtration.compute" in conjecture & tables
 
 
-# fm_composite_check calls fourier itself, with the suite as its nearest
-# traced frame; a span of its own moves those calls under it, so the pair
-# (operators.fourier, reports.suite) is left to the checks that call the
-# module global directly
-WRAP_COMPOSITE = """
-composite = kring.operators.fm_composite_check
-wrapped = tracer._wrap("operators.fm_composite_check", composite)
-for name, mod in list(sys.modules.items()):
-    if name == "kring" or name.startswith("kring."):
-        for key, value in list(vars(mod).items()):
-            if value is composite:
-                setattr(mod, key, wrapped)
-"""
-
-
 def test_verify_checks_call_fourier_through_the_module_global():
-    child = CHILD.replace("tracer.install()\n", "tracer.install()\n" + WRAP_COMPOSITE)
-    assert child != CHILD
-    res = run_python("-c", child, str(BENCH))
+    # every Fourier image of the suites is taken by a check itself, through
+    # the rebound module global, so the suite is the nearest traced frame of
+    # every operators.fourier span
+    res = run_python("-c", CHILD, str(BENCH))
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout.splitlines()[-1])
-    parents = {tuple(pair) for pair in doc["parents"]}
-    assert ("operators.fm_composite_check", "reports.suite") in parents
-    assert ("operators.fourier", "operators.fm_composite_check") in parents
-    assert ("operators.fourier", "reports.suite") in parents
+    callers = {parent for child, parent in doc["parents"] if child == "operators.fourier"}
+    assert callers == {"reports.suite"}

@@ -269,6 +269,27 @@ def test_documents_below_g_one_are_rejected_before_any_suite(tmp_path, g):
         assert "error [g]" in res.stderr and "at least 1" in res.stderr
 
 
+# basis[1] of theta(2) has bidegree (0, 1); a p or q outside 0..g would give
+# an operator a negative weight, so 0 to a negative power
+@pytest.mark.parametrize("key,value", [("q", 4), ("q", -1), ("p", 3), ("p", -2)])
+def test_documents_with_a_bidegree_outside_0_to_g_are_rejected_before_any_suite(
+    tmp_path, key, value
+):
+    doc = json.loads(export_model(theta_model(2)))
+    doc["basis"][1][key] = value
+    path = tmp_path / "bidegree.json"
+    path.write_text(json.dumps(doc))
+    field = f"basis[1].{key}"
+    for command in ("verify", "conjecture", "filtration", "model"):
+        res = run_cli(command, "--model-file", str(path), "--format", "structured")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"error [{field}]" in res.stderr and "0..g" in res.stderr
+    with pytest.raises(ModelParseError) as info:
+        import_model(json.dumps(doc))
+    assert info.value.field == field
+
+
 def test_verify_timings_cover_statements_and_filtrations():
     res = run_cli(
         "verify", "--builder", "theta", "--g", "2", "--format", "structured",

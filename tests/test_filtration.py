@@ -198,38 +198,35 @@ def test_saturation_reads_no_fraction_coordinates(name, g, monkeypatch):
         compute_filtration(m, kind, g + 2, "saturation")
 
 
-def test_augmentation_checked_once_per_model_and_kind(monkeypatch):
-    calls = []
-    check = FiltrationSpec._augmentation_witness
-
-    def spy(self, m):
-        calls.append((m, self.kind))
-        return check(self, m)
-
-    monkeypatch.setattr(FiltrationSpec, "_augmentation_witness", spy)
-    for name in ("violator", "antisym"):
-        m = build_model(name, 4)
-        # both methods per kind, then the Gamma pair again
-        run_filtration_tables(m, name)
-        run_conjecture_suite(m, name)
-    assert len(calls) == 8
-    assert len({(id(m), kind) for m, kind in calls}) == 8
-
-
 def _augmentation_checks(monkeypatch, run):
-    """The kinds ``_augmentation_witness`` checks during ``run``, one entry
-    per check."""
+    """The kinds ``augmentation_is_morphism`` checks during ``run``, one
+    entry per check, in call order."""
     calls = []
-    check = FiltrationSpec._augmentation_witness
+    check = FiltrationSpec.augmentation_is_morphism
 
     def spy(self, m):
         calls.append(self.kind)
         return check(self, m)
 
-    monkeypatch.setattr(FiltrationSpec, "_augmentation_witness", spy)
+    monkeypatch.setattr(FiltrationSpec, "augmentation_is_morphism", spy)
     run()
     monkeypatch.undo()
     return calls
+
+
+def test_augmentation_checked_once_per_model_and_kind(monkeypatch):
+    # no verdict is kept on the model: each suite run asks once per kind it
+    # reads, and ``filtration`` asks outside its method loop
+    for name in ("violator", "antisym"):
+        m = build_model(name, 4)
+        tables, conjecture, verify = (
+            _augmentation_checks(monkeypatch, lambda: suite(m, name))
+            for suite in (run_filtration_tables, run_conjecture_suite, run_verify_suite)
+        )
+        assert tables == list(FILTRATION_KINDS)
+        assert conjecture == ([] if name == "violator" else ["Gamma"])
+        assert sorted(verify) == sorted(FILTRATION_KINDS)
+    assert not hasattr(m, "augmentation_verdicts")
 
 
 @pytest.mark.parametrize("name", ["theta", "antisym", "pathological", "violator"])
@@ -312,7 +309,7 @@ def _unpruned_stages(m, spec, generators, n_max, order):
 
 
 def _unpruned_witness(spec, m):
-    """``FiltrationSpec._augmentation_witness`` testing every basis pair."""
+    """``FiltrationSpec.augmentation_is_morphism`` testing every basis pair."""
     product = kind_ring(m, spec.family).mul
     keep = spec.subring_indices(m)
     basis = m.basis_elements()
@@ -364,7 +361,7 @@ def test_skipped_products_leave_broken_tables_unchanged(name, kind):
     generators = _scaled_kernel_basis(m, spec, order)
     stages = _saturation_stages(m, spec, generators, m.g + 2, order)
     assert stages == _unpruned_stages(m, spec, generators, m.g + 2, order)
-    assert spec._augmentation_witness(m) == _unpruned_witness(spec, m)
+    assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
 
 
 @pytest.mark.parametrize("name,g", bundled_models(4) + [(name, None) for name in BROKEN])

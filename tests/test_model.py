@@ -392,12 +392,20 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
 def _perturbed(name, g, change, rng):
     """A bundled model with one seeded change to its exported document (or,
     for ``one-sided``, to one side of a product, which no document can
-    express since import mirrors every product)."""
+    express since import mirrors every product, and for ``bidegree``, to
+    one bidegree, which import rejects outside 0..g)."""
     m = model(name, g)
-    if change == "one-sided":
+    if change in ("one-sided", "bidegree"):
         basis, mul, fm = _raw(m)
-        i, j = rng.randrange(m.dim), rng.randrange(m.dim)
-        mul[(i, j)] = {rng.randrange(m.dim): F(rng.choice((1, -1, 2)))}
+        if change == "one-sided":
+            i, j = rng.randrange(m.dim), rng.randrange(m.dim)
+            mul[(i, j)] = {rng.randrange(m.dim): F(rng.choice((1, -1, 2)))}
+        else:
+            # mostly inside 0..g, sometimes just outside it
+            degree = rng.randint(0, g) if rng.random() < 0.8 else rng.choice((-1, g + 1))
+            n, side = rng.randrange(m.dim), rng.choice((0, 1))
+            label, bd = basis[n]
+            basis[n] = (label, (degree, bd[1]) if side == 0 else (bd[0], degree))
         return ModelAlgebra(
             g, basis, mul, fm, unit_index=m.unit_index, star_unit_index=m.star_unit_index
         )
@@ -408,13 +416,9 @@ def _perturbed(name, g, change, rng):
         triple[3] = f"{c.numerator}/{c.denominator}"
     elif change == "mul-target":
         rng.choice(doc["mul"])[2] = rng.randrange(m.dim)
-    elif change == "fm-entry":
+    else:
         row = doc["fm"][rng.randrange(m.dim)]
         row[rng.randrange(m.dim)] = rng.choice(("0/1", "1/1", "-1/1", "2/1", "1/2"))
-    else:
-        # mostly inside 0..g, sometimes just outside it
-        degree = rng.randint(0, g) if rng.random() < 0.8 else rng.choice((-1, g + 1))
-        rng.choice(doc["basis"])[rng.choice("pq")] = degree
     return import_model(json.dumps(doc))
 
 
@@ -424,13 +428,18 @@ def _perturbed(name, g, change, rng):
 def test_validate_matches_dense_reference_on_perturbed_models(change):
     rng = random.Random(f"validate-{change}")
     flagged = 0
+    out_of_range = 0
     for name, g in bundled_models(4):
         for _ in range(3):
             m = _perturbed(name, g, change, rng)
             report = validate(m)
             assert report == _dense_validate(m), (name, g, change)
             flagged += not report.ok
+            out_of_range += "bidegree-range" in report.codes()
     assert flagged  # the perturbations do reach the checks
+    if change == "bidegree":
+        # built in code, a model still reaches the range check import refuses
+        assert out_of_range
 
 
 def test_validate_stays_sparse(monkeypatch):

@@ -9,18 +9,18 @@ import pytest
 from kring import (
     Element,
     euler_char,
-    fm_composite_check,
     fourier,
     fourier_inverse,
     identity_expansion_coefficients,
     pullback,
     pushforward,
-    pushforward_identity_check,
     pushforward_relation,
     rank,
+    run_verify_suite,
     star_product,
     theta_model,
 )
+from kring.reports import Statement
 from tests.conftest import bundled_models, fm_rows, model
 
 F = Fraction
@@ -140,15 +140,27 @@ def test_star_distributes_over_addition(antisym2):
     assert star_product(x + y, z) == star_product(x, z) + star_product(y, z)
 
 
+def _composite_failures(m, mm, nn):
+    """The labels of the basis vectors on which pullback(mm) F F
+    pushforward(nn) differs from (-1)^g pullback(-mm) pushforward(nn)."""
+    sign = F((-1) ** m.g)
+    failures = []
+    for label, e in zip(m.labels, m.basis_elements()):
+        x = pushforward(m, nn).apply(e)
+        if pullback(m, mm).apply(fourier(fourier(x))) != sign * pullback(m, -mm).apply(x):
+            failures.append(label)
+    return failures
+
+
 def test_composite_identity_theta1():
     m = theta_model(1)
-    res = fm_composite_check(m, 1, 1)
-    assert res.ok
+    assert _composite_failures(m, 1, 1) == []
     # both sides act as minus the identity here
     sign = F(-1)
     for e in m.basis_elements():
         lhs = pullback(m, 1).apply(fourier(fourier(pushforward(m, 1).apply(e))))
         assert lhs == sign * e
+        assert sign * pullback(m, -1).apply(pushforward(m, 1).apply(e)) == sign * e
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
@@ -156,7 +168,7 @@ def test_composite_identity_all_small_twists(name, g):
     m = model(name, g)
     for mm in range(-2, 3):
         for nn in range(-2, 3):
-            assert fm_composite_check(m, mm, nn).ok
+            assert _composite_failures(m, mm, nn) == []
 
 
 def test_identity_expansion_scalar():
@@ -169,12 +181,19 @@ def test_identity_expansion_scalar():
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_identity_expansion_all_degrees(g):
-    assert pushforward_identity_check(g)
+    coeffs = identity_expansion_coefficients(g)
+    for d in range(2 * g + 1):
+        assert sum(c * F(-m) ** d for m, c in enumerate(coeffs)) == 1
 
 
 @pytest.mark.parametrize("name,g", [("theta", 2), ("antisym", 3), ("violator", 2)])
 def test_identity_expansion_as_operator(name, g):
-    assert pushforward_identity_check(g, model(name, g))
+    m = model(name, g)
+    coeffs = identity_expansion_coefficients(g)
+    for e in m.basis_elements():
+        terms = [c * pushforward(m, -k).apply(e) for k, c in enumerate(coeffs)]
+        assert sum(terms, m.zero()) == e
+    assert run_verify_suite(m, name).statements[1] == Statement("identity-expansion", "pass")
 
 
 def test_pushforward_relation_reproduces_identity_expansion():
@@ -249,9 +268,11 @@ def test_composite_check_reports_first_failing_vector():
     }
     basis = [(label, tuple(bd)) for label, bd in zip(good.labels, good.bidegrees)]
     bad = ModelAlgebra(1, basis, mul, fm, unit_index=0, star_unit_index=1)
-    res = fm_composite_check(bad, 1, 1)
-    assert not res.ok
-    assert res.witness == "e0"
+    by_id = {s.id: s for s in run_verify_suite(bad, "rescaled fm").statements}
+    assert by_id["prop-F_qmF_pn"] == Statement(
+        "prop-F_qmF_pn", "fail", detail="(m, n)=(-2, -2)", witness="e0"
+    )
+    assert _composite_failures(bad, 1, 1) == ["e0", "e1"]
 
 
 @pytest.mark.parametrize("name,g", bundled_models(4))

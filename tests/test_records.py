@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from kring import DomainError, FiltrationSpec, Subspace, VerificationReport
-from kring.adams import ChernClass, SeriesNormalizationReport
+from kring.adams import ChernClass
 from kring.filtration import FiltrationResult, LemmaEquivalenceReport
 from kring.model import ValidationReport, Violation
-from kring.operators import CompositeCheckResult, DiagonalOperator, PushforwardRelation
+from kring.operators import DiagonalOperator, PushforwardRelation
 from kring.reports import Statement, _Run
 from tests.conftest import model, run_python
 
@@ -28,13 +28,7 @@ def _cases():
         (Violation, ("unit", "no unit", (1, 2))),
         (ValidationReport, ((Violation("unit", "no unit"),),)),
         (ChernClass, (e, (e, m.zero()))),
-        (
-            SeriesNormalizationReport,
-            (-1, 2, {"standard": (F(1), F(1, 4))}, {"standard": (F(1), F(1, 2))},
-             (1, 3), {"standard": False}),
-        ),
         (DiagonalOperator, (m, (1, 2, 4, 2, 1, 2), 3)),
-        (CompositeCheckResult, (False, 1, -2, "e1")),
         (PushforwardRelation, (2, 1, (F(1), F(-1, 2), F(1, 2)))),
         (FiltrationResult, ("gamma", "saturation", (space,), ((1,),), 4)),
         (LemmaEquivalenceReport, (1, 0, {1: True, 2: False})),
@@ -99,7 +93,6 @@ def test_record_defaults():
     assert Statement("s", "pass").detail == ""
     assert Statement("s", "pass").witness == ""
     assert Violation("code", "message").witness == ()
-    assert CompositeCheckResult(True, 1, 1).witness is None
 
 
 def test_filtration_spec_rejects_an_unknown_kind():

@@ -1,4 +1,4 @@
-"""The five ``verify`` checks that reuse values or leave out pairs with no
+"""The seven ``verify`` checks that reuse values or leave out pairs with no
 table entry reach the same first failure as the plain loops they replace.
 
 The plain loops are kept here as test-local copies: each recomputes every
@@ -54,6 +54,26 @@ def _old_fm_iso(run):
             yield "augmentation exchange", labels[i]
         if star_product(model.star_unit(), e) != e:
             yield "origin class is not the unit", labels[i]
+
+
+def _old_fm_composite(run):
+    model, g = run.model, run.g
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            for i, e in enumerate(run.basis):
+                x = pushforward(model, n).apply(e)
+                lhs = pullback(model, m).apply(fourier(fourier(x)))
+                if lhs != Fraction((-1) ** g) * pullback(model, -m).apply(x):
+                    yield f"(m, n)=({m}, {n})", model.labels[i]
+                    break
+
+
+def _old_exchange(run):
+    for n in range(-3, 4):
+        for i, e in enumerate(run.basis):
+            lhs = fourier(pushforward(run.model, n).apply(e))
+            if lhs != pullback(run.model, n).apply(fourier(e)):
+                yield f"n={n}", run.model.labels[i]
 
 
 def _old_omega(run):
@@ -116,7 +136,9 @@ def _old_addition_law(run):
 
 # statement id -> (plain loop, check under test)
 CHECKS = {
+    "prop-F_qmF_pn": (_old_fm_composite, reports._fm_composite),
     "thm-fm-iso": (_old_fm_iso, reports._fm_iso),
+    "exchange-law": (_old_exchange, reports._exchange),
     "prop-omega-n": (_old_omega, reports._omega),
     "pushforward-star-hom": (_old_push_star_hom, reports._push_star_hom),
     "star-pushforward-commute": (_old_star_push_commute, reports._star_push_commute),
@@ -210,3 +232,22 @@ def test_single_entry_edits(builder, g, where):
         failing += "fail" in statuses.values()
     # the sweep reaches failures, so a hidden one would show
     assert failing
+
+
+@pytest.mark.parametrize("builder,g", [("theta", 4), ("violator", 3), ("antisym", 2)])
+def test_fourier_images_are_taken_once(builder, g, monkeypatch):
+    # prop-F_qmF_pn takes F F pushforward(n) e once per n and basis vector,
+    # for five n; exchange-law takes F e once and F pushforward(n) e for
+    # seven n
+    model = modelio.build_model(builder, g)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fourier(x)
+
+    monkeypatch.setattr(reports, "fourier", counted)
+    for sid, per_vector in (("prop-F_qmF_pn", 10), ("exchange-law", 8)):
+        calls.clear()
+        assert _outcome(sid, CHECKS[sid][1], model) == ("pass", "", "")
+        assert len(calls) == per_vector * model.dim
