@@ -19,7 +19,7 @@ from .adams import (
     gamma_pi_coeff,
     gamma_series,
     kind_ring,
-    lambda_op,
+    lambda_series,
     log_class,
     nth_root,
 )
@@ -34,7 +34,6 @@ from .filtration import (
     FILTRATION_KINDS,
     FiltrationResult,
     FiltrationSpec,
-    check_lemma_equivalences,
     compute_filtration,
 )
 from .linalg import Subspace, vandermonde_det, vandermonde_matrix

@@ -11,7 +11,8 @@ Five diagonal Adams families act on a model, with eigenvalue n^w on K^p_q:
 
 All lambda and gamma operations are produced from the Adams action through
 the exponential of the weighted power series and the substitution
-t -> t/(1-t); no alternating-power semantics exists in the model.  The
+t -> t/(1-t), as whole truncated series (``lambda_series``,
+``gamma_series``); no alternating-power semantics exists in the model.  The
 products inside the exponential are those of the family's ``kind_ring``:
 convolution products for the star family, the ordinary one for the others.
 
@@ -91,6 +92,8 @@ def _weighted_log(
 ) -> TruncatedSeries:
     """sum_w L_w(t) x_w over the Adams eigencomponents x_w of x, where
     L_w = ``log(w - 1, order)`` is a rational series."""
+    if order < 1:
+        raise DomainError("series order must be at least 1")
     ring = kind_ring(model, kind)
     parts = [
         (log(w - 1, order).coeffs, comp)
@@ -110,23 +113,24 @@ def gamma_series(
     Substituting t/(1-t) into the logarithm first and exponentiating after
     is exact: the substitution is a ring map on truncated series.  The
     substituted series is sum_w S_w(t) x_w with the rational series
-    S_w = ``_substituted_log(w - 1, order)`` (see ``lambda_op``); only that
-    scalar series is shared with ``universal_gamma_coefficients``, while
-    ``exp`` and its products run on the model.
+    S_w = ``_substituted_log(w - 1, order)`` (see ``lambda_series``); only
+    that scalar series is shared with ``universal_gamma_coefficients``,
+    while ``exp`` and its products run on the model.
     """
-    if order < 1:
-        raise DomainError("series order must be at least 1")
     return _weighted_log(model, kind, x, order, _substituted_log).exp()
 
 
-def lambda_op(model: ModelAlgebra, kind: str, i: int, x: Element) -> Element:
-    """Coefficient of t^i in the lambda series of x: exp of the weighted
-    Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, without the gamma
-    substitution.  As psi^n(x) / n = sum_w n^(w-1) x_w over the Adams
-    eigencomponents x_w, that series is sum_w L_w(t) x_w with the rational
-    series L_w = ``_adams_log(w - 1, i)``."""
-    order = max(i, 1)
-    return _weighted_log(model, kind, x, order, _adams_log).exp().coefficient(i)
+def lambda_series(
+    model: ModelAlgebra, kind: str, x: Element, order: int
+) -> TruncatedSeries:
+    """The lambda series of x: exp of the weighted Adams series
+    sum_n (-1)^{n-1} psi^n(x) t^n / n, without the gamma substitution.  As
+    psi^n(x) / n = sum_w n^(w-1) x_w over the Adams eigencomponents x_w,
+    that series is sum_w L_w(t) x_w with the rational series
+    L_w = ``_adams_log(w - 1, order)``.  Coefficient i of the truncated
+    ``exp`` only depends on the terms up to t^i, so one series of order n
+    holds lambda^0(x) .. lambda^n(x)."""
+    return _weighted_log(model, kind, x, order, _adams_log).exp()
 
 
 def gamma_op(

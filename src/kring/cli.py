@@ -144,7 +144,7 @@ def _cmd_filtration(args) -> int:
     deepest = model.g + 2 if args.n_max is None else max(args.n_max, 1)
     report = reports.run_filtration_tables(
         model, source, kinds=kinds, methods=methods, n_max=args.n_max,
-        order=_check_order(args, deepest),
+        order=_check_order(args, deepest), with_timings=args.timings,
     )
     return _emit_report(args, report)
 

@@ -1,4 +1,4 @@
-"""Gamma-type filtrations of a model and the four-way equivalence criterion.
+"""Gamma-type filtrations of a model.
 
 Four decreasing filtrations are computed as exact subspaces, one per
 structure:
@@ -27,10 +27,9 @@ in the support of x and j in that of y, has an entry in the product table
 (the model's partner masks): it is the zero vector, on every model, as the
 rule reads the table and assumes no bigrading.
 
-``check_lemma_equivalences`` answers a query about one homogeneous class:
-the truth values of the four equivalent criteria.  The conjecture
-statements themselves are checks of the ``conjecture`` suite
-(``kring.reports``), which read the filtrations computed here.
+This module computes stages only.  Every verdict that reads them, the
+four-way equivalence criterion among them, is a check of a suite in
+``kring.reports``.
 """
 
 from __future__ import annotations
@@ -105,11 +104,9 @@ class FiltrationSpec:
 
 
 class FiltrationResult(NamedTuple):
-    kind: str
     method: str
     stages: tuple[Subspace, ...]
     rounds: tuple[tuple[int, ...], ...]
-    order: int
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -276,52 +273,5 @@ def compute_filtration(
     else:
         raise DomainError(f"unknown filtration method {method!r}")
     dims = tuple(s.dim for s in stages)
-    return FiltrationResult(spec.kind, method, tuple(stages), (dims,), order)
+    return FiltrationResult(method, tuple(stages), (dims,))
 
-
-# -- the equivalence criteria -----------------------------------------------
-
-
-class LemmaEquivalenceReport(NamedTuple):
-    """Truth values of the four equivalent criteria for a homogeneous class
-    x in K^p_q with p > 0 and g - q > 0:
-
-    (1) p >= g - q;
-    (2) the i-th pi-gamma operation of x lies in gamma stage i for all i;
-    (3) the same at i = g - q;
-    (4) the same at i = p + 1.
-    """
-
-    p: int
-    q: int
-    statements: dict[int, bool]
-
-    @property
-    def ok(self) -> bool:
-        """Whether the four criteria agree."""
-        return len(set(self.statements.values())) == 1
-
-
-def check_lemma_equivalences(
-    model: ModelAlgebra, x: Element, *, gamma_result: FiltrationResult
-) -> LemmaEquivalenceReport:
-    """The four criteria for x, at the series order of ``gamma_result``."""
-    support_bd = {model.bidegrees[i] for i, c in enumerate(x.nums) if c}
-    if len(support_bd) != 1:
-        raise DomainError("the equivalence criteria need a homogeneous class")
-    (p, q) = next(iter(support_bd))
-    g = model.g
-    if p <= 0 or g - q <= 0:
-        raise DomainError("the equivalence criteria need p > 0 and q < g")
-    order = gamma_result.order
-    if gamma_result.kind != "gamma" or len(gamma_result.stages) <= order:
-        raise DomainError(f"need the gamma filtration up to stage {order}")
-    images = gamma_images(model, "pi", x, order)
-    in_stage = [gamma_result.stage(i).contains(images[i]) for i in range(order + 1)]
-    statements = {
-        1: p >= g - q,
-        2: all(in_stage[1:]),
-        3: in_stage[g - q],
-        4: in_stage[p + 1] if p + 1 <= order else True,
-    }
-    return LemmaEquivalenceReport(p, q, statements)

@@ -14,9 +14,11 @@ pullback (the diagonal operator with eigenvalue (-1)^{g+p-q} on K^p_q).
 The derived index j = p + q - g ranges over -g .. g and is additive under
 multiplication.
 
-``validate`` machine-checks every one of these constraints and reports a
-witness for each violation; the bundled builders construct admissible
-models and re-verify themselves instead of trusting their own formulas.
+The constructor refuses a bidegree outside 0..g, so every pullback and
+pushforward weight g -+ (p - q) is >= 0.  ``validate`` machine-checks
+every other constraint and reports a witness for each violation; the
+bundled builders construct admissible models and re-verify themselves
+instead of trusting their own formulas.
 It runs on the integer structure constants below, never on ``Element``s
 or dense ``Fraction`` matrices.  Associativity is checked as
 ``TruncatedSeries.exp`` needs it: for i <= j <= k the three bracketings
@@ -357,6 +359,11 @@ class ModelAlgebra:
         self.dim = len(self.labels)
         if len(set(self.labels)) != self.dim:
             raise StructureError("basis labels must be unique")
+        for label, (p, q) in zip(self.labels, self.bidegrees):
+            if not (0 <= p <= self.g and 0 <= q <= self.g):
+                raise StructureError(
+                    f"basis vector {label} has bidegree {(p, q)} outside 0..{self.g}"
+                )
         self.unit_index = int(unit_index)
         self.star_unit_index = int(star_unit_index)
         if not (0 <= self.unit_index < self.dim and 0 <= self.star_unit_index < self.dim):
@@ -551,16 +558,6 @@ def validate(model: ModelAlgebra) -> ValidationReport:
 
     def flag(code: str, message: str, witness: tuple = ()):
         violations.append(Violation(code, message, witness))
-
-    for i, bd in enumerate(model.bidegrees):
-        if not (0 <= bd.p <= g and 0 <= bd.q <= g):
-            flag(
-                "bidegree-range",
-                f"basis vector {model.labels[i]} has bidegree {tuple(bd)} outside 0..{g}",
-                (model.labels[i],),
-            )
-    if violations:
-        return ValidationReport(tuple(violations))
 
     unit_bd = model.bidegrees[model.unit_index]
     if unit_bd != (0, g):

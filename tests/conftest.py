@@ -128,15 +128,15 @@ def conjugate(m, P) -> ModelAlgebra:
     def in_f(x: list[Fraction]) -> list[Fraction]:
         return [sum(x[c] * Q[c][l] for c in range(n)) for l in range(n)]
 
+    nonzero = [[(a, c) for a, c in enumerate(row) if c] for row in P]
     mul = {}
     for i in range(n):
         for j in range(n):
             x = [Fraction(0)] * n
-            for a in range(n):
-                for b in range(n):
-                    if P[i][a] and P[j][b]:
-                        for c, coeff in m.mul_basis(a, b):
-                            x[c] += P[i][a] * P[j][b] * coeff
+            for a, pa in nonzero[i]:
+                for b, pb in nonzero[j]:
+                    for c, coeff in m.mul_basis(a, b):
+                        x[c] += pa * pb * coeff
             y = in_f(x)
             if any(y):
                 mul[(i, j)] = {l: c for l, c in enumerate(y) if c}
@@ -144,6 +144,41 @@ def conjugate(m, P) -> ModelAlgebra:
     fm = [in_f([sum(P[i][a] * F[a][c] for a in range(n)) for c in range(n)]) for i in range(n)]
     basis = list(zip(m.labels, m.bidegrees))
     return ModelAlgebra(m.g, basis, mul, fm, m.unit_index, m.star_unit_index)
+
+
+def tensor(A, B) -> ModelAlgebra:
+    """The model of a product of abelian varieties from models of the
+    factors: basis e_a (x) f_b at index a * B.dim + b, labelled ``a*b``, g and
+    the bidegrees add, both products and the Fourier operator are tensor
+    products of the factors' (Mukai 1981; Beauville 1986), and the unit and
+    the origin class are the pairs of the factors' ones."""
+    nb = B.dim
+    basis = [
+        (f"{la}*{lb}", (pa + pb, qa + qb))
+        for la, (pa, qa) in zip(A.labels, A.bidegrees)
+        for lb, (pb, qb) in zip(B.labels, B.bidegrees)
+    ]
+    mul = {}
+    for a in range(A.dim):
+        for c in range(A.dim):
+            ac = A.mul_basis(a, c)
+            for b in range(nb):
+                for d in range(nb):
+                    bd = B.mul_basis(b, d)
+                    if ac and bd:
+                        mul[(a * nb + b, c * nb + d)] = {
+                            k * nb + l: x * y for k, x in ac for l, y in bd
+                        }
+    FA, FB = fm_rows(A), fm_rows(B)
+    fm = [
+        [FA[a][c] * FB[b][d] for c in range(A.dim) for d in range(nb)]
+        for a in range(A.dim)
+        for b in range(nb)
+    ]
+    return ModelAlgebra(
+        A.g + B.g, basis, mul, fm,
+        A.unit_index * nb + B.unit_index, A.star_unit_index * nb + B.star_unit_index,
+    )
 
 
 def bundled_models(g_max: int = 4):

@@ -19,7 +19,7 @@ from kring import (
     gamma_pi_coeff,
     gamma_series,
     harmonic_firstkind,
-    lambda_op,
+    lambda_series,
     log_class,
     nth_root,
     pushforward,
@@ -395,10 +395,18 @@ def test_lambda_op_of_a_line_bundle(g):
     # psi^n(L) = L^n for L = exp(e1), so lambda_t(L) = 1 + L t exactly
     m = model("theta", g)
     L = exp_class(m.basis_element(1))
-    assert lambda_op(m, "usual", 0, L) == m.one()
-    assert lambda_op(m, "usual", 1, L) == L
+    series = lambda_series(m, "usual", L, g + 2)
+    assert series.coefficient(0) == m.one()
+    assert series.coefficient(1) == L
     for i in range(2, g + 3):
-        assert lambda_op(m, "usual", i, L).is_zero()
+        assert series.coefficient(i).is_zero()
+
+
+def test_lambda_and_gamma_series_need_order_one(theta2):
+    e1 = theta2.basis_element(1)
+    for series in (lambda_series, gamma_series):
+        with pytest.raises(DomainError, match="series order must be at least 1"):
+            series(theta2, "usual", e1, 0)
 
 
 def test_log_exp_inverse(theta2):
@@ -514,8 +522,8 @@ def test_normalization_report_order_one_matches_both():
 
 def _log_lambda(m, kind, x, order):
     """The weighted Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, one
-    Adams operator application per n: the route ``lambda_op`` took before it
-    summed L_w(t) x_w over the eigencomponents."""
+    Adams operator application per n: the route the lambda series took
+    before it summed L_w(t) x_w over the eigencomponents."""
     ring = kind_ring(m, kind)
     coeffs = [ring.zero] + [
         F((-1) ** (n - 1), n) * adams(m, kind, n, x) for n in range(1, order + 1)
@@ -540,11 +548,14 @@ def _samples(m):
 @pytest.mark.parametrize("name,g", bundled_models(3))
 @pytest.mark.parametrize("kind", ADAMS_KINDS)
 def test_lambda_op_matches_the_adams_operator_series(name, g, kind):
+    # each lambda^i, read off one ``lambda_series`` of order g + 1, equals
+    # coefficient i of the Adams operator series truncated at order i
     m = model(name, g)
     for x in _samples(m) + [m.zero()]:
+        series = lambda_series(m, kind, x, g + 1)
         for i in range(g + 2):
             want = _log_lambda(m, kind, x, max(i, 1)).exp().coefficient(i)
-            assert lambda_op(m, kind, i, x) == want
+            assert series.coefficient(i) == want
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))

@@ -330,6 +330,29 @@ def test_conjecture_timings_cover_the_total():
     assert sum(laps.values()) >= 0.95 * total
 
 
+def test_filtration_timings_cover_the_total():
+    args = ("filtration", "--builder", "violator", "--g", "3", "--format", "structured")
+    plain, timed = run_cli(*args), run_cli(*args, "--timings")
+    assert plain.returncode == timed.returncode == 0
+    doc = json.loads(timed.stdout)
+    laps = doc.pop("timings")
+    # without its laps the report is the one the flag leaves out
+    assert json.dumps(doc, indent=1) + "\n" == plain.stdout
+    # one augmentation lap per kind, then one lap per statement of that kind
+    # in report order; total ends it
+    want = []
+    for kind in ("gamma", "star", "pi", "Gamma"):
+        want += [f"augmentation-{kind}"] + [
+            f"filtration-{kind}-{x}" for x in ("saturation", "eigen_sum", "method-comparison")
+        ]
+    assert list(laps) == want + ["total"]
+    assert [s["id"] for s in doc["statements"]] == [
+        lap for lap in want if not lap.startswith("augmentation-")
+    ]
+    total = laps.pop("total")
+    assert sum(laps.values()) >= 0.95 * total
+
+
 @pytest.mark.parametrize("command", ["verify", "filtration"])
 def test_singular_fourier_matrix_is_named(tmp_path, command):
     doc = json.loads(export_model(antisym_model(2)))

@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,7 +14,6 @@ from kring import (
     FiltrationSpec,
     ModelAlgebra,
     Subspace,
-    check_lemma_equivalences,
     build_model,
     compute_filtration,
     fourier,
@@ -23,13 +23,23 @@ from kring import (
     modelio,
     reports,
 )
-from kring.adams import gamma_images, kind_ring
+from kring.adams import gamma_images, kind_ring, lambda_series
 from kring.errors import DomainError, SeriesOrderError
 from kring.filtration import FiltrationResult, _saturation_stages, _scaled_kernel_basis
 from kring.model import _scaled_table
 from kring.reports import Statement, _with_pairwise_sums
-from tests.conftest import bundled_models, conjecture, filtration, model, run_python
+from kring.series import TruncatedSeries
+from tests.conftest import (
+    basis_change,
+    bundled_models,
+    conjecture,
+    conjugate,
+    filtration,
+    model,
+    run_python,
+)
 from tests.test_model import _theta_raw
+from tests.test_verify_reuse import _document, _edits, _outcome
 
 F = Fraction
 
@@ -347,8 +357,9 @@ def test_skipped_products_leave_the_stages_unchanged(name, g, kind):
     m = model(name, g)
     res = filtration(name, g, kind, g + 2)
     spec = FiltrationSpec(kind)
-    generators = _scaled_kernel_basis(m, spec, res.order)
-    assert res.stages == tuple(_unpruned_stages(m, spec, generators, g + 2, res.order))
+    order = m.default_series_order
+    generators = _scaled_kernel_basis(m, spec, order)
+    assert res.stages == tuple(_unpruned_stages(m, spec, generators, g + 2, order))
     assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
 
 
@@ -533,7 +544,6 @@ def test_stages_do_not_depend_on_n_max(name, g, kind):
     order = model(name, g).default_series_order
     shallow = filtration(name, g, kind, g)
     deep = filtration(name, g, kind, order)
-    assert shallow.order == deep.order == order
     assert deep.stages[: g + 1] == shallow.stages
 
 
@@ -595,60 +605,75 @@ def test_pi_subset_gamma_pathological4_alerts_at_g_minus_one():
 # -- the four-way equivalence criterion ------------------------------------------
 
 
+def _criteria(m, label, gamma):
+    """The four criteria for the basis class ``label`` in K^p_q, computed
+    here from the pi-gamma images and the ``gamma`` stages 0 .. order."""
+    i, order, g = m.index_of(label), m.default_series_order, m.g
+    p, q = m.bidegrees[i]
+    images = gamma_images(m, "pi", m.basis_element(i), order)
+    in_stage = [gamma.stage(n).contains(images[n]) for n in range(order + 1)]
+    return {
+        1: p >= g - q,
+        2: all(in_stage[1:]),
+        3: in_stage[g - q],
+        4: in_stage[p + 1] if p + 1 <= order else True,
+    }
+
+
 def test_equivalences_compliant_class(theta2):
-    rep = check_lemma_equivalences(
-        theta2, theta2.basis_element(1),
-        gamma_result=filtration("theta", 2, "gamma", theta2.default_series_order),
-    )
-    assert rep.statements == {1: True, 2: True, 3: True, 4: True}
-    assert rep.ok
+    gamma = filtration("theta", 2, "gamma", theta2.default_series_order)
+    assert _criteria(theta2, "e1", gamma) == {1: True, 2: True, 3: True, 4: True}
+    assert conjecture("theta", 2)["lem-conjecture-equivalences"].status == "pass"
 
 
 def test_equivalences_negative_index_class(pathological2):
-    rep = check_lemma_equivalences(
-        pathological2,
-        pathological2.basis_element(pathological2.index_of("v")),
-        gamma_result=filtration(
-            "pathological", 2, "gamma", pathological2.default_series_order
-        ),
-    )
-    assert rep.statements == {1: False, 2: False, 3: False, 4: False}
-    assert rep.ok  # all four agree, so the equivalence itself holds
+    gamma = filtration("pathological", 2, "gamma", pathological2.default_series_order)
+    assert _criteria(pathological2, "v", gamma) == {1: False, 2: False, 3: False, 4: False}
+    # all four agree, so the equivalence itself holds
+    assert conjecture("pathological", 2)["lem-conjecture-equivalences"].status == "pass"
 
 
-def test_equivalences_reject_top_weight(antisym2):
-    a = antisym2.basis_element(antisym2.index_of("a"))  # q = g
-    gamma = filtration("antisym", 2, "gamma", antisym2.default_series_order)
-    with pytest.raises(DomainError):
-        check_lemma_equivalences(antisym2, a, gamma_result=gamma)
+def test_equivalences_reject_top_weight(monkeypatch, antisym2):
+    # the check visits the basis classes with p > 0 and q < g only: on
+    # antisym(2) it leaves out the unit (p = 0) and a (q = g)
+    visited = []
 
+    def spy(m, kind, x, order):
+        visited.append(m.labels[x.nums.index(1)])
+        return gamma_images(m, kind, x, order)
 
-def test_equivalences_reject_inhomogeneous(theta2):
-    x = theta2.basis_element(1) + theta2.basis_element(2)
-    gamma = filtration("theta", 2, "gamma", theta2.default_series_order)
-    with pytest.raises(DomainError):
-        check_lemma_equivalences(theta2, x, gamma_result=gamma)
+    monkeypatch.setattr(reports, "gamma_images", spy)
+    assert run_conjecture_suite(antisym2, "antisym(g=2)").ok
+    want = [
+        label
+        for label, (p, q) in zip(antisym2.labels, antisym2.bidegrees)
+        if p > 0 and q < antisym2.g
+    ]
+    assert "a" not in visited and visited == want
 
 
 def test_equivalences_read_the_order_of_their_filtration(theta2):
-    e1 = theta2.basis_element(1)
+    # the criteria run up to the suite's series order, on a gamma filtration
+    # computed to that order
     for order in (4, 5, 6):
-        gamma = compute_filtration(theta2, "gamma", order, order=order)
-        rep = check_lemma_equivalences(theta2, e1, gamma_result=gamma)
-        assert rep.statements == {1: True, 2: True, 3: True, 4: True}
-    # a filtration that stops short of its own series order is refused
-    with pytest.raises(DomainError):
-        check_lemma_equivalences(
-            theta2, e1, gamma_result=compute_filtration(theta2, "gamma", 4, order=6)
-        )
+        report = run_conjecture_suite(theta2, "theta(g=2)", order=order)
+        s = {s.id: s for s in report.statements}["lem-conjecture-equivalences"]
+        assert s.status == "pass"
+        run = reports._Run(theta2, order, theta2.basis_elements())
+        run.fil["gamma"] = compute_filtration(theta2, "gamma", order, order=order)
+        assert list(reports._equivalences(run)) == []
 
 
-def test_checkers_refuse_the_wrong_filtration(theta2):
-    with pytest.raises(DomainError):
-        check_lemma_equivalences(
-            theta2, theta2.basis_element(1),
-            gamma_result=filtration("theta", 2, "pi", theta2.default_series_order),
-        )
+def test_equivalences_fail_when_the_criteria_disagree(pathological2):
+    # no bundled model breaks the equivalence; with every gamma stage full,
+    # (2) - (4) hold for v while (1), p >= g - q, does not
+    m = pathological2
+    full = (Subspace.full(m.dim),) * (m.default_series_order + 1)
+    run = _run_with(m, gamma=FiltrationResult("saturation", full, ()))
+    s = Statement.first_failure("lem-conjecture-equivalences", reports._equivalences(run))
+    assert (s.status, s.detail, s.witness) == (
+        "fail", "statements {1: False, 2: True, 3: True, 4: True}", "v"
+    )
 
 
 # -- composed structure ----------------------------------------------------------
@@ -706,9 +731,7 @@ def _with_gamma_stages(m, stage):
     """A ``_Run`` on ``m`` whose Gamma filtration is ``stage`` at every n."""
     stages = (stage,) * (m.g + 3)
     dims = tuple(s.dim for s in stages)
-    return _run_with(
-        m, Gamma=FiltrationResult("Gamma", "saturation", stages, (dims,), m.default_series_order)
-    )
+    return _run_with(m, Gamma=FiltrationResult("saturation", stages, (dims,)))
 
 
 def test_fil1_fails_when_stage_one_leaves_the_rank_kernel(antisym2):
@@ -724,6 +747,78 @@ def test_fil2_fails_at_stage_zero_on_the_first_index_block(antisym2):
     assert Statement.first_failure("lem-fil2", reports._fil2(run)) == Statement(
         "lem-fil2", "fail", "", "index 0 block at stage 0"
     )
+
+
+# -- the epsilon check -----------------------------------------------------------
+
+
+def _old_epsilon_morphism(run):
+    """The epsilon check as a plain loop: lambda^i(x) off its own lambda
+    series of order i, and y (y-1) ... (y-i+1) / i! multiplied out anew for
+    every i."""
+    model, one = run.model, run.model.one()
+    morphism_ok, pair = FiltrationSpec("Gamma").augmentation_is_morphism(model)
+    if not morphism_ok:
+        yield "", pair or ""
+    for n, x in enumerate(run.basis):
+        y = x.beauville_component(0)
+        for i in range(1, model.g + 1):
+            lhs = lambda_series(model, "composed", x, i).coefficient(i).beauville_component(0)
+            product = one
+            for t in range(i):
+                product = product * (y - t * one)
+            if lhs != Fraction(1, factorial(i)) * product:
+                yield "", f"{model.labels[n]} at i={i}"
+
+
+def _same_epsilon_outcome(m):
+    """The epsilon check and its plain loop reach the same ``Statement``
+    (or raise the same error) on ``m``; returns that outcome."""
+    sid = "lem-epsilon-gamma-morphism"
+    want = _outcome(sid, _old_epsilon_morphism, m)
+    assert _outcome(sid, reports._epsilon_morphism, m) == want
+    return want
+
+
+@pytest.mark.parametrize("name,g", bundled_models(4))
+def test_epsilon_check_matches_the_plain_loop(name, g):
+    m = model(name, g)
+    _same_epsilon_outcome(m)
+    _same_epsilon_outcome(conjugate(m, basis_change(m)))
+
+
+@pytest.mark.parametrize("builder", ["theta", "antisym", "pathological", "violator"])
+def test_epsilon_check_matches_the_plain_loop_on_single_entry_edits(builder):
+    base = _document(builder, 2)
+    outcomes = []
+    for where in ("mul", "new-mul", "fm"):
+        for edit in _edits(base, where):
+            doc = json.loads(json.dumps(base))
+            edit(doc)
+            outcomes.append(_same_epsilon_outcome(modelio.import_model(json.dumps(doc))))
+    # the sweep reaches failures of the lambda loop itself (every violator
+    # edit keeps the Gamma augmentation witness), so a hidden one would show
+    loop_failures = [o for o in outcomes if o[0] == "fail" and " at i=" in o[2]]
+    assert bool(loop_failures) == (builder != "violator")
+    assert any(o[0] == "fail" for o in outcomes)
+
+
+def test_epsilon_check_expands_one_lambda_series_per_class(monkeypatch):
+    # one series of order g per basis class, not one of order i for each
+    # i = 1 .. g (g * dim expansions)
+    m = model("antisym", 3)
+    orders = []
+    real = TruncatedSeries.exp
+
+    def counted(series):
+        orders.append(series.order)
+        return real(series)
+
+    monkeypatch.setattr(TruncatedSeries, "exp", counted)
+    run = _run_with(m)
+    check = reports._epsilon_morphism(run)
+    assert Statement.first_failure("lem-epsilon-gamma-morphism", check).status == "pass"
+    assert orders == [m.g] * m.dim
 
 
 # -- the first-failure helper ----------------------------------------------------

@@ -235,6 +235,16 @@ def test_element_str_and_errors(theta2):
         theta2.one() + other.one()
 
 
+def test_constructor_refuses_a_bidegree_outside_the_range():
+    # theta(2) with e1 moved to (0, 4): its pullback weight g - (p - q) would
+    # be negative, which no suite can evaluate, so the model is refused
+    basis, mul, fm = _theta_raw(2)
+    assert basis[1][0] == "e1"
+    basis[1] = ("e1", (0, 4))
+    with pytest.raises(StructureError, match=r"e1 has bidegree \(0, 4\) outside 0\.\.2"):
+        ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
+
+
 def test_builder_preconditions():
     with pytest.raises(DomainError):
         theta_model(0)
@@ -270,16 +280,6 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
 
     def flag(code, message, witness=()):
         violations.append(Violation(code, message, witness))
-
-    for i, bd in enumerate(model.bidegrees):
-        if not (0 <= bd.p <= g and 0 <= bd.q <= g):
-            flag(
-                "bidegree-range",
-                f"basis vector {model.labels[i]} has bidegree {tuple(bd)} outside 0..{g}",
-                (model.labels[i],),
-            )
-    if violations:
-        return ValidationReport(tuple(violations))
 
     unit_bd = model.bidegrees[model.unit_index]
     if unit_bd != (0, g):
@@ -393,7 +393,8 @@ def _perturbed(name, g, change, rng):
     """A bundled model with one seeded change to its exported document (or,
     for ``one-sided``, to one side of a product, which no document can
     express since import mirrors every product, and for ``bidegree``, to
-    one bidegree, which import rejects outside 0..g)."""
+    one bidegree).  A bidegree outside 0..g must be refused by the
+    constructor, as import refuses it; that draw returns None."""
     m = model(name, g)
     if change in ("one-sided", "bidegree"):
         basis, mul, fm = _raw(m)
@@ -406,6 +407,10 @@ def _perturbed(name, g, change, rng):
             n, side = rng.randrange(m.dim), rng.choice((0, 1))
             label, bd = basis[n]
             basis[n] = (label, (degree, bd[1]) if side == 0 else (bd[0], degree))
+            if not 0 <= degree <= g:
+                with pytest.raises(StructureError, match=f"basis vector {label} has bidegree"):
+                    ModelAlgebra(g, basis, mul, fm, m.unit_index, m.star_unit_index)
+                return None
         return ModelAlgebra(
             g, basis, mul, fm, unit_index=m.unit_index, star_unit_index=m.star_unit_index
         )
@@ -432,14 +437,15 @@ def test_validate_matches_dense_reference_on_perturbed_models(change):
     for name, g in bundled_models(4):
         for _ in range(3):
             m = _perturbed(name, g, change, rng)
+            if m is None:  # an out-of-range bidegree, refused at construction
+                out_of_range += 1
+                continue
             report = validate(m)
             assert report == _dense_validate(m), (name, g, change)
             flagged += not report.ok
-            out_of_range += "bidegree-range" in report.codes()
     assert flagged  # the perturbations do reach the checks
-    if change == "bidegree":
-        # built in code, a model still reaches the range check import refuses
-        assert out_of_range
+    # the bidegree draws reach both the constructor's refusal and validate
+    assert bool(out_of_range) == (change == "bidegree")
 
 
 def test_validate_stays_sparse(monkeypatch):

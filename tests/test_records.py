@@ -10,7 +10,7 @@ import pytest
 
 from kring import DomainError, FiltrationSpec, Subspace, VerificationReport
 from kring.adams import ChernClass
-from kring.filtration import FiltrationResult, LemmaEquivalenceReport
+from kring.filtration import FiltrationResult
 from kring.model import ValidationReport, Violation
 from kring.operators import DiagonalOperator, PushforwardRelation
 from kring.reports import Statement, _Run
@@ -30,8 +30,7 @@ def _cases():
         (ChernClass, (e, (e, m.zero()))),
         (DiagonalOperator, (m, (1, 2, 4, 2, 1, 2), 3)),
         (PushforwardRelation, (2, 1, (F(1), F(-1, 2), F(1, 2)))),
-        (FiltrationResult, ("gamma", "saturation", (space,), ((1,),), 4)),
-        (LemmaEquivalenceReport, (1, 0, {1: True, 2: False})),
+        (FiltrationResult, ("saturation", (space,), ((1,),))),
         (Statement, ("conj-x", "fail", "a detail", "(e1, e2)")),
     ]
 
