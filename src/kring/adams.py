@@ -15,6 +15,10 @@ t -> t/(1-t), as whole truncated series (``lambda_series``,
 ``gamma_series``); no alternating-power semantics exists in the model.  The
 products inside the exponential are those of the family's ``kind_ring``:
 convolution products for the star family, the ordinary one for the others.
+The weighted series is sum_w L_w(t) x_w over the Adams eigencomponents x_w
+with rational L_w, and ``exp`` runs on that presentation, one product per
+weight and coefficient, when it bounds the products lower than the
+series' own coefficients do.
 
 Gamma operations of an eigenvector are universal polynomials in its powers.
 For an eigenvector x of weight d the substituted log-lambda series is
@@ -91,18 +95,49 @@ def _weighted_log(
     log: Callable[[int, int], TruncatedSeries],
 ) -> TruncatedSeries:
     """sum_w L_w(t) x_w over the Adams eigencomponents x_w of x, where
-    L_w = ``log(w - 1, order)`` is a rational series."""
+    L_w = ``log(w - 1, order)`` is a rational series.
+
+    The series carries the weight presentation (x_w, L_w) for ``exp`` when
+    it bounds the products of the recurrence lower than the series' own
+    coefficients do: sum_w (N - min supp L_w) against the sum of N - k over
+    the k in the union of the supports, with ties to the coefficients.  The
+    x_w have disjoint supports, so f_k is nonzero exactly when some L_w[k]
+    is, and both bounds come from the scalar series alone.  Positive
+    weights have polynomial L_w (gamma) and the weight presentation wins at
+    long orders; at order g the coefficients usually do.
+    """
     if order < 1:
         raise DomainError("series order must be at least 1")
     ring = kind_ring(model, kind)
     parts = [
-        (log(w - 1, order).coeffs, comp)
+        (*_log_terms(log, w - 1, order), comp)
         for w, comp in _weight_components(model, kind, x).items()
     ]
     coeffs = [ring.zero] + [
-        ring.sum([(s[m], comp) for s, comp in parts if s[m]]) for m in range(1, order + 1)
+        ring.sum([(s[m], comp) for s, _, _, comp in parts if s[m]])
+        for m in range(1, order + 1)
     ]
+    weight_bound = sum(order - scaled[0][0] for _, scaled, _, _ in parts)
+    support = frozenset().union(*(ks for _, _, ks, _ in parts))
+    if weight_bound < sum(order - k for k in support):
+        return TruncatedSeries(coeffs, ring, [(comp, scaled) for _, scaled, _, comp in parts])
     return TruncatedSeries(coeffs, ring)
+
+
+@lru_cache(maxsize=None)
+def _log_terms(
+    log: Callable[[int, int], TruncatedSeries], exponent: int, order: int
+) -> tuple[tuple, tuple, frozenset[int]]:
+    """The coefficients s[k] of ``log(exponent, order)``, the pairs
+    (k, k s[k]) over its nonzero ones, which ``exp`` reads, and its support.
+    Integral scalars are ints, which the model's sums read fastest."""
+
+    def scalar(c: int | Fraction) -> int | Fraction:
+        return c.numerator if c.denominator == 1 else c
+
+    coeffs = tuple(map(scalar, log(exponent, order).coeffs))
+    scaled = tuple((k, scalar(k * c)) for k, c in enumerate(coeffs) if c)
+    return coeffs, scaled, frozenset(k for k, _ in scaled)
 
 
 def gamma_series(

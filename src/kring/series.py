@@ -13,10 +13,16 @@ over the lcm of the denominators, made a ``Fraction`` once.
 
 ``exp`` runs the linear recurrence m a_m = sum_k k f_k a_{m-k} (Brent and
 Kung, "Fast algorithms for manipulating formal power series", JACM 1978)
-in O(N^2) ring products.  The recurrence holds because the product is
-commutative, associative and unital, which ``model.validate`` checks for
-both model products; on a product without those laws its result can differ
-from the sum of powers f^k / k!.
+on a presentation f = sum_r s_r(t) x_r of its argument by rational series
+s_r and ring elements x_r: each product x_r a_j is made once and pushed to
+every later coefficient it enters, so R generators take O(R N) ring
+products.  A series carries such a presentation when its maker supplies one
+(the Adams-weight presentation of ``kring.adams``); otherwise its own
+coefficients present it, x_k = f_k and s_k = t^k, which takes O(N^2).  The
+recurrence holds because the product is commutative, associative and
+unital, which ``model.validate`` checks for both model products; on a
+product without those laws its result can differ from the sum of powers
+f^k / k!.
 
 The module also hosts the combinatorial tables the gamma calculus leans
 on: Stirling numbers of both kinds and the scaled harmonic numbers
@@ -81,15 +87,24 @@ class TruncatedSeries:
 
     Series combine and compare equal only with series over an equal ring;
     mixing rings raises ``StructureError``.
+
+    An optional ``presentation`` writes the series as sum_r s_r(t) x_r: a
+    sequence of (x_r, scaled_r) pairs, where scaled_r lists (k, k s_r[k])
+    over the nonzero coefficients of the rational series s_r in increasing
+    k.  Only ``exp`` reads it; equality and hashing ignore it, and
+    arithmetic drops it.
     """
 
-    __slots__ = ("coeffs", "ring")
+    __slots__ = ("coeffs", "ring", "presentation")
 
-    def __init__(self, coeffs: Sequence, ring: Ring = RATIONALS):
+    def __init__(
+        self, coeffs: Sequence, ring: Ring = RATIONALS, presentation: Sequence | None = None
+    ):
         self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise DomainError("a series needs at least its constant coefficient")
         self.ring = ring
+        self.presentation = presentation
 
     @classmethod
     def rational(cls, coeffs: Sequence, order: int | None = None) -> "TruncatedSeries":
@@ -168,30 +183,44 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """exp of a series with vanishing constant term.
 
-        Uses the recurrence a_0 = one, m a_m = sum_{k=1..m} k f_k a_{m-k}
-        (differentiate exp(f) = a to get a' = f' a), so it takes O(N^2)
-        ring products where summing the powers f^k / k! takes O(N^3).  Each
-        a_m is one ring sum: the products f_k a_{m-k} (through the ring's
-        own ``mul``) with scalars k, the k = m term m f_m (a_0 is the unit),
-        and 1/m in the sum's denominator.  Zero f_k and zero a_{m-k} are
-        skipped.  The recurrence assumes a commutative, associative, unital
-        product, which ``validate`` guarantees for model products.
+        Runs the recurrence a_0 = one, m a_m = sum_{k=1..m} k f_k a_{m-k}
+        (differentiate exp(f) = a to get a' = f' a) on a presentation
+        f = sum_r s_r(t) x_r by rational series s_r and ring elements x_r,
+        where it reads m a_m = sum_r sum_k k s_r[k] (x_r a_{m-k}).  Each
+        product x_r a_j is made once, as soon as a_j is known, and pushed
+        with its scalars k s_r[k] to every a_{j+k} it enters (x_r itself
+        for j = 0, as a_0 is the unit), so R generators take O(R N) ring
+        products.  A series without a presentation uses its coefficients,
+        x_k = f_k and s_k = t^k: one product per pair (k, j), O(N^2) in all,
+        where summing the powers f^k / k! takes O(N^3).  Each a_m is one
+        ring sum of its pushed terms with 1/m in the sum's denominator; zero
+        a_j and zero products push nothing.  The recurrence assumes a
+        commutative, associative, unital product, which ``validate``
+        guarantees for model products.
         """
         mul, zero, one, _ = self.ring
         if self.coeffs[0] != zero:
             raise DomainError("exp needs a zero constant term")
-        nonzero = [(k, f) for k, f in enumerate(self.coeffs) if k and f != zero]
+        n = self.order
+        generators = self.presentation or [
+            (f, ((k, k),)) for k, f in enumerate(self.coeffs) if k and f != zero
+        ]
+        pushed = [[] for _ in range(n + 1)]
         out = [one]
-        for m in range(1, self.order + 1):
-            terms = []
-            for k, f in nonzero:
-                if k > m:
-                    break
-                if k == m:  # a_0 is the unit
-                    terms.append((m, f))
-                elif out[m - k] != zero:
-                    terms.append((k, mul(f, out[m - k])))
-            out.append(self.ring.sum(terms, m))
+        for j in range(n):
+            a = out[j]
+            if a != zero:
+                for x, scaled in generators:
+                    if j + scaled[0][0] > n:
+                        continue
+                    xa = mul(x, a) if j else x
+                    if xa == zero:
+                        continue
+                    for k, c in scaled:
+                        if j + k > n:
+                            break
+                        pushed[j + k].append((c, xa))
+            out.append(self.ring.sum(pushed[j + 1], j + 1))
         return self.like(out)
 
     def log(self) -> "TruncatedSeries":

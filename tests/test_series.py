@@ -232,12 +232,20 @@ def test_stirling_table():
 
 
 def test_series_carry_only_coefficients_and_a_ring():
-    assert TruncatedSeries.__slots__ == ("coeffs", "ring")
+    # besides its coefficients and ring a series holds only the optional
+    # presentation that exp reads: equality ignores it, arithmetic drops it
+    assert TruncatedSeries.__slots__ == ("coeffs", "ring", "presentation")
     assert TruncatedSeries.rational([0, 1]).ring is RATIONALS
+    assert TruncatedSeries.rational([0, 1]).presentation is None
     m = theta_model(2)
     s = TruncatedSeries([m.zero(), m.basis_element(1)], kind_ring(m, "star"))
     assert s.like(s.coeffs).ring is s.ring
     assert s.exp().coefficient(0) == m.star_unit()
+    presented = TruncatedSeries(s.coeffs, s.ring, [(m.basis_element(1), ((1, 1),))])
+    assert presented == s
+    assert presented.exp() == s.exp()
+    for derived in (presented + s, presented * s, presented.scale(2), presented.like(s.coeffs)):
+        assert derived.presentation is None
 
 
 def test_ring_powers_honour_the_limit():
