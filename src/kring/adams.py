@@ -13,12 +13,12 @@ All lambda and gamma operations are produced from the Adams action through
 the exponential of the weighted power series and the substitution
 t -> t/(1-t), as whole truncated series (``lambda_series``,
 ``gamma_series``); no alternating-power semantics exists in the model.  The
-products inside the exponential are those of the family's ``kind_ring``:
-convolution products for the star family, the ordinary one for the others.
-The weighted series is sum_w L_w(t) x_w over the Adams eigencomponents x_w
-with rational L_w, and ``exp`` runs on that presentation, one product per
-weight and coefficient, when it bounds the products lower than the
-series' own coefficients do.
+products inside the exponential run on the kernel of the family's
+``kind_ring``: convolution for the star family, the ordinary product for
+the others.  The weighted series sum_w L_w(t) x_w over the Adams
+eigencomponents x_w, with rational L_w, is made from that presentation
+alone, and ``exp`` runs on it, one product per weight and coefficient,
+when it bounds the products lower than the series' coefficients do.
 
 Gamma operations of an eigenvector are universal polynomials in its powers.
 For an eigenvector x of weight d the substituted log-lambda series is
@@ -80,11 +80,13 @@ def adams(model: ModelAlgebra, kind: str, n: int, x: Element) -> Element:
 def kind_ring(model: ModelAlgebra, kind: str) -> Ring:
     """The product the Adams family is a ring map for: the convolution
     product for ``star``, the ordinary product for every other family.
-    Sums run on ``ModelAlgebra.combine``; the products and the kernel are
-    bound methods of the model, so rings built twice compare equal."""
+    Sums, series products and ``exp`` run on the product's kernel
+    (``ModelAlgebra._kernel``), which the ring names rather than recognising
+    it from ``mul``; rings built twice compare equal, and the star ring
+    builds ``star_table``."""
     if kind == "star":
-        return Ring(star_product, model.zero(), model.star_unit(), model.combine)
-    return Ring(model.multiply, model.zero(), model.one(), model.combine)
+        return Ring(star_product, model.zero(), model.star_unit(), model._kernel(True))
+    return Ring(model.multiply, model.zero(), model.one(), model._kernel(False))
 
 
 def _weighted_log(
@@ -97,47 +99,37 @@ def _weighted_log(
     """sum_w L_w(t) x_w over the Adams eigencomponents x_w of x, where
     L_w = ``log(w - 1, order)`` is a rational series.
 
-    The series carries the weight presentation (x_w, L_w) for ``exp`` when
-    it bounds the products of the recurrence lower than the series' own
-    coefficients do: sum_w (N - min supp L_w) against the sum of N - k over
-    the k in the union of the supports, with ties to the coefficients.  The
-    x_w have disjoint supports, so f_k is nonzero exactly when some L_w[k]
-    is, and both bounds come from the scalar series alone.  Positive
-    weights have polynomial L_w (gamma) and the weight presentation wins at
-    long orders; at order g the coefficients usually do.
+    The series is made from the weight presentation (x_w, L_w) alone, and
+    ``exp`` runs on it when it bounds the products of the recurrence lower
+    than the series' own coefficients do: sum_w (N - min supp L_w) against
+    the sum of N - k over the k in the union of the supports, ties to the
+    coefficients.  Otherwise the coefficients f_k = sum_w L_w[k] x_w are
+    summed and the presentation dropped.  The x_w have disjoint supports,
+    so both bounds come from the scalar series alone.
     """
     if order < 1:
         raise DomainError("series order must be at least 1")
-    ring = kind_ring(model, kind)
     parts = [
-        (*_log_terms(log, w - 1, order), comp)
+        (comp, _log_terms(log, w - 1, order))
         for w, comp in _weight_components(model, kind, x).items()
     ]
-    coeffs = [ring.zero] + [
-        ring.sum([(s[m], comp) for s, _, _, comp in parts if s[m]])
-        for m in range(1, order + 1)
-    ]
-    weight_bound = sum(order - scaled[0][0] for _, scaled, _, _ in parts)
-    support = frozenset().union(*(ks for _, _, ks, _ in parts))
-    if weight_bound < sum(order - k for k in support):
-        return TruncatedSeries(coeffs, ring, [(comp, scaled) for _, scaled, _, comp in parts])
-    return TruncatedSeries(coeffs, ring)
+    series = TruncatedSeries(None, kind_ring(model, kind), parts, order)
+    support = {k for _, scaled in parts for k, _ in scaled}
+    if sum(order - scaled[0][0] for _, scaled in parts) < sum(order - k for k in support):
+        return series
+    return series.like(series.coeffs)
 
 
 @lru_cache(maxsize=None)
 def _log_terms(
     log: Callable[[int, int], TruncatedSeries], exponent: int, order: int
-) -> tuple[tuple, tuple, frozenset[int]]:
-    """The coefficients s[k] of ``log(exponent, order)``, the pairs
-    (k, k s[k]) over its nonzero ones, which ``exp`` reads, and its support.
-    Integral scalars are ints, which the model's sums read fastest."""
+) -> tuple[tuple[int, int | Fraction], ...]:
+    """The pairs (k, k s[k]) over the nonzero coefficients s[k] of
+    ``log(exponent, order)``: the presentation ``exp`` reads.  Integral
+    scalars are ints, which the model's sums read fastest."""
 
-    def scalar(c: int | Fraction) -> int | Fraction:
-        return c.numerator if c.denominator == 1 else c
-
-    coeffs = tuple(map(scalar, log(exponent, order).coeffs))
-    scaled = tuple((k, scalar(k * c)) for k, c in enumerate(coeffs) if c)
-    return coeffs, scaled, frozenset(k for k, _ in scaled)
+    scaled = ((k, k * c) for k, c in enumerate(log(exponent, order).coeffs) if c)
+    return tuple((k, kc.numerator if kc.denominator == 1 else kc) for k, kc in scaled)
 
 
 def gamma_series(

@@ -295,13 +295,12 @@ def _two_sided_unit(table: ScaledTable, u: int) -> tuple[int, ...] | None:
     return None
 
 
-def _bilinear(
-    model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element, unit=None
-) -> Element:
-    """The bilinear form with structure constants ``table``: the sum over
-    i, j of x_i y_j (e_i . e_j), skipping zero coordinates, as one integer
-    vector over x.den * y.den * table.den.  A factor equal to ``unit``, the
-    numerators of a two-sided unit of ``table``, returns the other factor."""
+def _accumulate(
+    model: "ModelAlgebra", table: ScaledTable, out: list, f: int, x: Element, y: Element, unit=None
+) -> Element | None:
+    """Add f times the numerators of sum_ij x_i y_j (e_i . e_j) by ``table``,
+    over x.den * y.den * table.den, into the list ``out``.  If a factor is
+    ``unit`` (a two-sided unit's numerators), return the other, adding none."""
     if x.model is not model or y.model is not model:
         raise StructureError(FOREIGN)
     if unit is not None and x.den == 1 and x.nums == unit:
@@ -309,17 +308,58 @@ def _bilinear(
     if unit is not None and y.den == 1 and y.nums == unit:
         return x
     ys = y.nums
-    out = [0] * model.dim
     for xi, row in zip(x.nums, table.rows):
-        if not xi:
-            continue
-        for j, entries in row:
-            yj = ys[j]
-            if yj:
-                f = xi * yj
-                for k, c in entries:
-                    out[k] += f * c
-    return Element(model, out, x.den * y.den * table.den)
+        if xi:
+            for j, entries in row:
+                if ys[j]:
+                    fxy = f * xi * ys[j]
+                    for k, c in entries:
+                        out[k] += fxy * c
+
+
+def _bilinear(
+    model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element, unit=None
+) -> Element:
+    """One product of ``_accumulate`` as an ``Element``, or its other factor."""
+    out = [0] * model.dim
+    other = _accumulate(model, table, out, 1, x, y, unit)
+    return other if other is not None else Element(model, out, x.den * y.den * table.den)
+
+
+class _Kernel(NamedTuple):
+    """A model product for the series engine: ``accumulate`` runs
+    ``_accumulate`` on ``table``, whose products are over x.den * y.den * ``den``."""
+
+    model: "ModelAlgebra"
+    table: ScaledTable
+    unit: tuple[int, ...] | None
+    den: int
+
+    def accumulate(self, out: list[int], f: int, x: Element, y: Element) -> None:
+        other = _accumulate(self.model, self.table, out, f, x, y, self.unit)
+        for k, n in enumerate(other.nums if other is not None else ()):
+            out[k] += f * self.den * n
+
+    def split(self, x: Element) -> tuple[tuple[int, ...], int]:
+        if x.model is not self.model:
+            raise StructureError(FOREIGN)
+        return x.nums, x.den
+
+    def build(self, nums: list[int], den: int) -> Element:
+        return Element(self.model, nums, den)
+
+    def sum(self, terms: Sequence[tuple[int | Fraction, Element]], den: int) -> Element:
+        """sum c * x over ``terms`` (c, x), over ``den``, as one integer vector
+        over the lcm of the denominators and one gcd; a lone 1 * x is x."""
+        dens = [c.denominator * self.split(x)[1] for c, x in terms]
+        if len(terms) == 1 and den == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        common = lcm(*dens)
+        out = [0] * self.model.dim
+        for (c, x), d in zip(terms, dens):
+            f = c.numerator * (common // d)
+            out = [o + f * n for o, n in zip(out, x.nums)]
+        return Element(self.model, out, common * den)
 
 
 def _linear(model: "ModelAlgebra", matrix: ScaledTable, x: Element) -> Element:
@@ -443,25 +483,6 @@ class ModelAlgebra:
 
     # -- products ----------------------------------------------------------
 
-    def combine(self, terms: Sequence[tuple[int | Fraction, Element]], den: int = 1) -> Element:
-        """The sum of c * x over the (scalar, element) ``terms``, divided by
-        ``den``: one integer numerator vector over the lcm of the terms'
-        denominators, reduced by a single gcd.  An empty sum is zero, and a
-        lone term 1 * x is x itself."""
-        dens = []
-        for c, x in terms:
-            if x.model is not self:
-                raise StructureError(FOREIGN)
-            dens.append(c.denominator * x.den)
-        if len(terms) == 1 and den == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        common = lcm(*dens)
-        out = [0] * self.dim
-        for (c, x), d in zip(terms, dens):
-            f = c.numerator * (common // d)
-            out = [o + f * n for o, n in zip(out, x.nums)]
-        return Element(self, out, common * den)
-
     def mul_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         return self._mul.get((i, j), ())
 
@@ -471,6 +492,10 @@ class ModelAlgebra:
     def star_multiply(self, x: Element, y: Element) -> Element:
         """Convolution product, read off ``star_table``."""
         return _bilinear(self, self.star_table, x, y, self._star_unit)
+
+    def _kernel(self, star: bool) -> _Kernel:
+        table, unit = (self.star_table, self._star_unit) if star else (self._table, self._mul_unit)
+        return _Kernel(self, table, unit, table.den)
 
     @cached_property
     def _mul_unit(self) -> tuple[int, ...] | None:

@@ -4,12 +4,13 @@ A ``TruncatedSeries`` keeps coefficients for t^0 .. t^N and is closed under
 addition, Cauchy products, exponential, logarithm, and the substitution
 t -> t/(1-t).  Coefficients may be ``Fraction``s or any commutative-ring
 values supporting addition, subtraction, equality, and scalar
-multiplication by ``Fraction``; the product is a ``Ring``, so the same
-engine serves both the ordinary and the convolution-style multiplications
-of a model algebra.  Each output coefficient of a product, of ``exp`` and of
-the substitution is one ``Ring.sum``: over a model that is one integer
-numerator vector with a single gcd; over Q it is one integer numerator
-over the lcm of the denominators, made a ``Fraction`` once.
+multiplication by ``Fraction``; the product is a ``Ring``, so one engine
+serves Q and both multiplications of a model algebra.  It runs on the
+ring's kernel, which adds f times the integer numerators of a product x y
+into a list (``accumulate``), splits a value into numerators and
+denominator and builds one back (``split``, ``build``), and sums values
+(``sum``); over Q a rational is a one-entry vector.  No product inside a
+series is reduced on its own.
 
 ``exp`` runs the linear recurrence m a_m = sum_k k f_k a_{m-k} (Brent and
 Kung, "Fast algorithms for manipulating formal power series", JACM 1978)
@@ -18,11 +19,10 @@ s_r and ring elements x_r: each product x_r a_j is made once and pushed to
 every later coefficient it enters, so R generators take O(R N) ring
 products.  A series carries such a presentation when its maker supplies one
 (the Adams-weight presentation of ``kring.adams``); otherwise its own
-coefficients present it, x_k = f_k and s_k = t^k, which takes O(N^2).  The
-recurrence holds because the product is commutative, associative and
+coefficients present it, x_k = f_k and s_k = t^k, which takes O(N^2).
+The recurrence holds because the product is commutative, associative and
 unital, which ``model.validate`` checks for both model products; on a
-product without those laws its result can differ from the sum of powers
-f^k / k!.
+product without those laws its result can differ from f^k / k! summed.
 
 The module also hosts the combinatorial tables the gamma calculus leans
 on: Stirling numbers of both kinds and the scaled harmonic numbers
@@ -42,19 +42,17 @@ from .errors import DomainError, SeriesOrderError, StructureError
 
 class Ring(NamedTuple):
     """A commutative, associative, unital product with its zero and unit,
-    and the ``combine(terms, den)`` kernel that ``sum`` runs on (a model's
-    ``ModelAlgebra.combine``, ``_rational_sum`` over Q); a ring used only
-    for ``powers`` may leave it out."""
+    and ``kernel``, the accumulation kernel that ``sum``, series products
+    and ``exp`` run on; a ring used only for ``powers`` may leave it out."""
 
     mul: Callable
     zero: object
     one: object
-    combine: Callable | None = None
+    kernel: object = None
 
     def sum(self, terms, den: int = 1):
-        """The sum of c * x over the (scalar, value) ``terms``, over ``den``;
-        an empty sum is ``zero`` itself."""
-        return self.combine(terms, den) if terms else self.zero
+        """sum c * x over the (scalar, value) ``terms``, over ``den``, or ``zero``."""
+        return self.kernel.sum(terms, den) if terms else self.zero
 
     def powers(self, x, limit: int) -> list:
         """x, x^2, ..., at most ``limit`` of them, stopping before the first
@@ -69,17 +67,40 @@ class Ring(NamedTuple):
         return out
 
 
-def _rational_sum(terms, den: int = 1) -> Fraction:
-    """The sum of c * x over the rational ``terms``, over ``den``, as
-    ``ModelAlgebra.combine`` sums elements: integer numerators over the lcm
-    of the terms' denominators, and one ``Fraction`` at the end."""
-    dens = [c.denominator * x.denominator for c, x in terms]
+class _RationalKernel:
+    """The accumulation kernel over Q: x is (x.numerator,) over x.denominator."""
+
+    den = 1
+
+    def accumulate(self, out: list[int], f: int, x: Fraction, y: Fraction) -> None:
+        out[0] += f * x.numerator * y.numerator
+
+    def split(self, x: Fraction) -> tuple[tuple[int], int]:
+        return (x.numerator,), x.denominator
+
+    def build(self, nums: list[int], den: int) -> Fraction:
+        return Fraction(nums[0], den)
+
+    def sum(self, terms, den: int) -> Fraction:
+        dens = [c.denominator * x.denominator for c, x in terms]
+        common = lcm(*dens)
+        total = sum(c.numerator * x.numerator * (common // d) for (c, x), d in zip(terms, dens))
+        return Fraction(total, common * den)
+
+
+RATIONALS = Ring(operator.mul, Fraction(0), Fraction(1), _RationalKernel())
+
+
+def _gather(kernel, width: int, terms: list, den: int):
+    """sum c * nums / d over ``terms`` (c, nonzero (i, nums[i]), d) over den."""
+    dens = [c.denominator * d for c, _, d in terms]
     common = lcm(*dens)
-    total = sum(c.numerator * x.numerator * (common // d) for (c, x), d in zip(terms, dens))
-    return Fraction(total, common * den)
-
-
-RATIONALS = Ring(operator.mul, Fraction(0), Fraction(1), _rational_sum)
+    out = [0] * width
+    for (c, entries, _), d in zip(terms, dens):
+        f = c.numerator * (common // d)
+        for i, n in entries:
+            out[i] += f * n
+    return kernel.build(out, common * den)
 
 
 class TruncatedSeries:
@@ -91,20 +112,21 @@ class TruncatedSeries:
     An optional ``presentation`` writes the series as sum_r s_r(t) x_r: a
     sequence of (x_r, scaled_r) pairs, where scaled_r lists (k, k s_r[k])
     over the nonzero coefficients of the rational series s_r in increasing
-    k.  Only ``exp`` reads it; equality and hashing ignore it, and
-    arithmetic drops it.
+    k, 1 <= k <= N.  Only ``exp`` reads it; equality and hashing ignore it,
+    and arithmetic drops it.  With ``coeffs`` None the series is made from
+    it alone, at ``order``, and sums its coefficients on first read.
     """
 
-    __slots__ = ("coeffs", "ring", "presentation")
+    __slots__ = ("_coeffs", "ring", "presentation", "order")
 
     def __init__(
-        self, coeffs: Sequence, ring: Ring = RATIONALS, presentation: Sequence | None = None
+        self, coeffs: Sequence | None, ring: Ring = RATIONALS, presentation=None, order=None
     ):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
+        self._coeffs = None if coeffs is None else tuple(coeffs)
+        if self._coeffs == ():
             raise DomainError("a series needs at least its constant coefficient")
-        self.ring = ring
-        self.presentation = presentation
+        self.ring, self.presentation = ring, presentation
+        self.order = order if coeffs is None else len(self._coeffs) - 1
 
     @classmethod
     def rational(cls, coeffs: Sequence, order: int | None = None) -> "TruncatedSeries":
@@ -117,8 +139,12 @@ class TruncatedSeries:
         return cls(cs)
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:  # f_k = sum_r (k s_r[k]) x_r / k
+            terms = [[(c, x) for x, sc in self.presentation for j, c in sc if j == k]
+                     for k in range(self.order + 1)]
+            self._coeffs = tuple(self.ring.sum(t, k or 1) for k, t in enumerate(terms))
+        return self._coeffs
 
     def like(self, coeffs: Sequence) -> "TruncatedSeries":
         return TruncatedSeries(coeffs, self.ring)
@@ -167,60 +193,55 @@ class TruncatedSeries:
         return self.like([q * c for c in self.coeffs])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product: each coefficient is one ring sum of its products,
-        which still run through the ring's own ``mul``."""
+        """Cauchy product: per coefficient, one accumulation of unreduced products."""
         self._check_compatible(other)
-        mul, zero = self.ring.mul, self.ring.zero
-        left = [(i, a) for i, a in enumerate(self.coeffs) if a != zero]
-        right = other.coeffs
-        return self.like([
-            self.ring.sum(
-                [(1, mul(a, right[s - i])) for i, a in left if i <= s and right[s - i] != zero]
-            )
-            for s in range(self.order + 1)
-        ])
+        zero, kernel = self.ring.zero, self.ring.kernel
+        width = len(kernel.split(zero)[0])
+        left = [(i, a, kernel.split(a)[1]) for i, a in enumerate(self.coeffs) if a != zero]
+        right = {j: (b, kernel.split(b)[1]) for j, b in enumerate(other.coeffs) if b != zero}
+        out = []
+        for s in range(self.order + 1):
+            pairs = [(a, *right[s - i], da) for i, a, da in left if s - i in right]
+            common, acc = lcm(*(da * db for _, _, db, da in pairs)), [0] * width
+            for a, b, db, da in pairs:
+                kernel.accumulate(acc, common // (da * db), a, b)
+            out.append(kernel.build(acc, common * kernel.den) if pairs else zero)
+        return self.like(out)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with vanishing constant term.
 
-        Runs the recurrence a_0 = one, m a_m = sum_{k=1..m} k f_k a_{m-k}
-        (differentiate exp(f) = a to get a' = f' a) on a presentation
-        f = sum_r s_r(t) x_r by rational series s_r and ring elements x_r,
-        where it reads m a_m = sum_r sum_k k s_r[k] (x_r a_{m-k}).  Each
-        product x_r a_j is made once, as soon as a_j is known, and pushed
-        with its scalars k s_r[k] to every a_{j+k} it enters (x_r itself
-        for j = 0, as a_0 is the unit), so R generators take O(R N) ring
-        products.  A series without a presentation uses its coefficients,
-        x_k = f_k and s_k = t^k: one product per pair (k, j), O(N^2) in all,
-        where summing the powers f^k / k! takes O(N^3).  Each a_m is one
-        ring sum of its pushed terms with 1/m in the sum's denominator; zero
-        a_j and zero products push nothing.  The recurrence assumes a
-        commutative, associative, unital product, which ``validate``
-        guarantees for model products.
+        Runs a_0 = one, m a_m = sum_k k f_k a_{m-k} (from a' = f' a) on a
+        presentation f = sum_r s_r(t) x_r as m a_m = sum_r sum_k k s_r[k]
+        (x_r a_{m-k}).  Each product x_r a_j is made once, as soon as a_j is
+        known, as an unreduced numerator vector whose nonzero entries are
+        pushed with the scalars k s_r[k] to every a_{j+k} (x_r itself for
+        j = 0): O(R N) products for R generators, O(N^2) on the coefficients
+        (x_k = f_k, s_k = t^k).  Each a_m is one ``_gather`` over m; zero
+        a_j and zero products push nothing.
         """
-        mul, zero, one, _ = self.ring
-        if self.coeffs[0] != zero:
+        zero, one, kernel = self.ring.zero, self.ring.one, self.ring.kernel
+        if self._coeffs is not None and self._coeffs[0] != zero:
             raise DomainError("exp needs a zero constant term")
-        n = self.order
-        generators = self.presentation or [
-            (f, ((k, k),)) for k, f in enumerate(self.coeffs) if k and f != zero
-        ]
-        pushed = [[] for _ in range(n + 1)]
-        out = [one]
+        n, width = self.order, len(kernel.split(zero)[0])
+        generators = [(x, *kernel.split(x), scaled) for x, scaled in self.presentation or [
+            (f, ((k, k),)) for k, f in enumerate(self.coeffs) if k and f != zero]]
+        pushed, out = [[] for _ in range(n + 1)], [one]
         for j in range(n):
             a = out[j]
-            if a != zero:
-                for x, scaled in generators:
-                    if j + scaled[0][0] > n:
-                        continue
-                    xa = mul(x, a) if j else x
-                    if xa == zero:
-                        continue
-                    for k, c in scaled:
-                        if j + k > n:
-                            break
-                        pushed[j + k].append((c, xa))
-            out.append(self.ring.sum(pushed[j + 1], j + 1))
+            for x, x_nums, x_den, scaled in generators if a != zero else ():
+                if j + scaled[0][0] > n:
+                    continue
+                nums, d = x_nums, x_den
+                if j:
+                    nums, d = [0] * width, x_den * kernel.split(a)[1] * kernel.den
+                    kernel.accumulate(nums, 1, x, a)
+                entries = [(i, v) for i, v in enumerate(nums) if v]
+                for k, c in scaled if entries else ():
+                    if j + k > n:
+                        break
+                    pushed[j + k].append((c, entries, d))
+            out.append(_gather(kernel, width, pushed[j + 1], j + 1) if pushed[j + 1] else zero)
         return self.like(out)
 
     def log(self) -> "TruncatedSeries":

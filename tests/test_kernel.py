@@ -197,11 +197,12 @@ def test_combine_equals_a_left_fold(case, scalars, den):
     fold = m.zero()
     for c, x in terms:
         fold = fold + c * x
-    got = m.combine(terms, den)
+    ring = kind_ring(m, "usual")
+    got = ring.sum(terms, den)
     assert _canonical(got)
     assert got == F(1, den) * fold
-    assert m.combine(terms) == fold
-    assert m.combine([]) == m.zero()
+    assert ring.sum(terms) == fold
+    assert ring.sum([]) == m.zero()
 
 
 def _fold_mul(a, b):
@@ -300,6 +301,7 @@ def presented_series(draw):
         ring = kind_ring(m, draw(st.sampled_from(ADAMS_KINDS)))
         vectors = st.lists(coordinate, min_size=m.dim, max_size=m.dim)
         pool = [m.from_coords(v) for v in draw(st.lists(vectors, min_size=1, max_size=3))]
+    pool += [ring.one, -pool[0]]  # a unit factor, and a generator that cancels
     order = draw(st.integers(1, 6))
     presentation = []
     for _ in range(draw(st.integers(0, 4))):
@@ -318,6 +320,99 @@ def presented_series(draw):
 @given(presented_series())
 def test_exp_on_a_presentation_matches_the_term_by_term_loop(series):
     assert series.exp().coeffs == _fold_exp(series)
+
+
+# -- the accumulation kernel under the series engine ------------------------------
+
+
+def _reference_product(m, kind):
+    """The product of the ``kind`` ring on ``Fraction`` coordinates."""
+    if kind != "star":
+        return lambda a, b: _bilinear_reference(m, a, b)
+    rows = fm_rows(m)
+    inverse = _reference_inverse(rows)
+    return lambda a, b: _row_times(
+        inverse, _bilinear_reference(m, _row_times(rows, a), _row_times(rows, b))
+    )
+
+
+@st.composite
+def kernel_series(draw):
+    """Two series over the ordinary or the star ring of a bundled, tensor or
+    conjugated model.  A coefficient is zero, the unit, a random vector or
+    the negative of an earlier one, so some products cancel."""
+    m = _presented_model(*draw(st.sampled_from(PRESENTED_SPECS)))
+    kind = draw(st.sampled_from(("usual", "star")))
+    ring = kind_ring(m, kind)
+    order = draw(st.integers(1, 4))
+    drawn = [m.from_coords(draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim)))]
+
+    def coefficient():
+        pick = draw(st.sampled_from(("zero", "unit", "vector", "negated")))
+        if pick == "zero":
+            return ring.zero
+        if pick == "unit":
+            return ring.one
+        if pick == "negated":
+            return -draw(st.sampled_from(drawn))
+        drawn.append(m.from_coords(draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim))))
+        return drawn[-1]
+
+    def series():
+        return TruncatedSeries([ring.zero] + [coefficient() for _ in range(order)], ring)
+
+    return m, kind, series(), series()
+
+
+def _leaves_in_lowest_terms(series):
+    for c in series.coeffs:
+        assert _canonical(c)
+        assert not c.is_zero() or c == series.ring.zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_series())
+def test_series_kernel_matches_the_fraction_references(case):
+    m, kind, a, b = case
+    product = _reference_product(m, kind)
+    ab, exp = a * b, a.exp()
+    assert ab.coeffs == _fold_mul(a, b)
+    assert exp.coeffs == _fold_exp(a)
+    for s, c in enumerate(ab.coeffs):
+        want = [F(0)] * m.dim
+        for i in range(s + 1):
+            term = product(a.coeffs[i].coords, b.coeffs[s - i].coords)
+            want = [w + t for w, t in zip(want, term)]
+        _check(c, want)
+    # exp by the recurrence m a_m = sum_k k f_k a_{m-k} on coordinates
+    want = [list(a.ring.one.coords)]
+    for n in range(1, a.order + 1):
+        acc = [F(0)] * m.dim
+        for k in range(1, n + 1):
+            term = product(a.coeffs[k].coords, want[n - k])
+            acc = [s + k * t for s, t in zip(acc, term)]
+        want.append([s / n for s in acc])
+    for c, coords in zip(exp.coeffs, want):
+        _check(c, coords)
+    _leaves_in_lowest_terms(ab)
+    _leaves_in_lowest_terms(exp)
+
+
+@pytest.mark.parametrize("kind", ["usual", "star"])
+def test_cancelled_sums_are_the_ring_zero(kind):
+    m = build_model("violator", 3)
+    ring = kind_ring(m, kind)
+    x = next(e for e in m.basis_elements() if e != ring.one and ring.mul(e, e) != ring.zero)
+    # t^3 of (x t + x t^2)(x t - x t^2) sums x (-x) and x x
+    a = TruncatedSeries([ring.zero, x, x, ring.zero], ring)
+    b = TruncatedSeries([ring.zero, x, -x, ring.zero], ring)
+    ab = (a * b).coeffs
+    assert ab[2] == ring.mul(x, x) and ab[3] == ring.zero
+    assert _canonical(ab[3])
+    # f = x t - x t pushes two terms to a_1 that cancel
+    f = TruncatedSeries(None, ring, [(x, ((1, 1),)), (-x, ((1, 1),))], 3)
+    assert f.exp().coeffs == (ring.one, ring.zero, ring.zero, ring.zero)
+    assert all(_canonical(c) for c in f.exp().coeffs)
 
 
 @pytest.mark.parametrize("name,g", MODELS)
@@ -357,6 +452,10 @@ def test_diagonal_operators_keep_zero_to_the_zero(theta2):
 # -- every kernel refuses an element of another model -------------------------
 
 
+def _square(series):
+    return series * series
+
+
 def _foreign_calls():
     a, b = theta_model(2), theta_model(2)
     x, y = b.basis_element(1), b.basis_element(2)
@@ -368,12 +467,17 @@ def _foreign_calls():
         ("fourier", lambda: a.fourier(x)),
         ("fourier_inverse", lambda: a.fourier_inverse(x)),
         ("DiagonalOperator.apply", lambda: pullback(a, 2).apply(x)),
-        ("combine", lambda: a.combine([(1, a.one()), (2, x)])),
-        ("combine, one term", lambda: a.combine([(1, x)])),
+        ("Ring.sum", lambda: kind_ring(a, "usual").sum([(1, a.one()), (2, x)])),
+        ("Ring.sum, one term", lambda: kind_ring(a, "star").sum([(1, x)])),
         # the unit shortcut comes after the model check
         ("multiply, foreign unit", lambda: a.multiply(b.one(), a.basis_element(1))),
         ("multiply, foreign unit right", lambda: a.multiply(a.basis_element(1), b.one())),
         ("star_multiply, foreign unit", lambda: a.star_multiply(b.star_unit(), a.one())),
+        ("accumulate", lambda: a._kernel(False).accumulate([0] * a.dim, 1, x, y)),
+        ("accumulate, foreign unit", lambda: a._kernel(False).accumulate([0] * 3, 1, b.one(), x)),
+        ("accumulate, star", lambda: a._kernel(True).accumulate([0] * 3, 1, a.one(), y)),
+        ("series product", lambda: _square(TruncatedSeries([x, y], kind_ring(a, "usual")))),
+        ("series exp", lambda: TruncatedSeries([a.zero(), x], kind_ring(a, "star")).exp()),
     ]
 
 
@@ -393,20 +497,15 @@ def test_gamma_series_builds_one_element_per_product_or_sum(kind, monkeypatch):
     x = m.from_coords([2, 1, F(-1, 2), 3, F(2, 3)])
     order = 18
     m.star_table  # built once per model, before counting
-    counts = {"elements": 0, "products": 0}
-    model_module = importlib.import_module("kring.model")
-    init, bilinear = Element.__init__, model_module._bilinear
+    counts = {"elements": 0}
+    init = Element.__init__
 
     def counted_init(self, *args):
         counts["elements"] += 1
         init(self, *args)
 
-    def counted_bilinear(*args):
-        counts["products"] += 1
-        return bilinear(*args)
-
     monkeypatch.setattr(Element, "__init__", counted_init)
-    monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
+    products = _count_products(monkeypatch)
     gamma_series(m, kind, x, order)
     # exp runs on the Adams-weight presentation: one product x_w a_j per
     # weight w and per j = 1 .. order - min supp S_w (no a_j vanishes here)
@@ -414,13 +513,12 @@ def test_gamma_series_builds_one_element_per_product_or_sum(kind, monkeypatch):
     supports = [
         [k for k, c in enumerate(_substituted_log(w - 1, order).coeffs) if c] for w in weights
     ]
-    assert counts["products"] == sum(order - min(ks) for ks in supports)
-    # one Element per ring product, one per coefficient of the substituted
-    # series and one per coefficient of exp, plus the ring's zero and unit
-    # and one per Adams weight component of x; a sum that built an Element
-    # per pushed term would cost over order^2 / 2 more, as the weight-0
-    # series S_0 has full support
-    assert counts["elements"] <= counts["products"] + 2 * order + m.dim + 2
+    assert products["products"] == sum(order - min(ks) for ks in supports)
+    # the products and their sums stay integer vectors, and the weighted
+    # log builds no coefficient: the only Elements are the ring's zero and
+    # unit, one per Adams weight component of x and one per coefficient
+    # a_1 .. a_N of exp
+    assert counts["elements"] == 2 + len(weights) + order
 
 
 def test_verify_computes_each_value_once(monkeypatch):
@@ -430,19 +528,14 @@ def test_verify_computes_each_value_once(monkeypatch):
     # Fourier images, gamma images and gamma series takes 2,696 and 25
     m = build_model("violator", 3)
     m.star_table  # built once per model, before counting
-    model_module = importlib.import_module("kring.model")
-    bilinear, exp = model_module._bilinear, TruncatedSeries.exp
-    counts = {"products": 0, "exps": 0}
-
-    def counted_bilinear(*args):
-        counts["products"] += 1
-        return bilinear(*args)
+    counts = _count_products(monkeypatch)
+    exp = TruncatedSeries.exp
+    counts["exps"] = 0
 
     def counted_exp(self):
         counts["exps"] += 1
         return exp(self)
 
-    monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
     monkeypatch.setattr(TruncatedSeries, "exp", counted_exp)
     assert run_verify_suite(m, "violator(g=3)").ok
     assert counts["products"] <= 3000
@@ -450,15 +543,17 @@ def test_verify_computes_each_value_once(monkeypatch):
 
 
 def _count_products(monkeypatch) -> dict:
+    """Count the ring products: the calls of the accumulation kernel, which
+    both ``_bilinear`` and the series engine run on."""
     model_module = importlib.import_module("kring.model")
-    bilinear = model_module._bilinear
+    accumulate = model_module._accumulate
     counts = {"products": 0}
 
-    def counted_bilinear(*args):
+    def counted_accumulate(*args):
         counts["products"] += 1
-        return bilinear(*args)
+        return accumulate(*args)
 
-    monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
+    monkeypatch.setattr(model_module, "_accumulate", counted_accumulate)
     return counts
 
 

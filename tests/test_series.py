@@ -19,7 +19,7 @@ from kring import (
 )
 from kring.adams import ADAMS_KINDS, adams
 from kring.errors import DomainError, SeriesOrderError, StructureError
-from kring.series import RATIONALS, _rational_sum
+from kring.series import RATIONALS
 from tests.conftest import bundled_models, model
 
 F = Fraction
@@ -101,9 +101,9 @@ rational_scalar = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=12)
 @example([(1, F(1, 2)), (F(-1, 2), 1), (3, F(0))], 7)  # terms that cancel to zero
 def test_rational_sum_equals_a_fraction_fold(terms, den):
     for sub in (terms, terms[:1], terms + [(-c, x) for c, x in terms]):
-        got = _rational_sum(sub, den)
+        got = RATIONALS.sum(sub, den)
         assert type(got) is Fraction and got == _fraction_fold(sub, den)
-    assert _rational_sum(terms) == RATIONALS.sum(terms) == _fraction_fold(terms, 1)
+    assert RATIONALS.sum(terms) == _fraction_fold(terms, 1)
 
 
 @st.composite
@@ -232,9 +232,11 @@ def test_stirling_table():
 
 
 def test_series_carry_only_coefficients_and_a_ring():
-    # besides its coefficients and ring a series holds only the optional
-    # presentation that exp reads: equality ignores it, arithmetic drops it
-    assert TruncatedSeries.__slots__ == ("coeffs", "ring", "presentation")
+    # besides its coefficients, order and ring a series holds only the
+    # optional presentation that exp reads: equality ignores it, arithmetic
+    # drops it, and a series made from it alone sums its coefficients from
+    # it on first read
+    assert TruncatedSeries.__slots__ == ("_coeffs", "ring", "presentation", "order")
     assert TruncatedSeries.rational([0, 1]).ring is RATIONALS
     assert TruncatedSeries.rational([0, 1]).presentation is None
     m = theta_model(2)
@@ -246,6 +248,10 @@ def test_series_carry_only_coefficients_and_a_ring():
     assert presented.exp() == s.exp()
     for derived in (presented + s, presented * s, presented.scale(2), presented.like(s.coeffs)):
         assert derived.presentation is None
+    alone = TruncatedSeries(None, s.ring, presented.presentation, 1)
+    assert alone._coeffs is None and alone.order == 1
+    assert alone.exp() == s.exp() and alone._coeffs is None
+    assert alone == s and alone.coeffs == s.coeffs
 
 
 def test_ring_powers_honour_the_limit():
