@@ -25,10 +25,11 @@ For an eigenvector x of weight d the substituted log-lambda series is
 S_d(t) x with S_d(t) = sum_n (-1)^{n-1} n^{d-1} (t/(1-t))^n, so the gamma
 series exp(S_d(t) x) has the closed form sum_m S_d(t)^m x^m / m!, and
 ``universal_gamma_coefficients`` reads a(i; d, m) = [t^i] S_d(t)^m / m!
-off the powers of one rational series, taken on its integer numerators.
+off the powers of one rational series, taken on its integer numerators
+(``_gamma_table``, integer rows over one denominator per power).
 Column m = 1 is S_d itself, whose coefficients the ``series`` report of
 ``kring.reports`` reads.
-``gamma_images`` uses those coefficients (together with the
+``gamma_images`` sums those integer rows (together with the
 multiplicativity of the gamma series over sums) as a fast exact route that
 the series-engine route must agree with.
 """
@@ -192,28 +193,36 @@ def _substituted_log(exponent: int, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def universal_gamma_coefficients(
-    d: int, order: int, m_max: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficients a(i; d, m) = [t^i] S_d(t)^m / m! of x^m in the i-th gamma
-    operation of an eigenvector x of weight d.
-
-    Entry [i][m] is a(i; d, m) for 0 <= i <= order, 0 <= m <= m_max.  The
-    powers of S_d run on its integer numerators s over their lcm D, as a
-    truncated integer convolution, so entry [i][m] is [t^i] s^m / (D^m m!).
-    """
+def _gamma_table(d: int, order: int, m_max: int) -> tuple[tuple, tuple[int, ...]]:
+    """Integer rows and column denominators of ``universal_gamma_coefficients``:
+    the powers of S_d run on its integer numerators s over their lcm D, as a
+    truncated integer convolution, so a(i; d, m) = rows[i][m] / dens[m] with
+    rows[i][m] = [t^i] s^m and dens[m] = D^m m!."""
     if order < 1 or m_max < 1:
         raise DomainError("order and m_max must be at least 1")
     coeffs = _substituted_log(d - 1, order).coeffs
     den = lcm(*(c.denominator for c in coeffs))
     s = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs) if c]
     power = [1] + [0] * order
-    columns = [tuple(map(Fraction, power))]
+    columns = [power]
     for m in range(1, m_max + 1):
         power = [sum(c * power[i - k] for k, c in s if k <= i) for i in range(order + 1)]
-        scale = den**m * factorial(m)
-        columns.append(tuple(Fraction(n, scale) for n in power))
-    return tuple(zip(*columns))
+        columns.append(power)
+    return tuple(zip(*columns)), tuple(den**m * factorial(m) for m in range(m_max + 1))
+
+
+@lru_cache(maxsize=None)
+def universal_gamma_coefficients(
+    d: int, order: int, m_max: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficients a(i; d, m) = [t^i] S_d(t)^m / m! of x^m in the i-th gamma
+    operation of an eigenvector x of weight d.
+
+    Entry [i][m] is a(i; d, m) for 0 <= i <= order, 0 <= m <= m_max: the
+    ``Fraction`` view of the integer ``_gamma_table`` that ``gamma_images``
+    reads."""
+    rows, dens = _gamma_table(d, order, m_max)
+    return tuple(tuple(Fraction(n, den) for n, den in zip(row, dens)) for row in rows)
 
 
 def gamma_pi_coeff(i: int, d: int, m: int) -> Fraction:
@@ -260,9 +269,10 @@ def gamma_images(
         powers = ring.powers(comp, order)
         if not powers:  # order 0
             continue
-        table = universal_gamma_coefficients(w, order, len(powers))
+        rows, dens = _gamma_table(w, order, len(powers))
+        scales = [dens[-1] // den for den in dens[1:]]  # a(i; w, m) over dens[-1]
         coeffs = [unit] + [
-            ring.sum([(a, xm) for a, xm in zip(table[i][1:], powers) if a])
+            ring.sum([(n * f, xm) for n, f, xm in zip(rows[i][1:], scales, powers) if n], dens[-1])
             for i in range(1, order + 1)
         ]
         factor = TruncatedSeries(coeffs, ring)

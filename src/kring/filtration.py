@@ -25,7 +25,10 @@ weight >= n, stage by stage.
 The saturation skips each product x . y for which no basis pair (i, j), i
 in the support of x and j in that of y, has an entry in the product table
 (the model's partner masks): it is the zero vector, on every model, as the
-rule reads the table and assumes no bigrading.
+rule reads the table and assumes no bigrading.  The other layers read the
+tables with no elimination or product at all: stage 1 and the eigen_sum
+stages are coordinate subspaces (``Subspace.coordinate``), and whether the
+augmentation is a ring morphism is read off the product table's entries.
 
 This module computes stages only.  Every verdict that reads them, the
 four-way equivalence criterion among them, is a check of a suite in
@@ -85,20 +88,16 @@ class FiltrationSpec:
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
         """Whether the augmentation, the projection onto the subring,
         respects the family's product on the basis; returns a witness pair
-        when it does not.  Each call checks anew: a suite asks once per
-        kind it reads."""
-        product = kind_ring(model, self.family).mul
-        partners = self.partners(model)
-        keep = self.subring_indices(model)
-        basis = model.basis_elements()
-        augmented = [model.project(x, keep) for x in basis]
-        for i in range(model.dim):
-            for j in range(i, model.dim):
-                if not partners[i] >> j & 1:
-                    continue  # e_i . e_j has no table entry: both sides are zero
-                lhs = model.project(product(basis[i], basis[j]), keep)
-                rhs = product(augmented[i], augmented[j])
-                if lhs != rhs:
+        when it does not.  Read off the family's product table, with no
+        product made: for each entry (i, j), j >= i, every output index lies
+        in the subring when i and j both do, and none does otherwise.  Each
+        call checks anew: a suite asks once per kind it reads."""
+        rows = kind_ring(model, self.family).kernel.table.rows
+        keep = set(self.subring_indices(model))
+        for i, row in enumerate(rows):
+            for j, entries in row:
+                inside = i in keep and j in keep
+                if j >= i and any((k in keep) != inside for k, _ in entries):
                     return False, f"({model.labels[i]}, {model.labels[j]})"
         return True, None
 
@@ -209,10 +208,7 @@ def _saturation_stages(
 
     # close each stage under multiplication by the augmentation subring
     subring = [(model.basis_element(i), partners[i]) for i in spec.subring_indices(model)]
-    kernel = Subspace.span(
-        dim, [model.basis_element(i) for i in spec.kernel_indices(model)]
-    )
-    stages = [Subspace.full(dim), kernel]
+    stages = [Subspace.full(dim), Subspace.coordinate(dim, spec.kernel_indices(model))]
     for n in range(2, n_max + 1):
         closed = [v for v, _ in m_basis[n]] + _products(product, subring, m_basis[n])
         stages.append(Subspace.span(dim, closed))
@@ -262,14 +258,11 @@ def compute_filtration(
         generators = _scaled_kernel_basis(model, spec, order)
         stages = _saturation_stages(model, spec, generators, n_max, order)
     elif method == "eigen_sum":
-        stages = [Subspace.full(model.dim)]
-        for n in range(1, n_max + 1):
-            idx = [
-                i for i in range(model.dim) if spec.weight(model, i) >= n
-            ]
-            stages.append(
-                Subspace.span(model.dim, [model.basis_element(i) for i in idx])
-            )
+        weights = [spec.weight(model, i) for i in range(model.dim)]
+        stages = [Subspace.full(model.dim)] + [
+            Subspace.coordinate(model.dim, (i for i, w in enumerate(weights) if w >= n))
+            for n in range(1, n_max + 1)
+        ]
     else:
         raise DomainError(f"unknown filtration method {method!r}")
     dims = tuple(s.dim for s in stages)

@@ -17,7 +17,10 @@ hence two subspaces are equal exactly when their stored rows coincide.
 ``Subspace.span``, ``reduce`` and ``contains`` take a model ``Element``
 (read through its ``nums`` and ``den``) as well as a rational sequence, so
 no ``Fraction`` is built between the two; ``basis`` hands the rows out as
-``Fraction``s.
+``Fraction``s.  ``span`` eliminates one primitive integer row per
+direction, as the RREF depends neither on the rows' order nor on their
+multiplicity or scale, and ``Subspace.coordinate`` writes the span of unit
+vectors down in RREF form without elimination.
 
 Everything is immutable after construction and safe to share between
 threads.  The convention 0**0 = 1 applies when building power matrices, so
@@ -148,24 +151,37 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
-        """Span of ``vectors``: ``Element``s or rational sequences."""
-        rows = []
+        """Span of ``vectors``: ``Element``s or rational sequences.  Only one
+        row per direction is eliminated: its primitive integer row (gcd 1,
+        first nonzero entry positive), in order of first occurrence."""
+        rows = {}
         for v in vectors:
             nums = _integer_row(v)[0]
             if len(nums) != ambient_dim:
                 raise StructureError("vector length does not match ambient dimension")
-            rows.append(nums)
-        reduced, pivots = _rref_rows(rows, ambient_dim)
+            g = gcd(*nums)
+            if g:
+                g = g if next(a for a in nums if a) > 0 else -g
+                rows.setdefault(nums if g == 1 else tuple(a // g for a in nums))
+        reduced, pivots = _rref_rows(list(rows), ambient_dim)
         return cls(ambient_dim, tuple(reduced), tuple(pivots))
 
     @classmethod
+    def coordinate(cls, ambient_dim: int, indices: Iterable[int]) -> "Subspace":
+        """Span of the unit vectors e_i, i in ``indices``: already in RREF."""
+        pivots = tuple(sorted(set(indices)))
+        if pivots and not 0 <= pivots[0] <= pivots[-1] < ambient_dim:
+            raise StructureError("coordinate index outside the ambient dimension")
+        rows = tuple(((0,) * i + (1,) + (0,) * (ambient_dim - i - 1), 1) for i in pivots)
+        return cls(ambient_dim, rows, pivots)
+
+    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls.span(ambient_dim, [])
+        return cls.coordinate(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        n = ambient_dim
-        return cls.span(n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls.coordinate(ambient_dim, range(ambient_dim))
 
     @property
     def dim(self) -> int:

@@ -699,9 +699,7 @@ def _if_index_products(run: _Run) -> str | None:
 def _fil1(run: _Run) -> Failures:
     # stage 1 of the composed filtration sits inside the rank kernel
     model = run.model
-    kernel_gamma = Subspace.span(
-        model.dim, [run.basis[i] for i in FiltrationSpec("gamma").kernel_indices(model)]
-    )
+    kernel_gamma = Subspace.coordinate(model.dim, FiltrationSpec("gamma").kernel_indices(model))
     if not run.fil["Gamma"].stage(1).is_subspace_of(kernel_gamma):
         yield "", ""
 
@@ -713,7 +711,7 @@ def _fil2(run: _Run) -> Failures:
         idx = model.indices_by_index(j)
         if not idx:
             continue
-        block = Subspace.span(model.dim, [run.basis[i] for i in idx])
+        block = Subspace.coordinate(model.dim, idx)
         for r in range(model.g + 3):
             if (j < 0 or j >= r) and not block.is_subspace_of(stages[r]):
                 yield "", f"index {j} block at stage {r}"

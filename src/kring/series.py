@@ -178,7 +178,9 @@ class TruncatedSeries:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        # equal series have equal coefficients, so the ring (whose model
+        # elements are unhashable) can be left out
+        return hash((self.order, tuple(map(self.ring.kernel.split, self.coeffs))))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)

@@ -374,6 +374,10 @@ def test_integer_scalar_tables_match_the_rational_series_route(d):
             table = universal_gamma_coefficients(d, order, m_max)
             assert table == _old_universal_gamma_coefficients(d, order, m_max)
             assert all(type(a) is F for row in table for a in row)
+            # the Fraction view of integer rows over one denominator per power
+            rows, dens = adams_module._gamma_table(d, order, m_max)
+            assert all(type(n) is int for row in rows for n in row)
+            assert dens == tuple(dens[1] ** m * factorial(m) for m in range(m_max + 1))
 
 
 def test_scalar_table_reports_match_the_rational_series_route(monkeypatch):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -38,6 +39,8 @@ from tests.conftest import (
     model,
     run_python,
 )
+from tests.test_basis_change import TENSORS
+from tests.test_kernel import _presented_model
 from tests.test_model import _theta_raw
 from tests.test_verify_reuse import _document, _edits, _outcome
 
@@ -332,19 +335,23 @@ def _unpruned_witness(spec, m):
     return True, None
 
 
-BROKEN = ("bidegree-breach", "breach-to-unit", "rescaled-e1e2")
+BROKEN = ("bidegree-breach", "breach-to-unit", "rescaled-e1e2", "one-sided")
 
 
 def _broken_table(name):
     """A theta model whose table breaks a law the bundled builders keep: the
-    bidegree law (e2 . e2 = e2 or = e0 at g = 2) or associativity (e1 . e2
-    rescaled at g = 4, as in ``test_validate_reports_associativity_witness``).
+    bidegree law (e2 . e2 = e2 or = e0 at g = 2), associativity (e1 . e2
+    rescaled at g = 4, as in ``test_validate_reports_associativity_witness``)
+    or commutativity (e2 . e1 = e0 at g = 2, with e1 . e2 kept).
     A skip rule read off the bidegrees instead of the table changes the star
-    stages and the gamma and pi witnesses of ``breach-to-unit``."""
+    stages and the gamma and pi witnesses of ``breach-to-unit``, and an
+    augmentation test of the pairs (i, j) with j < i too finds a gamma
+    witness on ``one-sided``."""
     g, change = {
         "bidegree-breach": (2, {(2, 2): {2: F(1)}}),
         "breach-to-unit": (2, {(2, 2): {0: F(1)}}),
         "rescaled-e1e2": (4, {(1, 2): {3: F(4)}, (2, 1): {3: F(4)}}),
+        "one-sided": (2, {(2, 1): {0: F(1)}}),
     }[name]
     basis, mul, fm = _theta_raw(g)
     mul.update(change)
@@ -375,6 +382,21 @@ def test_skipped_products_leave_broken_tables_unchanged(name, kind):
     assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
 
 
+DENSE_SPECS = [(spec, True) for spec in bundled_models(4)] + [
+    (spec, conj) for spec in TENSORS for conj in (False, True)
+]
+
+
+@pytest.mark.parametrize("kind", FILTRATION_KINDS)
+@pytest.mark.parametrize("spec,conjugated", DENSE_SPECS)
+def test_augmentation_table_walk_matches_the_definition_on_dense_tables(spec, conjugated, kind):
+    # tensor products and basis_change conjugates have dense tables, where
+    # many pairs have entries with outputs both in and out of the subring
+    m = _presented_model(spec, conjugated)
+    spec = FiltrationSpec(kind)
+    assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
+
+
 @pytest.mark.parametrize("name,g", bundled_models(4) + [(name, None) for name in BROKEN])
 def test_partner_masks_match_the_tables(name, g):
     m = _broken_table(name) if g is None else model(name, g)
@@ -401,6 +423,31 @@ def test_saturation_skips_the_vanishing_products(kind, monkeypatch):
     monkeypatch.setattr(model_module, "_bilinear", counted)
     compute_filtration(m, kind, 6)
     assert len(calls) <= 300
+
+
+@pytest.mark.parametrize("name,rows,products", [("violator", 268, 488), ("antisym", 159, 386)])
+def test_filtration_tables_rows_and_products(name, rows, products, monkeypatch):
+    # deterministic counts, not times: eliminating every row handed to
+    # Subspace.span and testing the augmentation by products took 918 / 617
+    # rows and 680 / 538 products; one row per direction, coordinate stages
+    # and the table walk take the pinned counts
+    m = build_model(name, 4)
+    m.star_table  # built once per model, before counting
+    linalg, model_module = (importlib.import_module(f"kring.{n}") for n in ("linalg", "model"))
+    rref, bilinear, counts = linalg._rref_rows, model_module._bilinear, Counter()
+
+    def counted_rref(rows, ncols):
+        counts["rows"] += len(rows)
+        return rref(rows, ncols)
+
+    def counted_bilinear(*args):
+        counts["products"] += 1
+        return bilinear(*args)
+
+    monkeypatch.setattr(linalg, "_rref_rows", counted_rref)
+    monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
+    run_filtration_tables(m, name)
+    assert (counts["rows"], counts["products"]) == (rows, products)
 
 
 # -- the bucket of high weights: the weight-by-weight spans as the reference ----

@@ -573,13 +573,15 @@ def test_addition_law_products(name, g, products, monkeypatch):
     assert counts["products"] == products
 
 
-@pytest.mark.parametrize("name,g,products", [("antisym", 3, 174), ("violator", 3, 215)])
+@pytest.mark.parametrize("name,g,products", [("antisym", 3, 150), ("violator", 3, 215)])
 def test_conjecture_products(name, g, products, monkeypatch):
     # conjecture's series have order g, where the coefficient presentation
     # mostly bounds exp lower; the weight presentation wins only for a lone
     # weight whose log series has full support (2 products instead of 3
-    # at order 3), so the suite takes 174 / 215 products where one product
-    # per (k, m) pair took 181 / 218
+    # at order 3), so the suite took 174 / 215 products where one product
+    # per (k, m) pair took 181 / 218; the epsilon check's augmentation test
+    # reads the product table instead of multiplying, which leaves 150 on
+    # antisym (the violator's suite skips that check)
     m = build_model(name, g)
     m.star_table
     counts = _count_products(monkeypatch)

@@ -1,5 +1,6 @@
 """Exact linear algebra: row reduction, subspace lattice, power matrices."""
 
+import importlib
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
@@ -325,6 +326,69 @@ def test_subspace_rows_are_canonical(case):
     # any generating set of the same space gives the same stored form
     assert Subspace.span(ncols, [_fraction_row(r) for r in reversed(s.rows)]) == s
     assert hash(Subspace.span(ncols, list(reversed(rows)))) == hash(s)
+
+
+def _directions(rows) -> set:
+    """The nonzero rows up to scale: each divided by its first nonzero entry."""
+    out = set()
+    for row in rows:
+        lead = next((c for c in row if c), None)
+        if lead is not None:
+            out.add(tuple(F(c) / lead for c in row))
+    return out
+
+
+# nonzero rationals of either sign, drawn without filtering
+nonzero = st.builds(lambda sign, n, d: F(sign * n, d), st.sampled_from([1, -1]),
+                    st.integers(1, 30), st.integers(1, 60))
+
+
+@CORE
+@given(awkward_rows(), st.lists(nonzero, min_size=1, max_size=6), st.randoms())
+def test_span_ignores_order_scale_repeats_and_zero_rows(case, scales, rnd):
+    ncols, rows = case
+    s = Subspace.span(ncols, rows)
+    noisy = rows + [[c * k for c in row] for row, k in zip(rows, scales)] + [[F(0)] * ncols]
+    rnd.shuffle(noisy)
+    linalg = importlib.import_module("kring.linalg")
+    rref, seen = linalg._rref_rows, []
+
+    def counted(rows, ncols):
+        seen.append(len(rows))
+        return rref(rows, ncols)
+
+    linalg._rref_rows = counted
+    try:
+        t = Subspace.span(ncols, noisy)
+    finally:
+        linalg._rref_rows = rref
+    assert t == s and t.pivots == s.pivots
+    # one row per direction reaches the elimination
+    assert seen == [len(_directions(rows))]
+
+
+@st.composite
+def coordinate_indices(draw):
+    n = draw(st.integers(0, 6))
+    idx = draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else []
+    return n, idx
+
+
+@CORE
+@given(coordinate_indices())
+def test_coordinate_is_the_span_of_unit_vectors(case):
+    n, idx = case
+    s = Subspace.coordinate(n, idx)
+    want = Subspace.span(n, [[int(i == j) for j in range(n)] for i in idx])
+    assert s == want and s.pivots == want.pivots == tuple(sorted(set(idx)))
+
+
+def test_coordinate_rejects_indices_outside_the_ambient_dimension():
+    for idx in ([3], [-1], [0, 5]):
+        with pytest.raises(StructureError):
+            Subspace.coordinate(3, idx)
+    assert Subspace.coordinate(3, range(3)) == Subspace.full(3)
+    assert Subspace.coordinate(3, ()) == Subspace.zero(3)
 
 
 @st.composite

@@ -323,3 +323,20 @@ def test_series_over_different_rings_neither_mix_nor_compare_equal(theta2):
     assert usual == again
     assert (usual * again).coefficient(2) == 2 * theta2.basis_element(2)
     assert (star * star).coefficient(2) == star_product(e1, e1)
+
+
+@pytest.mark.parametrize("kind", ["usual", "star", None])
+def test_equal_series_hash_equal(theta2, kind):
+    # the ring is left out of the hash: a model ring holds unhashable
+    # elements, and equal series have equal coefficients anyway
+    if kind is None:
+        ring, x, y = RATIONALS, F(2, 3), F(-5)
+    else:
+        ring, x, y = kind_ring(theta2, kind), theta2.basis_element(1), theta2.basis_element(2)
+    zero = ring.zero
+    a = TruncatedSeries([zero, x, F(1, 2) * y], ring)
+    series = {a.exp(), TruncatedSeries([zero, x + x - x, y - F(1, 2) * y], ring).exp(), a}
+    assert len(series) == 2
+    # a ring built twice compares equal, so its series hash equal too
+    again = TruncatedSeries([zero, x, F(1, 2) * y], kind_ring(theta2, kind) if kind else ring)
+    assert again == a and hash(again) == hash(a)
