@@ -14,11 +14,11 @@ pullback (the diagonal operator with eigenvalue (-1)^{g+p-q} on K^p_q).
 The derived index j = p + q - g ranges over -g .. g and is additive under
 multiplication.
 
-The constructor refuses a bidegree outside 0..g, so every pullback and
-pushforward weight g -+ (p - q) is >= 0.  ``validate`` machine-checks
-every other constraint and reports a witness for each violation; the
-bundled builders construct admissible models and re-verify themselves
-instead of trusting their own formulas.
+The constructor refuses a product index outside the basis and a bidegree
+outside 0..g, so every pullback and pushforward weight g -+ (p - q) is
+>= 0.  ``validate`` machine-checks every other constraint and reports a
+witness for each violation; the bundled builders construct admissible
+models and re-verify themselves instead of trusting their own formulas.
 It runs on the integer structure constants below, never on ``Element``s
 or dense ``Fraction`` matrices.  Associativity is checked as
 ``TruncatedSeries.exp`` needs it: for i <= j <= k the three bracketings
@@ -409,12 +409,19 @@ class ModelAlgebra:
         if not (0 <= self.unit_index < self.dim and 0 <= self.star_unit_index < self.dim):
             raise StructureError("unit indices out of range")
         table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        dim = self.dim
         for (i, j), entries in mul.items():
             cleaned = tuple(
                 (int(k), f) for k, c in sorted(entries.items()) if (f := Fraction(c))
             )
             if cleaned:
-                table[(int(i), int(j))] = cleaned
+                i, j, lo, hi = int(i), int(j), cleaned[0][0], cleaned[-1][0]
+                if not (0 <= i < dim and 0 <= j < dim and 0 <= lo and hi < dim):
+                    ks = [k for k, _ in cleaned]
+                    raise StructureError(
+                        f"mul entry ({i}, {j}) -> {ks} has an index outside 0..{dim - 1}"
+                    )
+                table[(i, j)] = cleaned
         self._mul = table
         self._table = _scaled_table(table, self.dim)
         # each row over the lcm of its denominators, one coercion per entry

@@ -1,10 +1,11 @@
-"""Shared fixtures: bundled models and cached filtration results.
+"""Shared fixtures: bundled, tensor and conjugated models, cached
+filtration results, and the edited documents several modules read.
 
 Filtrations are the expensive objects; computing each (model, kind) pair
-once and sharing it across test modules keeps the whole suite fast.
+once and sharing it across test modules keeps the whole suite fast.  No
+test module imports from another: what two of them share lives here or,
+for the reference arithmetic, in ``tests/oracle.py``.
 """
-
-from __future__ import annotations
 
 import json
 import os
@@ -17,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import kring
-from kring import ModelAlgebra, build_model, compute_filtration, export_model
+from kring import ModelAlgebra, build_model, compute_filtration, modelio, reports, theta_model
+from kring.reports import Statement
+from tests.oracle import fm_rows, inverse
 
 # the directory this kring was imported from, for child interpreters
 SRC = str(Path(kring.__file__).resolve().parent.parent)
@@ -82,12 +85,6 @@ def series_values(weight: int, order: int) -> dict:
     return out
 
 
-def fm_rows(m) -> list[list[Fraction]]:
-    """The dense Fourier rows of ``m`` as ``Fraction``s, read from its
-    exported document (row i = image of e_i)."""
-    return [[Fraction(c) for c in row] for row in json.loads(export_model(m))["fm"]]
-
-
 def basis_change(m) -> list[list[Fraction]]:
     """A fixed invertible rational P, block-diagonal over the bidegree
     blocks of ``m``, that keeps the unit, the origin class and ``e1`` and
@@ -118,12 +115,8 @@ def conjugate(m, P) -> ModelAlgebra:
     """``m`` rebuilt in the basis f_i = sum_k P[i][k] e_k, with the same
     labels, bidegrees, unit and origin indices (P must keep those two
     vectors and each bidegree block)."""
-    from tests.test_linalg import _reference_rref  # test_linalg imports this module
-
     n = m.dim
-    identity = [[Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    reduced, _ = _reference_rref([row + e for row, e in zip(P, identity)], n)
-    Q = [row[n:] for row in reduced]  # P^-1: e_c = sum_l Q[c][l] f_l
+    Q = inverse(P)  # e_c = sum_l Q[c][l] f_l
 
     def in_f(x: list[Fraction]) -> list[Fraction]:
         return [sum(x[c] * Q[c][l] for c in range(n)) for l in range(n)]
@@ -179,6 +172,103 @@ def tensor(A, B) -> ModelAlgebra:
         A.g + B.g, basis, mul, fm,
         A.unit_index * nb + B.unit_index, A.star_unit_index * nb + B.star_unit_index,
     )
+
+
+# tensor products of bundled models, (name, g) pairs, with total g <= 4
+VIOLATOR_PRODUCT = (("violator", 2), ("theta", 1))
+TENSORS = [
+    (("theta", 1), ("theta", 1)),
+    (("theta", 2), ("theta", 1)),
+    (("theta", 2), ("theta", 2)),
+    (("antisym", 2), ("theta", 1)),
+    VIOLATOR_PRODUCT,
+]
+
+
+@lru_cache(maxsize=None)
+def spec_model(spec):
+    """A bundled model (name, g), or the tensor product of two of them."""
+    if isinstance(spec[0], tuple):
+        return tensor(model(*spec[0]), model(*spec[1]))
+    return model(*spec)
+
+
+@lru_cache(maxsize=None)
+def presented_model(spec, conjugated):
+    """``spec_model(spec)``, or its ``basis_change`` conjugate."""
+    m = spec_model(spec)
+    return conjugate(m, basis_change(m)) if conjugated else m
+
+
+def raw_tables(m):
+    """The constructor arguments (basis, mul, fm) of ``m``, as editable
+    lists and dicts."""
+    mul = {(i, j): dict(m.mul_basis(i, j)) for i in range(m.dim) for j in range(m.dim)}
+    basis = [(label, tuple(bd)) for label, bd in zip(m.labels, m.bidegrees)]
+    return basis, mul, fm_rows(m)
+
+
+def theta_raw(g):
+    return raw_tables(theta_model(g))
+
+
+# -- documents and their single-entry edits ------------------------------------
+
+
+def document(builder, g) -> dict:
+    return json.loads(modelio.export_model(modelio.build_model(builder, g)))
+
+
+def fm00(doc: dict) -> None:
+    doc["fm"][0][0] = "2/1"
+
+
+def mul1(doc: dict) -> None:
+    doc["mul"][1][3] = "2/1"
+
+
+def rename_e1(doc: dict) -> None:
+    for entry in doc["basis"]:
+        if entry["label"] == "e1":
+            entry["label"] = "h"
+
+
+def _rational(c: Fraction) -> str:
+    return f"{c.numerator}/{c.denominator}"
+
+
+def edits(doc, where):
+    """Single-entry edits of ``doc``: each mul constant or fm entry raised
+    by one, or one mul triple added to a pair i <= j that has none."""
+    if where == "mul":
+        for n, (_, _, _, raw) in enumerate(doc["mul"]):
+            yield lambda d, n=n, raw=raw: d["mul"][n].__setitem__(
+                3, _rational(Fraction(raw) + 1)
+            )
+    elif where == "new-mul":
+        dim = len(doc["basis"])
+        present = {(i, j) for i, j, _, _ in doc["mul"]}
+        for i in range(dim):
+            for j in range(i, dim):
+                if (i, j) not in present:
+                    k = (i + j) % dim
+                    yield lambda d, t=[i, j, k, "1/1"]: d["mul"].append(t)
+    else:
+        for r, row in enumerate(doc["fm"]):
+            for c, raw in enumerate(row):
+                yield lambda d, r=r, c=c, raw=raw: d["fm"][r].__setitem__(
+                    c, _rational(Fraction(raw) + 1)
+                )
+
+
+def outcome(sid, check, model):
+    """(status, detail, witness) of a suite check on ``model``, or (error, message)."""
+    run = reports._Run(model, model.default_series_order, model.basis_elements())
+    try:
+        s = Statement.first_failure(sid, check(run))
+    except Exception as exc:  # both versions must fail the same way
+        return type(exc).__name__, str(exc)
+    return s.status, s.detail, s.witness
 
 
 def bundled_models(g_max: int = 4):

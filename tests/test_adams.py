@@ -4,7 +4,7 @@ line-bundle calculus."""
 import importlib
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
@@ -31,9 +31,10 @@ from kring import (
     theta_model,
 )
 from kring import reports
-from kring.adams import adams_weight, kind_ring, universal_gamma_coefficients
+from kring.adams import adams_weight, universal_gamma_coefficients
 from kring.errors import DomainError, SeriesOrderError
 from kring.series import TruncatedSeries
+from tests import oracle
 from tests.conftest import bundled_models, model, series_values
 
 F = Fraction
@@ -144,30 +145,9 @@ def test_gamma_pi_squares_degree_one(theta2):
 
 
 def test_gamma_usual_matches_series_oracle(theta2):
-    # independent route: exp then substitution, assembled by hand
     e1 = theta2.basis_element(1)
-    order = 4
-    lam = [theta2.one()]  # lambda-series coefficients of e1, usual family
-    log_coeffs = [
-        F((-1) ** (n - 1), n) * adams(theta2, "usual", n, e1)
-        for n in range(1, order + 1)
-    ]
-    # exp by explicit powers (coefficients commute, products are tiny)
-    from itertools import product as iproduct
-
-    series = [theta2.one()] + [theta2.zero()] * order
-    for k in range(1, order + 1):
-        for combo in iproduct(range(1, order + 1), repeat=k):
-            if sum(combo) > order:
-                continue
-            term = theta2.one()
-            for n in combo:
-                term = term * log_coeffs[n - 1]
-            series[sum(combo)] = series[sum(combo)] + F(1, factorial(k)) * term
-    gamma2 = theta2.zero()
-    for i in range(1, order + 1):
-        gamma2 = gamma2 + comb(1, i - 1) * series[i]  # t^2 coefficient of s(t/(1-t))
-    assert gamma_op(theta2, "usual", 2, e1) == gamma2
+    want = oracle.gamma_series(theta2, "usual", e1.coords, 4)[2]
+    assert gamma_op(theta2, "usual", 2, e1, order=4).coords == want
 
 
 def test_gamma_beyond_order_raises(theta2):
@@ -176,7 +156,7 @@ def test_gamma_beyond_order_raises(theta2):
 
 
 @pytest.mark.parametrize("name,g", [("theta", 2), ("antisym", 2), ("pathological", 2), ("violator", 2)])
-def test_gamma_images_agree_with_series_route(name, g):
+def test_gamma_images_match_the_oracle(name, g):
     # order well above the algebra's nilpotency degree, so non-nilpotent
     # components (those meeting the unit line) are exercised too
     m = model(name, g)
@@ -190,10 +170,8 @@ def test_gamma_images_agree_with_series_route(name, g):
     order = 2 * g + 4
     for kind in ADAMS_KINDS:
         for x in elements:
-            fast = gamma_images(m, kind, x, order)
-            series = gamma_series(m, kind, x, order)
-            for i in range(order + 1):
-                assert fast[i] == series.coefficient(i)
+            fast = [v.coords for v in gamma_images(m, kind, x, order)]
+            assert fast == oracle.gamma_series(m, kind, x.coords, order)
 
 
 @pytest.mark.parametrize("name,g", [("theta", 2), ("antisym", 3)])
@@ -222,66 +200,6 @@ def test_star_gamma_commutes_with_pushforward(theta2):
 
 
 # -- universal coefficients -----------------------------------------------------
-
-
-def _oracle_gamma_coeffs(d: int, i_max: int, m_max: int):
-    """Independent route: polynomial composition by Horner in Q[x]/(x^{m_max+1}),
-    then exponentiation by explicit powers."""
-    width = m_max + 1
-
-    def tmul(a, b):
-        out = [[F(0)] * width for _ in range(i_max + 1)]
-        for i, pa in enumerate(a):
-            for j, pb in enumerate(b):
-                if i + j > i_max:
-                    continue
-                for xa, ca in enumerate(pa):
-                    if not ca:
-                        continue
-                    for xb, cb in enumerate(pb):
-                        if not cb or xa + xb >= width:
-                            continue
-                        out[i + j][xa + xb] += ca * cb
-        return out
-
-    def tadd(a, b):
-        return [
-            [ca + cb for ca, cb in zip(pa, pb)] for pa, pb in zip(a, b)
-        ]
-
-    def tscale(q, a):
-        return [[q * c for c in p] for p in a]
-
-    zero_t = [[F(0)] * width for _ in range(i_max + 1)]
-    one_t = [r[:] for r in zero_t]
-    one_t[0][0] = F(1)
-    # u(t) = t + t^2 + ... truncated
-    u = [r[:] for r in zero_t]
-    for n in range(1, i_max + 1):
-        u[n][0] = F(1)
-    # L(u) = sum (-1)^{n-1} n^{d-1} x u^n, evaluated by Horner in u
-    coeffs = [F((-1) ** (n - 1)) * F(n) ** (d - 1) for n in range(1, i_max + 1)]
-    L = zero_t
-    for c in reversed(coeffs):
-        mono = [r[:] for r in zero_t]
-        mono[0][1] = c  # c * x
-        L = tmul(tadd(L, mono), u)
-    # exp by explicit powers
-    total = one_t
-    power = one_t
-    for k in range(1, i_max + 1):
-        power = tmul(power, L)
-        total = tadd(total, tscale(F(1, factorial(k)), power))
-    return total
-
-
-@pytest.mark.parametrize("d", range(1, 5))
-def test_gamma_coeff_independent_oracle(d):
-    i_max, m_max = 6, 3
-    oracle = _oracle_gamma_coeffs(d, i_max, m_max)
-    for i in range(1, i_max + 1):
-        for m in range(1, m_max + 1):
-            assert gamma_pi_coeff(i, d, m) == oracle[i][m]
 
 
 def test_gamma_coeff_examples():
@@ -342,37 +260,20 @@ def test_universal_gamma_coefficients_table_entries():
     assert universal_gamma_coefficients(2, 4, 2)[2][2] == F(1, 2)  # a(2; 2, 2)
 
 
-def _old_adams_log(exponent, order):
-    """``adams._adams_log`` as a Fraction power times a sign."""
-    return TruncatedSeries.rational(
-        [0] + [(-1) ** (n - 1) * F(n) ** exponent for n in range(1, order + 1)]
-    )
-
-
-def _old_substituted_log(exponent, order):
-    return _old_adams_log(exponent, order).substitute_gamma()
-
-
-def _old_universal_gamma_coefficients(d, order, m_max):
-    """``universal_gamma_coefficients`` by series products over Q."""
-    s = _old_substituted_log(d - 1, order)
-    power = s.constant(F(1))
-    columns = [power.coeffs]
-    for m in range(1, m_max + 1):
-        power = power * s
-        columns.append(tuple(c / factorial(m) for c in power.coeffs))
-    return tuple(zip(*columns))
-
-
 @pytest.mark.parametrize("d", range(-3, 9))
-def test_integer_scalar_tables_match_the_rational_series_route(d):
+def test_integer_scalar_tables_match_the_oracle(d):
+    # every table is a corner of the oracle's at order 20: entry [i][m]
+    # reads the terms up to t^i only; column m = 1 is S_d, the substituted
+    # ``_adams_log``, so it checks that series too
+    full = oracle.gamma_coefficients(d, 20, 20)
     for order in range(1, 21):
         log = adams_module._adams_log(d - 1, order).coeffs
-        assert log == _old_adams_log(d - 1, order).coeffs
         assert all(type(c) is F for c in log)
         for m_max in sorted(set(range(1, 7)) | ({order} if d == 0 else set())):
             table = universal_gamma_coefficients(d, order, m_max)
-            assert table == _old_universal_gamma_coefficients(d, order, m_max)
+            assert table == tuple(row[: m_max + 1] for row in full[: order + 1])
+            if d >= 1:
+                assert gamma_pi_coeff(order, d, m_max) == full[order][m_max]
             assert all(type(a) is F for row in table for a in row)
             # the Fraction view of integer rows over one denominator per power
             rows, dens = adams_module._gamma_table(d, order, m_max)
@@ -380,14 +281,19 @@ def test_integer_scalar_tables_match_the_rational_series_route(d):
             assert dens == tuple(dens[1] ** m * factorial(m) for m in range(m_max + 1))
 
 
-def test_scalar_table_reports_match_the_rational_series_route(monkeypatch):
+def test_scalar_table_reports_match_the_oracle(monkeypatch):
     runs = (
         lambda: reports.run_gamma_coeff_report(8, 8, 4),
         lambda: reports.run_series_report(-1, 8),
     )
     new = [run().to_json() for run in runs]
-    monkeypatch.setattr(reports, "universal_gamma_coefficients", _old_universal_gamma_coefficients)
-    monkeypatch.setattr(adams_module, "_substituted_log", _old_substituted_log)
+
+    def substituted_log(exponent, order):
+        table = oracle.gamma_coefficients(exponent + 1, order, 1)
+        return TruncatedSeries.rational([row[1] for row in table])
+
+    monkeypatch.setattr(reports, "universal_gamma_coefficients", oracle.gamma_coefficients)
+    monkeypatch.setattr(adams_module, "_substituted_log", substituted_log)
     assert [run().to_json() for run in runs] == new
 
 
@@ -474,27 +380,6 @@ def test_normalization_report_exact_values():
         assert n * num == target
 
 
-def test_normalization_report_oracle():
-    # independent check of the standard route at order 3 by direct expansion
-    # S(u) with u = t/(1-t): u - u^2/4 + u^3/9, truncated by hand
-    u = [F(0), F(1), F(1), F(1)]
-
-    def mul(a, b):
-        out = [F(0)] * 4
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                if i + j < 4:
-                    out[i + j] += x * y
-        return out
-
-    u2, u3 = mul(u, u), mul(mul(u, u), u)
-    s = [
-        u[k] - F(1, 4) * u2[k] + F(1, 9) * u3[k]
-        for k in range(4)
-    ]
-    assert tuple(s[1:]) == series_values(-1, 3)["standard"][0]
-
-
 def test_normalization_report_harmonic_connection():
     rep = series_values(-1, 5)
     for n, c in enumerate(rep["standard"][0], start=1):
@@ -504,14 +389,14 @@ def test_normalization_report_harmonic_connection():
 
 
 def test_normalization_report_reads_the_substituted_logarithm():
-    # the report's log-gamma coefficients are column m = 1 of the universal
-    # table, which is the substituted logarithm of weight - 1 (standard) or
-    # weight (unscaled) itself
+    # the report's log-gamma coefficients are S_d = sum_n (-1)^(n-1)
+    # n^(d-1) (t/(1-t))^n for d = weight (standard) or weight + 1
+    # (unscaled): column m = 1 of the universal table
     for weight in range(-8, 9):
-        for order in (1, 2, 5, 12):
+        for order in (1, 2, 3, 5, 12):
             rep = series_values(weight, order)
-            for name, shift in (("standard", -1), ("unscaled", 0)):
-                want = adams_module._substituted_log(weight + shift, order).coeffs[1:]
+            for name, d in (("standard", weight), ("unscaled", weight + 1)):
+                want = [row[1] for row in oracle.gamma_coefficients(d, order, 1)[1:]]
                 assert rep[name][0] == tuple(want)
 
 
@@ -524,23 +409,6 @@ def test_normalization_report_order_one_matches_both():
         run_series_report(-1, 0)
 
 
-def _log_lambda(m, kind, x, order):
-    """The weighted Adams series sum_n (-1)^{n-1} psi^n(x) t^n / n, one
-    Adams operator application per n: the route the lambda series took
-    before it summed L_w(t) x_w over the eigencomponents."""
-    ring = kind_ring(m, kind)
-    coeffs = [ring.zero] + [
-        F((-1) ** (n - 1), n) * adams(m, kind, n, x) for n in range(1, order + 1)
-    ]
-    return TruncatedSeries(coeffs, ring)
-
-
-def _gamma_series_by_substitution(m, kind, x, order):
-    """The gamma series by substituting t/(1-t) into the whole log-lambda
-    series, the route ``gamma_series`` took before it summed S_w(t) x_w."""
-    return _log_lambda(m, kind, x, order).substitute_gamma().exp()
-
-
 def _samples(m):
     return [
         m.from_coords([F((-1) ** i * (i + 1), i % 3 + 1) for i in range(m.dim)]),
@@ -551,22 +419,18 @@ def _samples(m):
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
 @pytest.mark.parametrize("kind", ADAMS_KINDS)
-def test_lambda_op_matches_the_adams_operator_series(name, g, kind):
-    # each lambda^i, read off one ``lambda_series`` of order g + 1, equals
-    # coefficient i of the Adams operator series truncated at order i
+def test_lambda_series_match_the_oracle(name, g, kind):
     m = model(name, g)
     for x in _samples(m) + [m.zero()]:
-        series = lambda_series(m, kind, x, g + 1)
-        for i in range(g + 2):
-            want = _log_lambda(m, kind, x, max(i, 1)).exp().coefficient(i)
-            assert series.coefficient(i) == want
+        series = [c.coords for c in lambda_series(m, kind, x, g + 1).coeffs]
+        assert series == oracle.lambda_series(m, kind, x.coords, g + 1)
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
 @pytest.mark.parametrize("kind", ADAMS_KINDS)
-def test_gamma_series_matches_whole_series_substitution(name, g, kind):
+def test_gamma_series_match_the_oracle(name, g, kind):
     m = model(name, g)
     order = g + 3
     for x in _samples(m):
-        want = _gamma_series_by_substitution(m, kind, x, order)
-        assert gamma_series(m, kind, x, order) == want
+        series = [c.coords for c in gamma_series(m, kind, x, order).coeffs]
+        assert series == oracle.gamma_series(m, kind, x.coords, order)

@@ -7,23 +7,26 @@ Fourier tables than the bundled builders, which is where the partner
 masks, the weight >= n_max bucket and the ``verify`` reuse keys are least
 likely to fire.  The tensor products of ``tests.conftest.tensor`` have
 bidegree blocks several vectors wide, so their conjugates are the densest.
+Besides that fixed P, ``hypothesis`` draws block-diagonal ones.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from kring import reports, validate
-from tests.conftest import basis_change, bundled_models, conjugate, model, tensor
-
-VIOLATOR_PRODUCT = (("violator", 2), ("theta", 1))
-TENSORS = [
-    (("theta", 1), ("theta", 1)),
-    (("theta", 2), ("theta", 1)),
-    (("theta", 2), ("theta", 2)),
-    (("antisym", 2), ("theta", 1)),
+from kring import export_model, fingerprint, import_model, reports, validate
+from tests import oracle
+from tests.conftest import (
+    TENSORS,
     VIOLATOR_PRODUCT,
-]
+    basis_change,
+    bundled_models,
+    conjugate,
+    spec_model,
+)
 
 CASES = [pytest.param((name, g), id=f"{name}-{g}") for name, g in bundled_models(4)] + [
     pytest.param((a, b), id=f"{a[0]}{a[1]}x{b[0]}{b[1]}") for a, b in TENSORS
@@ -31,40 +34,90 @@ CASES = [pytest.param((name, g), id=f"{name}-{g}") for name, g in bundled_models
 
 
 @lru_cache(maxsize=None)
-def _model(spec):
-    """A bundled model (name, g), or the tensor product of two of them."""
-    if isinstance(spec[0], tuple):
-        return tensor(model(*spec[0]), model(*spec[1]))
-    return model(*spec)
+def _verdicts(m):
+    """The statuses of ``verify`` and ``conjecture`` and every statement of
+    the filtration tables on ``m``."""
+    verify, conj, tables = (
+        run(m, "model").statements
+        for run in (reports.run_verify_suite, reports.run_conjecture_suite, reports.run_filtration_tables)
+    )
+    return {s.id: s.status for s in verify}, {s.id: s.status for s in conj}, [
+        (s.id, s.status, s.detail) for s in tables
+    ]
 
 
-def _statuses(report) -> list[tuple[str, str]]:
-    return [(s.id, s.status) for s in report.statements]
+def _assert_same_verdicts(m, c, witnesses=True):
+    """``c``, a conjugate of ``m``, validates, keeps its fingerprint through
+    export and import, and reaches ``m``'s verdicts and filtration tables
+    (their augmentation witnesses too, unless ``witnesses`` is false); returns
+    the two statuses of ``lem-conjecture-equivalences``, left out here."""
+    assert validate(m).ok and validate(c).ok
+    assert fingerprint(import_model(export_model(c))) == fingerprint(c)
+    (verify, conj, tables), (got_verify, got_conj, got_tables) = _verdicts(m), _verdicts(c)
+    assert list(got_verify.items()) == list(verify.items())
+    if not witnesses:
+        tables, got_tables = (
+            [(sid, status, detail.partition(" (witness ")[0]) for sid, status, detail in t]
+            for t in (tables, got_tables)
+        )
+    assert got_tables == tables
+    want, got = dict(conj), dict(got_conj)
+    sid = "lem-conjecture-equivalences"
+    equivalences = want.pop(sid), got.pop(sid)
+    assert list(got.items()) == list(want.items())
+    return equivalences
 
 
 @pytest.mark.parametrize("spec", CASES)
 def test_conjugate_keeps_every_verdict(spec):
-    m, name = _model(spec), str(spec)
-    c = conjugate(m, basis_change(m))
-    assert validate(m).ok and validate(c).ok
-    assert _statuses(reports.run_verify_suite(c, name)) == _statuses(
-        reports.run_verify_suite(m, name)
-    )
-    want = dict(_statuses(reports.run_conjecture_suite(m, name)))
-    got = dict(_statuses(reports.run_conjecture_suite(c, name)))
+    m = spec_model(spec)
+    want, got = _assert_same_verdicts(m, conjugate(m, basis_change(m)))
     if spec == VIOLATOR_PRODUCT:
         # the violator factor's positive- and negative-index product survives
-        assert want["conj-2-products"] == "fail"
+        assert _verdicts(m)[1]["conj-2-products"] == "fail"
         # lem-conjecture-equivalences tests basis classes only, and its
         # criteria are not linear in the class: on this model, which breaks
         # the lemma's hypotheses, the basis class w*e1 in K^1_1 has (1)
         # false and (2) - (4) true, while the conjugate's class there mixes
         # w*e1 with v*e0 and all four agree; the verdict follows the basis
-        sid = "lem-conjecture-equivalences"
-        assert (want.pop(sid), got.pop(sid)) == ("fail", "pass")
-    assert list(got.items()) == list(want.items())
-    tables = [
-        [(s.id, s.status, s.detail) for s in reports.run_filtration_tables(x, name).statements]
-        for x in (m, c)
-    ]
-    assert tables[0] == tables[1]
+        assert (want, got) == ("fail", "pass")
+    else:
+        assert got == want
+
+
+entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).map(Fraction)
+
+
+@st.composite
+def drawn_conjugates(draw):
+    """A bundled or tensor model and a block-diagonal P that keeps the unit,
+    the origin class and ``e1`` and mixes the other vectors of each
+    bidegree block, with rational entries, into an invertible block."""
+    spec = draw(st.sampled_from(bundled_models(4) + TENSORS))
+    m = spec_model(spec)
+    keep = {m.unit_index, m.star_unit_index} | ({m.index_of("e1")} if "e1" in m.labels else set())
+    P = [[Fraction(int(i == k)) for k in range(m.dim)] for i in range(m.dim)]
+    for bidegree in dict.fromkeys(m.bidegrees):
+        block = [i for i in range(m.dim) if m.bidegrees[i] == bidegree]
+        moving = [i for i in block if i not in keep]
+        for i in moving:
+            for k in block:
+                P[i][k] = draw(entry)
+        # the kept rows are unit vectors, so P is invertible when the
+        # moving rows are on the moving columns
+        square = [[P[i][k] for k in moving] for i in moving]
+        assume(len(oracle.rref(square, len(moving))[1]) == len(moving))
+    return spec, P
+
+
+@settings(max_examples=12, deadline=None)
+@given(drawn_conjugates())
+def test_drawn_conjugates_keep_every_verdict(case):
+    spec, P = case
+    m = spec_model(spec)
+    # a P that permutes a block moves the first failing pair of the walk
+    want, got = _assert_same_verdicts(m, conjugate(m, P), witnesses=False)
+    # on a model with a violator factor the equivalence verdict follows the
+    # basis (see test_conjugate_keeps_every_verdict)
+    if "violator" not in str(spec):
+        assert got == want

@@ -25,39 +25,26 @@ import json
 import pytest
 
 from kring import modelio, reports
-
-
-def _fm00(doc: dict) -> None:
-    doc["fm"][0][0] = "2/1"
-
-
-def _mul1(doc: dict) -> None:
-    doc["mul"][1][3] = "2/1"
-
-
-def _rename_e1(doc: dict) -> None:
-    for entry in doc["basis"]:
-        if entry["label"] == "e1":
-            entry["label"] = "h"
+from tests.conftest import fm00, mul1, rename_e1
 
 
 # (builder, g, edit, suite) -> SHA-256 of the structured report
 CASES = {
-    ("pathological", 2, _fm00, "verify"):
+    ("pathological", 2, fm00, "verify"):
         "ce63154dcc83fc8a72101a99285ea5fa3aa4529f02376b406fbba311647f57a0",
-    ("pathological", 2, _fm00, "conjecture"):
+    ("pathological", 2, fm00, "conjecture"):
         "046787133eaf82ebf1694bb1e031851a5f74019cf91a0b10b4549dbf94c8afc5",
-    ("theta", 2, _mul1, "verify"):
+    ("theta", 2, mul1, "verify"):
         "c19df371959f8a400b9dd789d93f63397aa44a8aa42e04dc60c20c01eb4acab4",
-    ("theta", 2, _mul1, "conjecture"):
+    ("theta", 2, mul1, "conjecture"):
         "35c8d8fc011250bc915f4750798e43fe1e0d2d9296556a2c34fae22eb25f4467",
-    ("theta", 2, _fm00, "verify"):
+    ("theta", 2, fm00, "verify"):
         "8354a87653eb02ebd2d9b08d78e0d28a1767b307dd7ade1a8704d197e181187c",
-    ("theta", 2, _fm00, "conjecture"):
+    ("theta", 2, fm00, "conjecture"):
         "bd534294160f782f0a25041dd530a9c28f8dbdc893ac0bd6eb89880795c5e4c2",
-    ("theta", 2, _rename_e1, "verify"):
+    ("theta", 2, rename_e1, "verify"):
         "91e2993b2c67257e150a8e37b896655e0a0d20573c0fd0b0d4c86397a0fff4b0",
-    ("theta", 2, _rename_e1, "conjecture"):
+    ("theta", 2, rename_e1, "conjecture"):
         "3b24af01540f239dbebd512d488f92a29f5c7f24e10f44b1aea84f0b7ed92306",
 }
 
@@ -68,7 +55,7 @@ RUNNERS = {
 
 
 @pytest.mark.parametrize(
-    "case", CASES, ids=[f"{b}{g}-{edit.__name__[1:]}-{s}" for b, g, edit, s in CASES]
+    "case", CASES, ids=[f"{b}{g}-{edit.__name__}-{s}" for b, g, edit, s in CASES]
 )
 def test_perturbed_report_hash(case):
     builder, g, edit, suite = case

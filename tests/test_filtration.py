@@ -2,7 +2,6 @@
 
 import importlib
 import json
-import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -24,25 +23,29 @@ from kring import (
     modelio,
     reports,
 )
-from kring.adams import gamma_images, kind_ring, lambda_series
+from kring.adams import gamma_images, lambda_series
 from kring.errors import DomainError, SeriesOrderError
-from kring.filtration import FiltrationResult, _saturation_stages, _scaled_kernel_basis
-from kring.model import _scaled_table
-from kring.reports import Statement, _with_pairwise_sums
+from kring.filtration import FiltrationResult
+from kring.reports import Statement
 from kring.series import TruncatedSeries
+from tests import oracle
 from tests.conftest import (
+    TENSORS,
+    VIOLATOR_PRODUCT,
     basis_change,
     bundled_models,
     conjecture,
     conjugate,
+    document,
+    edits,
     filtration,
+    fm00,
     model,
+    outcome,
+    presented_model,
     run_python,
+    theta_raw,
 )
-from tests.test_basis_change import TENSORS
-from tests.test_kernel import _presented_model
-from tests.test_model import _theta_raw
-from tests.test_verify_reuse import _document, _edits, _outcome
 
 F = Fraction
 
@@ -53,19 +56,6 @@ def test_theta2_gamma_dims():
 
 def test_theta2_pi_dims():
     assert filtration("theta", 2, "pi", 4).dims == (3, 2, 1, 0, 0)
-
-
-def test_stage_one_is_augmentation_kernel():
-    for name, g in [("theta", 2), ("antisym", 2), ("pathological", 2)]:
-        m = model(name, g)
-        for kind in ("gamma", "star", "pi", "Gamma"):
-            spec = FiltrationSpec(kind)
-            res = filtration(name, g, kind, g + 2)
-            kernel = Subspace.span(
-                m.dim,
-                [m.basis_element(i).coords for i in spec.kernel_indices(m)],
-            )
-            assert res.stage(1) == kernel
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
@@ -98,11 +88,26 @@ def test_fourier_mirrors_star_into_gamma(name, g):
         assert image == gamma.stage(n)
 
 
-@pytest.mark.parametrize("name,g", [("theta", 2), ("theta", 3), ("antisym", 2), ("antisym", 3)])
-def test_methods_agree_on_compliant_models(name, g):
-    for kind in ("gamma", "star", "pi", "Gamma"):
-        sat = filtration(name, g, kind, g + 1)
-        eig = filtration(name, g, kind, g + 1, "eigen_sum")
+@pytest.mark.parametrize(
+    "spec,conjugated",
+    [
+        pytest.param((name, g), False, id=f"{name}-{g}")
+        for name, g in [("theta", 2), ("theta", 3), ("antisym", 2), ("antisym", 3)]
+    ]
+    + [
+        pytest.param((a, b), conj, id=f"{a[0]}{a[1]}x{b[0]}{b[1]}" + "-conj" * conj)
+        for a, b in TENSORS
+        if (a, b) != VIOLATOR_PRODUCT
+        for conj in (False, True)
+    ],
+)
+def test_methods_agree_on_compliant_models(spec, conjugated):
+    # the tensor products without a violator factor have no negative-index
+    # class, and neither have their conjugates
+    m = presented_model(spec, conjugated)
+    for kind in FILTRATION_KINDS:
+        sat = compute_filtration(m, kind, m.g + 1)
+        eig = compute_filtration(m, kind, m.g + 1, "eigen_sum")
         assert sat.stages == eig.stages
 
 
@@ -159,43 +164,6 @@ def test_star_vanishing_fails_on_g2_negative_controls(name):
     v = m.basis_element(m.index_of("v")).coords
     assert res.stage(3).contains(v)
     assert res.stage(3).dim >= 1
-
-
-def _randomised_saturation(m, kind, n_max, seed=0, max_rounds=8):
-    """The saturation as it was computed before it was made exact: the
-    gamma images of the kernel basis and its pairwise sums, enriched round
-    after round by seeded random rational combinations of the kernel basis
-    until two rounds give the same dimension vector."""
-    spec = FiltrationSpec(kind)
-    kernel = [m.basis_element(i) for i in spec.kernel_indices(m)]
-    rng = random.Random(seed)
-    enrichment = _with_pairwise_sums(kernel)
-    previous = None
-    for _ in range(max_rounds):
-        stages = _saturation_stages(m, spec, enrichment, n_max, m.default_series_order)
-        dims = tuple(s.dim for s in stages)
-        if dims == previous:
-            return tuple(stages)
-        previous = dims
-        for _ in range(2 * m.dim):
-            combo = m.zero()
-            for b in kernel:
-                num, den = rng.randint(-6, 6), rng.randint(1, 3)
-                if num:
-                    combo = combo + Fraction(num, den) * b
-            if not combo.is_zero():
-                enrichment.append(combo)
-    raise AssertionError("the randomised saturation did not stabilise")
-
-
-@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
-@pytest.mark.parametrize("name,g", bundled_models(3))
-@pytest.mark.parametrize("extra", [0, 2], ids=["n_max=g", "n_max=g+2"])
-def test_exact_saturation_equals_randomised_saturation(name, g, kind, extra):
-    m = model(name, g)
-    res = filtration(name, g, kind, g + extra)
-    assert res.stages == _randomised_saturation(m, kind, g + extra)
-    assert res.rounds == (res.dims,)
 
 
 @pytest.mark.parametrize("name,g", bundled_models(3))
@@ -264,75 +232,7 @@ def test_only_the_statements_that_read_a_verdict_check_the_augmentation(
         assert sorted(calls) == sorted(FILTRATION_KINDS)
 
 
-# -- skipped products: the unpruned loops as the reference ---------------------
-
-
-def _unpruned_close(m, product, seed_vectors, multipliers):
-    space = Subspace.span(m.dim, seed_vectors)
-    while True:
-        new_vectors = []
-        basis = [Element(m, nums, den) for nums, den in space.rows]
-        for x in multipliers:
-            for b in basis:
-                prod = product(x, b)
-                if not prod.is_zero() and not space.contains(prod):
-                    new_vectors.append(prod)
-        if not new_vectors:
-            return space
-        space = space + Subspace.span(m.dim, new_vectors)
-
-
-def _unpruned_stages(m, spec, generators, n_max, order):
-    """``_saturation_stages`` making every product, the zero ones too, and
-    spanning the gamma images one weight at a time."""
-    product = kind_ring(m, spec.family).mul
-    dim = m.dim
-    images = [gamma_images(m, spec.family, x, order) for x in generators]
-    weight_basis = [[]]
-    for i in range(1, order + 1):
-        span = Subspace.span(dim, [img[i] for img in images])
-        weight_basis.append([Element(m, nums, den) for nums, den in span.rows])
-    all_gamma = [v for i in range(1, order + 1) for v in weight_basis[i]]
-    space = _unpruned_close(m, product, list(all_gamma), all_gamma)
-    m_basis = {1: [Element(m, nums, den) for nums, den in space.rows]}
-    for n in range(2, n_max + 1):
-        vectors = []
-        for i in range(1, order + 1):
-            if i >= n:
-                vectors.extend(weight_basis[i])
-            for gen in weight_basis[i]:
-                for b in m_basis[max(n - i, 1)]:
-                    prod = product(gen, b)
-                    if not prod.is_zero():
-                        vectors.append(prod)
-        space = Subspace.span(dim, vectors)
-        m_basis[n] = [Element(m, nums, den) for nums, den in space.rows]
-    subring = [m.basis_element(i) for i in spec.subring_indices(m)]
-    kernel = Subspace.span(dim, [m.basis_element(i) for i in spec.kernel_indices(m)])
-    stages = [Subspace.full(dim), kernel]
-    for n in range(2, n_max + 1):
-        closed = list(m_basis[n])
-        for s in subring:
-            for v in m_basis[n]:
-                prod = product(s, v)
-                if not prod.is_zero():
-                    closed.append(prod)
-        stages.append(Subspace.span(dim, closed))
-    return stages
-
-
-def _unpruned_witness(spec, m):
-    """``FiltrationSpec.augmentation_is_morphism`` testing every basis pair."""
-    product = kind_ring(m, spec.family).mul
-    keep = spec.subring_indices(m)
-    basis = m.basis_elements()
-    augmented = [m.project(x, keep) for x in basis]
-    for i in range(m.dim):
-        for j in range(i, m.dim):
-            lhs = m.project(product(basis[i], basis[j]), keep)
-            if lhs != product(augmented[i], augmented[j]):
-                return False, f"({m.labels[i]}, {m.labels[j]})"
-    return True, None
+# -- skipped products and buckets: the oracle as the reference -------------------
 
 
 BROKEN = ("bidegree-breach", "breach-to-unit", "rescaled-e1e2", "one-sided")
@@ -353,48 +253,32 @@ def _broken_table(name):
         "rescaled-e1e2": (4, {(1, 2): {3: F(4)}, (2, 1): {3: F(4)}}),
         "one-sided": (2, {(2, 1): {0: F(1)}}),
     }[name]
-    basis, mul, fm = _theta_raw(g)
+    basis, mul, fm = theta_raw(g)
     mul.update(change)
     return ModelAlgebra(g, basis, mul, fm, unit_index=0, star_unit_index=g)
 
 
-@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
-@pytest.mark.parametrize("name,g", bundled_models(4))
-def test_skipped_products_leave_the_stages_unchanged(name, g, kind):
-    m = model(name, g)
-    res = filtration(name, g, kind, g + 2)
-    spec = FiltrationSpec(kind)
-    order = m.default_series_order
-    generators = _scaled_kernel_basis(m, spec, order)
-    assert res.stages == tuple(_unpruned_stages(m, spec, generators, g + 2, order))
-    assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
-
-
-@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
-@pytest.mark.parametrize("name", BROKEN)
-def test_skipped_products_leave_broken_tables_unchanged(name, kind):
-    m = _broken_table(name)
-    spec = FiltrationSpec(kind)
-    order = m.default_series_order
-    generators = _scaled_kernel_basis(m, spec, order)
-    stages = _saturation_stages(m, spec, generators, m.g + 2, order)
-    assert stages == _unpruned_stages(m, spec, generators, m.g + 2, order)
-    assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
-
-
-DENSE_SPECS = [(spec, True) for spec in bundled_models(4)] + [
-    (spec, conj) for spec in TENSORS for conj in (False, True)
-]
-
-
 @pytest.mark.parametrize("kind", FILTRATION_KINDS)
-@pytest.mark.parametrize("spec,conjugated", DENSE_SPECS)
-def test_augmentation_table_walk_matches_the_definition_on_dense_tables(spec, conjugated, kind):
-    # tensor products and basis_change conjugates have dense tables, where
-    # many pairs have entries with outputs both in and out of the subring
-    m = _presented_model(spec, conjugated)
-    spec = FiltrationSpec(kind)
-    assert spec.augmentation_is_morphism(m) == _unpruned_witness(spec, m)
+@pytest.mark.parametrize(
+    "spec,conjugated",
+    [pytest.param((name, None), False, id=name) for name in BROKEN]
+    + [
+        pytest.param((name, g), conj, id=f"{name}-{g}" + "-conj" * conj)
+        for name, g in bundled_models(4)
+        for conj in (False, True)
+    ]
+    + [
+        pytest.param((a, b), conj, id=f"{a[0]}{a[1]}x{b[0]}{b[1]}" + "-conj" * conj)
+        for a, b in TENSORS
+        for conj in (False, True)
+    ],
+)
+def test_augmentation_table_walk_matches_the_definition(spec, conjugated, kind):
+    # the broken tables, tensor products and basis_change conjugates have
+    # many pairs with outputs both in and out of the subring, and a walk of
+    # the pairs (i, j) with j < i too finds a gamma witness on one-sided
+    m = _broken_table(spec[0]) if spec[1] is None else presented_model(spec, conjugated)
+    assert FiltrationSpec(kind).augmentation_is_morphism(m) == oracle.augmentation_witness(m, kind)
 
 
 @pytest.mark.parametrize("name,g", bundled_models(4) + [(name, None) for name in BROKEN])
@@ -450,9 +334,6 @@ def test_filtration_tables_rows_and_products(name, rows, products, monkeypatch):
     assert (counts["rows"], counts["products"]) == (rows, products)
 
 
-# -- the bucket of high weights: the weight-by-weight spans as the reference ----
-
-
 def _bucket_cases(m):
     """(n_max, order) pairs over n_max in {0, 1, 2, g, g + 2, g^2 + 2} and
     order in {n_max, g + 2, g^2 + 2}, order >= n_max."""
@@ -465,18 +346,18 @@ def _bucket_cases(m):
     })
 
 
-@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
+@pytest.mark.parametrize("kind", FILTRATION_KINDS)
 @pytest.mark.parametrize("name,g", bundled_models(4) + [(name, None) for name in BROKEN])
-def test_bucketed_weights_leave_the_stages_unchanged(name, g, kind):
+def test_saturation_matches_the_definition(name, g, kind):
+    # the oracle spans words in the gamma images of more kernel elements than
+    # the c e_k with no mask or bucket; its stages do not depend on n_max, as
+    # the conjecture suite reads stages 0..g off a filtration at n_max = order
     m = _broken_table(name) if g is None else model(name, g)
-    spec = FiltrationSpec(kind)
-    reference = {}  # order -> all stages up to n_max = order, weight by weight
     for n_max, order in _bucket_cases(m):
-        generators = _scaled_kernel_basis(m, spec, order)
-        if order not in reference:
-            reference[order] = _unpruned_stages(m, spec, generators, order, order)
-        stages = _saturation_stages(m, spec, generators, n_max, order)
-        assert stages == reference[order][: len(stages)], (n_max, order)
+        res = compute_filtration(m, kind, n_max, order=order)
+        want = oracle.stages(m, kind, order, order)
+        assert tuple(s.basis for s in res.stages) == want[: len(res.stages)], (n_max, order)
+        assert res.rounds == (res.dims,)
 
 
 def test_saturation_spans_few_rows_and_makes_no_rational_series_products():
@@ -513,25 +394,6 @@ print(json.dumps(counts))
     assert counts["rational_products"] == 0
 
 
-def _unpruned_star_table(m):
-    """``ModelAlgebra.star_table`` multiplying every pair of Fourier images."""
-    images = [m.fourier(m.basis_element(i)) for i in range(m.dim)]
-    table = {}
-    for i, fi in enumerate(images):
-        for j, fj in enumerate(images):
-            z = m.fourier_inverse(fi * fj)
-            entries = tuple((k, z.coefficient(k)) for k, n in enumerate(z.nums) if n)
-            if entries:
-                table[(i, j)] = entries
-    return _scaled_table(table, m.dim)
-
-
-def _fm_edited(name):
-    doc = json.loads(modelio.export_model(modelio.build_model(name, 2)))
-    doc["fm"][0][0] = "2/1"  # as in tests/test_failure_paths.py
-    return modelio.import_model(json.dumps(doc))
-
-
 @pytest.mark.parametrize(
     "name,g",
     bundled_models(4)
@@ -542,10 +404,18 @@ def test_star_table_skips_only_vanishing_pairs(name, g):
     if g is None:
         m = _broken_table(name)
     elif g == "fm":
-        m = _fm_edited(name)
+        doc = document(name, 2)
+        fm00(doc)
+        m = modelio.import_model(json.dumps(doc))
     else:
         m = build_model(name, g)  # a fresh model: its star_table is not built yet
-    assert m.star_table == _unpruned_star_table(m)
+    rows, den = m.star_table
+    table = {
+        (i, j): tuple((k, Fraction(c, den)) for k, c in entries)
+        for i, row in enumerate(rows)
+        for j, entries in row
+    }
+    assert table == oracle.structure(m, "star")
 
 
 def test_star_table_multiplies_only_reaching_pairs(monkeypatch):
@@ -581,17 +451,6 @@ def test_saturation_is_deterministic(theta2):
     a = compute_filtration(theta2, "pi", 4)
     b = compute_filtration(theta2, "pi", 4)
     assert a.stages == b.stages and a.rounds == b.rounds
-
-
-@pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
-@pytest.mark.parametrize("name,g", bundled_models(3))
-def test_stages_do_not_depend_on_n_max(name, g, kind):
-    # the conjecture suite reads stages 0..g off a filtration computed at
-    # n_max = order
-    order = model(name, g).default_series_order
-    shallow = filtration(name, g, kind, g)
-    deep = filtration(name, g, kind, order)
-    assert deep.stages[: g + 1] == shallow.stages
 
 
 # -- pi-inside-gamma statements -------------------------------------------------
@@ -657,7 +516,7 @@ def _criteria(m, label, gamma):
     here from the pi-gamma images and the ``gamma`` stages 0 .. order."""
     i, order, g = m.index_of(label), m.default_series_order, m.g
     p, q = m.bidegrees[i]
-    images = gamma_images(m, "pi", m.basis_element(i), order)
+    images = oracle.gamma_series(m, "pi", m.basis_element(i).coords, order)
     in_stage = [gamma.stage(n).contains(images[n]) for n in range(order + 1)]
     return {
         1: p >= g - q,
@@ -822,8 +681,8 @@ def _same_epsilon_outcome(m):
     """The epsilon check and its plain loop reach the same ``Statement``
     (or raise the same error) on ``m``; returns that outcome."""
     sid = "lem-epsilon-gamma-morphism"
-    want = _outcome(sid, _old_epsilon_morphism, m)
-    assert _outcome(sid, reports._epsilon_morphism, m) == want
+    want = outcome(sid, _old_epsilon_morphism, m)
+    assert outcome(sid, reports._epsilon_morphism, m) == want
     return want
 
 
@@ -836,10 +695,10 @@ def test_epsilon_check_matches_the_plain_loop(name, g):
 
 @pytest.mark.parametrize("builder", ["theta", "antisym", "pathological", "violator"])
 def test_epsilon_check_matches_the_plain_loop_on_single_entry_edits(builder):
-    base = _document(builder, 2)
+    base = document(builder, 2)
     outcomes = []
     for where in ("mul", "new-mul", "fm"):
-        for edit in _edits(base, where):
+        for edit in edits(base, where):
             doc = json.loads(json.dumps(base))
             edit(doc)
             outcomes.append(_same_epsilon_outcome(modelio.import_model(json.dumps(doc))))

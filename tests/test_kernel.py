@@ -1,12 +1,13 @@
 """Property tests of the integer kernel: every ``Element`` an operation
-returns is in canonical form and equals a plain-``Fraction`` reference
-computed here from ``mul_basis`` and the exported Fourier matrix rows.  The
-combination kernel and the series engine's sums are checked against left
-folds of ``+``, and the diagonal operators against ``Fraction`` powers."""
+returns is in canonical form and equals the plain-``Fraction`` value of
+``tests/oracle.py``, computed from ``mul_basis`` and the exported Fourier
+matrix rows.  The series engine's products and ``exp`` are checked against
+the oracle's Cauchy product and power sum, the combination kernel against a
+left fold of ``+``, and the diagonal operators against ``Fraction``
+powers."""
 
 import importlib
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -33,15 +34,12 @@ from kring import (
     star_product,
     theta_model,
 )
-from kring.adams import ADAMS_KINDS, _adams_log, _substituted_log, _weighted_log, adams_weight
+from kring.adams import ADAMS_KINDS, _substituted_log, adams_weight
 from kring.errors import DomainError, StructureError
 from kring.reports import Statement
 from kring.series import RATIONALS
-from tests.conftest import basis_change, bundled_models, conjugate, fm_rows, model
-from tests.test_basis_change import TENSORS
-from tests.test_basis_change import _model as _tensor_or_bundled
-from tests.test_linalg import _reference_rref
-from tests.test_model import _theta_raw
+from tests import oracle
+from tests.conftest import TENSORS, bundled_models, model, presented_model, theta_raw
 
 F = Fraction
 
@@ -57,10 +55,7 @@ coordinate = st.one_of(
 @st.composite
 def model_and_vectors(draw, count=2):
     m = model(*draw(st.sampled_from(MODELS)))
-    vectors = [
-        draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim)) for _ in range(count)
-    ]
-    return m, vectors
+    return m, [draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim)) for _ in range(count)]
 
 
 def _canonical(x: Element) -> bool:
@@ -77,27 +72,6 @@ def _check(x: Element, want) -> None:
     assert _canonical(x)
     assert x.coords == tuple(want)
     assert all(type(c) is Fraction for c in x.coords)
-
-
-def _bilinear_reference(m, x, y):
-    out = [F(0)] * m.dim
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            for k, c in m.mul_basis(i, j):
-                out[k] += xi * yj * c
-    return out
-
-
-def _reference_inverse(rows):
-    """The inverse of the square ``Fraction`` rows: the right half of the
-    reference RREF of [rows | I]."""
-    n = len(rows)
-    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    return [row[n:] for row in _reference_rref(aug, 2 * n)[0]]
-
-
-def _row_times(rows, x):
-    return [sum((xi * row[j] for xi, row in zip(x, rows)), F(0)) for j in range(len(x))]
 
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -123,12 +97,9 @@ def test_linear_operations_are_canonical_and_exact(case, q):
 def test_products_are_canonical_and_exact(case):
     m, (a, b) = case
     x, y = m.from_coords(a), m.from_coords(b)
-    _check(m.multiply(x, y), _bilinear_reference(m, a, b))
-    _check(x * y, _bilinear_reference(m, a, b))
-    rows = fm_rows(m)
-    inverse = _reference_inverse(rows)
-    star = _row_times(inverse, _bilinear_reference(m, _row_times(rows, a), _row_times(rows, b)))
-    _check(m.star_multiply(x, y), star)
+    _check(m.multiply(x, y), oracle.product(m, a, b))
+    _check(x * y, oracle.product(m, a, b))
+    _check(m.star_multiply(x, y), oracle.star_product(m, a, b))
     # a factor equal to the product's unit returns the other factor
     for unit, product in ((m.one(), m.multiply), (m.star_unit(), m.star_multiply)):
         _check(product(unit, x), a)
@@ -137,7 +108,7 @@ def test_products_are_canonical_and_exact(case):
 
 def test_unit_shortcut_needs_the_unit_law():
     # e0 . e1 = 2 e1 breaks the left unit law, so the product is made in full
-    basis, mul, fm = _theta_raw(2)
+    basis, mul, fm = theta_raw(2)
     mul[(0, 1)] = {1: F(2)}
     bad = ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
     e1 = bad.basis_element(1)
@@ -150,9 +121,8 @@ def test_unit_shortcut_needs_the_unit_law():
 def test_fourier_is_canonical_and_exact(case):
     m, (a,) = case
     x = m.from_coords(a)
-    rows = fm_rows(m)
-    _check(fourier(x), _row_times(rows, a))
-    _check(fourier_inverse(x), _row_times(_reference_inverse(rows), a))
+    _check(fourier(x), oracle.fourier(m, a))
+    _check(fourier_inverse(x), oracle.fourier_inverse(m, a))
     assert fourier_inverse(fourier(x)) == x
 
 
@@ -205,63 +175,17 @@ def test_combine_equals_a_left_fold(case, scalars, den):
     assert ring.sum([]) == m.zero()
 
 
-def _fold_mul(a, b):
-    """The Cauchy product as a left fold of ring products and ``+``."""
-    mul, zero = a.ring.mul, a.ring.zero
-    n = a.order
-    out = [zero] * (n + 1)
-    for i, x in enumerate(a.coeffs):
-        if x == zero:
-            continue
-        for j in range(n - i + 1):
-            if b.coeffs[j] != zero:
-                out[i + j] = out[i + j] + mul(x, b.coeffs[j])
-    return tuple(out)
+def _vectors(series):
+    """A series' coefficients as oracle vectors (one-dimensional over Q)."""
+    if series.ring == RATIONALS:
+        return [(c,) for c in series.coeffs]
+    return [c.coords for c in series.coeffs]
 
 
-def _fold_exp(s):
-    """exp by the recurrence m a_m = sum_k k f_k a_{m-k}, term by term."""
-    mul, zero, one = s.ring.mul, s.ring.zero, s.ring.one
-    weighted = [(k, F(k) * f) for k, f in enumerate(s.coeffs) if k and f != zero]
-    out = [one]
-    for m in range(1, s.order + 1):
-        acc = zero
-        for k, kf in weighted:
-            if k > m:
-                break
-            if k == m:
-                acc = acc + kf
-            elif out[m - k] != zero:
-                acc = acc + mul(kf, out[m - k])
-        out.append(F(1, m) * acc)
-    return tuple(out)
-
-
-@st.composite
-def model_series(draw):
-    m = model(*draw(st.sampled_from(MODELS)))
-    ring = kind_ring(m, draw(st.sampled_from(ADAMS_KINDS)))
-    order = draw(st.integers(1, 5))
-
-    def series():
-        coeffs = [
-            m.from_coords(draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim)))
-            if draw(st.booleans())
-            else m.zero()
-            for _ in range(order)
-        ]
-        return TruncatedSeries([ring.zero] + coeffs, ring)
-
-    return series(), series()
-
-
-@settings(max_examples=40, deadline=None)
-@given(model_series())
-def test_series_sums_match_the_term_by_term_loops(pair):
-    a, b = pair
-    assert (a * b).coeffs == _fold_mul(a, b)
-    assert (a.constant(a.ring.one) + a) * b == b + a * b
-    assert a.exp().coeffs == _fold_exp(a)
+def _leaves_in_lowest_terms(series):
+    for c in series.coeffs:
+        assert _canonical(c)
+        assert not c.is_zero() or c == series.ring.zero
 
 
 # -- exp on a presentation f = sum_r s_r(t) x_r ---------------------------------
@@ -269,36 +193,30 @@ def test_series_sums_match_the_term_by_term_loops(pair):
 PRESENTED_SPECS = [(spec, conj) for spec in bundled_models(4) + TENSORS for conj in (False, True)]
 
 
-@lru_cache(maxsize=None)
-def _presented_model(spec, conjugated):
-    m = _tensor_or_bundled(spec)
-    return conjugate(m, basis_change(m)) if conjugated else m
-
-
 @PROPERTY
-@given(st.sampled_from(PRESENTED_SPECS), st.integers(1, 8), st.data())
-def test_presented_series_match_the_coefficient_recurrence(case, order, data):
+@given(st.sampled_from(PRESENTED_SPECS), st.integers(1, 8), st.sampled_from(ADAMS_KINDS), st.data())
+def test_presented_series_match_the_oracle(case, order, kind, data):
     # gamma and lambda series run exp on the Adams-weight presentation when
-    # it bounds the products lower; the result must be the term-by-term
-    # recurrence on the series' own coefficients, for every family
-    m = _presented_model(*case)
-    x = m.from_coords(data.draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim)))
-    for kind in ADAMS_KINDS:
-        for make, log in ((gamma_series, _substituted_log), (lambda_series, _adams_log)):
-            want = _fold_exp(_weighted_log(m, kind, x, order, log))
-            assert make(m, kind, x, order).coeffs == want
+    # it bounds the products lower; the result must be the series the
+    # definition gives, for every family
+    m = presented_model(*case)
+    x = data.draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim))
+    for make, want in ((gamma_series, oracle.gamma_series), (lambda_series, oracle.lambda_series)):
+        assert _vectors(make(m, kind, m.from_coords(x), order)) == want(m, kind, x, order)
 
 
 @st.composite
 def presented_series(draw):
     """A series given by random generators x_r over Q or a model ring, with
-    random rational series s_r; the x_r overlap, as they share a pool."""
+    random rational series s_r; the x_r overlap, as they share a pool.
+    Returns the series and the oracle's product and unit of its ring."""
     if draw(st.booleans()):
-        ring = RATIONALS
+        ring, reference = RATIONALS, oracle.RATIONALS
         pool = draw(st.lists(coordinate, min_size=1, max_size=3))
     else:
         m = model(*draw(st.sampled_from(MODELS)))
-        ring = kind_ring(m, draw(st.sampled_from(ADAMS_KINDS)))
+        kind = draw(st.sampled_from(ADAMS_KINDS))
+        ring, reference = kind_ring(m, kind), oracle.ring(m, kind)
         vectors = st.lists(coordinate, min_size=m.dim, max_size=m.dim)
         pool = [m.from_coords(v) for v in draw(st.lists(vectors, min_size=1, max_size=3))]
     pool += [ring.one, -pool[0]]  # a unit factor, and a generator that cancels
@@ -313,27 +231,17 @@ def presented_series(draw):
         sum((c / k * x for x, scaled in presentation for j, c in scaled if j == k), ring.zero)
         for k in range(1, order + 1)
     ]
-    return TruncatedSeries(coeffs, ring, presentation)
+    return TruncatedSeries(coeffs, ring, presentation), reference
 
 
 @PROPERTY
 @given(presented_series())
-def test_exp_on_a_presentation_matches_the_term_by_term_loop(series):
-    assert series.exp().coeffs == _fold_exp(series)
+def test_exp_on_a_presentation_matches_the_power_sum(case):
+    series, reference = case
+    assert _vectors(series.exp()) == oracle.exp(_vectors(series), *reference)
 
 
 # -- the accumulation kernel under the series engine ------------------------------
-
-
-def _reference_product(m, kind):
-    """The product of the ``kind`` ring on ``Fraction`` coordinates."""
-    if kind != "star":
-        return lambda a, b: _bilinear_reference(m, a, b)
-    rows = fm_rows(m)
-    inverse = _reference_inverse(rows)
-    return lambda a, b: _row_times(
-        inverse, _bilinear_reference(m, _row_times(rows, a), _row_times(rows, b))
-    )
 
 
 @st.composite
@@ -341,10 +249,10 @@ def kernel_series(draw):
     """Two series over the ordinary or the star ring of a bundled, tensor or
     conjugated model.  A coefficient is zero, the unit, a random vector or
     the negative of an earlier one, so some products cancel."""
-    m = _presented_model(*draw(st.sampled_from(PRESENTED_SPECS)))
+    m = presented_model(*draw(st.sampled_from(PRESENTED_SPECS)))
     kind = draw(st.sampled_from(("usual", "star")))
     ring = kind_ring(m, kind)
-    order = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 5))
     drawn = [m.from_coords(draw(st.lists(coordinate, min_size=m.dim, max_size=m.dim)))]
 
     def coefficient():
@@ -364,36 +272,15 @@ def kernel_series(draw):
     return m, kind, series(), series()
 
 
-def _leaves_in_lowest_terms(series):
-    for c in series.coeffs:
-        assert _canonical(c)
-        assert not c.is_zero() or c == series.ring.zero
-
-
 @settings(max_examples=40, deadline=None)
 @given(kernel_series())
 def test_series_kernel_matches_the_fraction_references(case):
     m, kind, a, b = case
-    product = _reference_product(m, kind)
+    mul, one = oracle.ring(m, kind)
     ab, exp = a * b, a.exp()
-    assert ab.coeffs == _fold_mul(a, b)
-    assert exp.coeffs == _fold_exp(a)
-    for s, c in enumerate(ab.coeffs):
-        want = [F(0)] * m.dim
-        for i in range(s + 1):
-            term = product(a.coeffs[i].coords, b.coeffs[s - i].coords)
-            want = [w + t for w, t in zip(want, term)]
-        _check(c, want)
-    # exp by the recurrence m a_m = sum_k k f_k a_{m-k} on coordinates
-    want = [list(a.ring.one.coords)]
-    for n in range(1, a.order + 1):
-        acc = [F(0)] * m.dim
-        for k in range(1, n + 1):
-            term = product(a.coeffs[k].coords, want[n - k])
-            acc = [s + k * t for s, t in zip(acc, term)]
-        want.append([s / n for s in acc])
-    for c, coords in zip(exp.coeffs, want):
-        _check(c, coords)
+    assert _vectors(ab) == oracle.series_product(_vectors(a), _vectors(b), mul)
+    assert _vectors(exp) == oracle.exp(_vectors(a), mul, one)
+    assert (a.constant(a.ring.one) + a) * b == b + a * b
     _leaves_in_lowest_terms(ab)
     _leaves_in_lowest_terms(exp)
 

@@ -19,6 +19,7 @@ from kring import (
 )
 from kring.errors import DomainError, StructureError
 from kring.linalg import _bareiss, _integer_kernel, _integer_row, _rref_rows
+from tests import oracle
 from tests.conftest import bundled_models, model
 
 F = Fraction
@@ -55,13 +56,7 @@ def test_rref_small_power_matrix_full_rank():
     # nodes 0, 1, 2 against exponents 0, 1, 2, with 0**0 = 1
     rows = [[a**k for k in range(3)] for a in range(3)]
     assert Subspace.span(3, rows).dim == 3
-    # product-formula oracle for the determinant
-    nodes = [0, 1, 2]
-    oracle = F(1)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            oracle *= nodes[j] - nodes[i]
-    assert _bareiss(rows, 3)[1] == oracle == 2
+    assert _bareiss(rows, 3)[1] == _vandermonde_product_oracle(1) == 2
 
 
 rationals = st.fractions(
@@ -217,51 +212,7 @@ def test_vandermonde_requires_positive_g():
         vandermonde_det(0)
 
 
-# -- the integer core against a Fraction reference -----------------------------
-
-
-def _reference_rref(rows, ncols):
-    """Gauss-Jordan elimination on ``Fraction`` rows, pivoting on the first
-    nonzero column and then the smallest row index: the elimination the
-    integer core replaced, kept as its reference."""
-    rows = [[F(c) for c in r] for r in rows]
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        hit = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = rows[pivot_row][col] ** -1
-        rows[pivot_row] = [c * inv for c in rows[pivot_row]]
-        lead = rows[pivot_row]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rows, pivots
-
-
-def _reference_reduce(basis, pivots, v):
-    out = [F(c) for c in v]
-    for row, p in zip(basis, pivots):
-        c = out[p]
-        if c:
-            out = [a - c * b for a, b in zip(out, row)]
-    return tuple(out)
-
-
-def _reference_span(rows, ncols):
-    reduced, pivots = _reference_rref(rows, ncols)
-    return [tuple(r) for r in reduced[: len(pivots)]], pivots
+# -- the integer core against the oracle's Fraction elimination ------------------
 
 
 def _fraction_row(row):
@@ -302,7 +253,7 @@ CORE = settings(max_examples=40, deadline=None)
 @given(awkward_rows())
 def test_rref_matches_the_fraction_reference(case):
     ncols, rows = case
-    want, want_pivots = _reference_rref(rows, ncols)
+    want, want_pivots = oracle.rref(rows, ncols)
     reduced, pivots = _rref_rows(_cleared(rows), ncols)
     assert [_fraction_row(r) for r in reduced] == [tuple(r) for r in want[: len(pivots)]]
     assert pivots == want_pivots
@@ -407,8 +358,8 @@ def subspaces_and_vector(draw):
 def test_reduce_and_contains_match_the_reference(case):
     ncols, a, _, v = case
     s = Subspace.span(ncols, a)
-    basis, pivots = _reference_span(a, ncols)
-    want = _reference_reduce(basis, pivots, v)
+    basis, pivots = oracle.span(a, ncols)
+    want = oracle.reduce(basis, pivots, v)
     nums, den = s.reduce(v)
     assert den > 0 and gcd(den, *nums) == 1
     assert _fraction_row((nums, den)) == want
@@ -420,17 +371,17 @@ def test_reduce_and_contains_match_the_reference(case):
 def test_intersect_and_inclusion_match_the_reference(case):
     ncols, a, b, _ = case
     sa, sb = Subspace.span(ncols, a), Subspace.span(ncols, b)
-    basis_a, piv_a = _reference_span(a, ncols)
-    basis_b, piv_b = _reference_span(b, ncols)
-    a_in_b = not any(any(_reference_reduce(basis_b, piv_b, r)) for r in basis_a)
+    basis_a, piv_a = oracle.span(a, ncols)
+    basis_b, piv_b = oracle.span(b, ncols)
+    a_in_b = not any(any(oracle.reduce(basis_b, piv_b, r)) for r in basis_a)
     assert sa.is_subspace_of(sb) == a_in_b
     meet = sa.intersect(sb)
     # meet lies in both spaces and has dimension dim a + dim b - dim (a + b),
     # which pins it down as the intersection
     for r in meet.basis:
-        assert not any(_reference_reduce(basis_a, piv_a, r))
-        assert not any(_reference_reduce(basis_b, piv_b, r))
-    joint = len(_reference_span(basis_a + basis_b, ncols)[1])
+        assert not any(oracle.reduce(basis_a, piv_a, r))
+        assert not any(oracle.reduce(basis_b, piv_b, r))
+    joint = len(oracle.span(basis_a + basis_b, ncols)[1])
     assert meet.dim == len(piv_a) + len(piv_b) - joint
 
 

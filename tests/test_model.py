@@ -26,8 +26,8 @@ from kring import (
 )
 from kring.errors import DomainError, StructureError
 from kring.model import ValidationReport, Violation, _inversion_sign
-from tests.conftest import bundled_models, fm_rows, model
-from tests.test_linalg import _reference_rref
+from tests.conftest import bundled_models, model, raw_tables, theta_raw
+from tests.oracle import fm_rows, rref
 
 F = Fraction
 
@@ -57,8 +57,6 @@ def test_theta_g2_divided_power_product(theta2):
 
 @pytest.mark.parametrize("g", range(1, 5))
 def test_theta_fourier_square_sign(g):
-    from kring import fourier
-
     m = theta_model(g)
     for p in range(g + 1):
         e = m.basis_element(p)
@@ -74,8 +72,6 @@ def test_antisym_square_zero(antisym2):
 
 @pytest.mark.parametrize("g", range(2, 5))
 def test_antisym_fourier_square_on_a(g):
-    from kring import fourier
-
     m = antisym_model(g)
     a = m.basis_element(m.index_of("a"))
     assert fourier(fourier(a)) == F((-1) ** (g + 1)) * a
@@ -106,26 +102,8 @@ def test_violator_seeded_defect(g):
     assert m.beauville_index_of(m.index_of("v")) == -1
 
 
-def _theta_raw(g):
-    return _raw(theta_model(g))
-
-
-def _raw(m):
-    mul = {
-        (i, j): {k: c for k, c in m.mul_basis(i, j)}
-        for i in range(m.dim)
-        for j in range(m.dim)
-    }
-    basis = [(label, tuple(bd)) for label, bd in zip(m.labels, m.bidegrees)]
-    return basis, mul, fm_rows(m)
-
-
-def _theta2_raw():
-    return _theta_raw(2)
-
-
 def test_validate_reports_associativity_witness():
-    basis, mul, fm = _theta_raw(4)
+    basis, mul, fm = theta_raw(4)
     # rescale e1 * e2, symmetrically and bidegree-legally: then
     # (e1 e1) e2 = 12 e4 while e1 (e1 e2) = 16 e4
     mul[(1, 2)] = {3: F(4)}
@@ -138,7 +116,7 @@ def test_validate_reports_associativity_witness():
 
 
 def test_validate_reports_commutativity_witness():
-    basis, mul, fm = _theta_raw(4)
+    basis, mul, fm = theta_raw(4)
     mul[(1, 2)] = {3: F(5)}  # one order only
     bad = ModelAlgebra(4, basis, mul, fm, unit_index=0, star_unit_index=4)
     report = validate(bad)
@@ -147,7 +125,7 @@ def test_validate_reports_commutativity_witness():
 
 
 def test_validate_reports_fourier_bidegree_witness():
-    basis, mul, fm = _theta2_raw()
+    basis, mul, fm = theta_raw(2)
     fm[1][0] = F(1)  # image of e1 leaks into K^0_2 instead of K^1_1
     bad = ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
     report = validate(bad)
@@ -156,7 +134,7 @@ def test_validate_reports_fourier_bidegree_witness():
 
 
 def test_validate_reports_bidegree_law():
-    basis, mul, fm = _theta2_raw()
+    basis, mul, fm = theta_raw(2)
     mul[(2, 2)] = {2: F(1)}  # e2 * e2 must vanish (p-degree 4 > g)
     bad = ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
     report = validate(bad)
@@ -167,7 +145,7 @@ def test_validate_reports_bidegree_law():
 
 
 def test_validate_reports_unit_line():
-    basis, mul, fm = _theta2_raw()
+    basis, mul, fm = theta_raw(2)
     basis.append(("ghost", (0, 2)))  # a second vector on the unit line
     mul[(0, 3)] = {3: F(1)}
     mul[(3, 0)] = {3: F(1)}
@@ -178,7 +156,7 @@ def test_validate_reports_unit_line():
 
 
 def test_validate_reports_fourier_involution():
-    basis, mul, fm = _theta2_raw()
+    basis, mul, fm = theta_raw(2)
     fm[1][1] = F(2)  # wrong scaling breaks the square law
     bad = ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
     report = validate(bad)
@@ -186,7 +164,7 @@ def test_validate_reports_fourier_involution():
 
 
 def test_validate_reports_origin_constraint():
-    basis, mul, fm = _theta2_raw()
+    basis, mul, fm = theta_raw(2)
     fm[2][0] = F(-1)  # origin class must map to +1
     bad = ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
     report = validate(bad)
@@ -238,11 +216,28 @@ def test_element_str_and_errors(theta2):
 def test_constructor_refuses_a_bidegree_outside_the_range():
     # theta(2) with e1 moved to (0, 4): its pullback weight g - (p - q) would
     # be negative, which no suite can evaluate, so the model is refused
-    basis, mul, fm = _theta_raw(2)
+    basis, mul, fm = theta_raw(2)
     assert basis[1][0] == "e1"
     basis[1] = ("e1", (0, 4))
     with pytest.raises(StructureError, match=r"e1 has bidegree \(0, 4\) outside 0\.\.2"):
         ModelAlgebra(2, basis, mul, fm, unit_index=0, star_unit_index=2)
+
+
+@pytest.mark.parametrize(
+    "pair,entries,message",
+    [
+        # index -1 would alias e1, so e1 * e1 would read as e0
+        ((-1, -1), {0: 1}, r"\(-1, -1\) -> \[0\]"),
+        ((1, 1), {5: 1}, r"\(1, 1\) -> \[5\]"),
+        ((0, 7), {1: 1}, r"\(0, 7\) -> \[1\]"),
+    ],
+)
+def test_constructor_refuses_a_product_index_outside_the_basis(pair, entries, message):
+    # theta(1): e0 in (0, 1), e1 in (1, 0)
+    basis, mul, fm = theta_raw(1)
+    mul[pair] = entries
+    with pytest.raises(StructureError, match=f"mul entry {message} has an index outside 0..1"):
+        ModelAlgebra(1, basis, mul, fm, unit_index=0, star_unit_index=1)
 
 
 def test_builder_preconditions():
@@ -353,7 +348,7 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
                         )
 
     fm = fm_rows(model)
-    if len(_reference_rref(fm, model.dim)[1]) != model.dim:
+    if len(rref(fm, model.dim)[1]) != model.dim:
         flag("fm-invertible", "the Fourier matrix is singular")
 
     for i in range(model.dim):
@@ -397,7 +392,7 @@ def _perturbed(name, g, change, rng):
     constructor, as import refuses it; that draw returns None."""
     m = model(name, g)
     if change in ("one-sided", "bidegree"):
-        basis, mul, fm = _raw(m)
+        basis, mul, fm = raw_tables(m)
         if change == "one-sided":
             i, j = rng.randrange(m.dim), rng.randrange(m.dim)
             mul[(i, j)] = {rng.randrange(m.dim): F(rng.choice((1, -1, 2)))}
@@ -471,7 +466,7 @@ def test_validate_stays_sparse(monkeypatch):
     ids=["missing-row", "short-rows", "ragged"],
 )
 def test_non_square_fourier_matrix_is_refused(change):
-    basis, mul, fm = _theta2_raw()
+    basis, mul, fm = theta_raw(2)
     with pytest.raises(StructureError, match="square"):
         ModelAlgebra(2, basis, mul, change(fm), unit_index=0, star_unit_index=2)
 
@@ -505,7 +500,7 @@ def test_rational_fourier_matrices_round_trip(case):
     m = import_model(text)
     assert export_model(m) == text
     x = m.from_coords(coords)
-    if len(_reference_rref(rows, m.dim)[1]) < m.dim:
+    if len(rref(rows, m.dim)[1]) < m.dim:
         with pytest.raises(StructureError, match="singular"):
             fourier_inverse(x)
     else:

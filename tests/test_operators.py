@@ -8,6 +8,7 @@ import pytest
 
 from kring import (
     Element,
+    ModelAlgebra,
     euler_char,
     fourier,
     fourier_inverse,
@@ -21,7 +22,7 @@ from kring import (
     theta_model,
 )
 from kring.reports import Statement
-from tests.conftest import bundled_models, fm_rows, model
+from tests.conftest import bundled_models, model, theta_raw
 
 F = Fraction
 
@@ -256,36 +257,14 @@ def test_diagonal_operator_matrix(theta2):
 def test_composite_check_reports_first_failing_vector():
     # an unvalidated model with a rescaled Fourier operator breaks the
     # composite identity; the checker must name the first basis vector
-    from kring import ModelAlgebra
-
-    good = theta_model(1)
-    fm = fm_rows(good)
+    basis, mul, fm = theta_raw(1)
     fm[0][1] *= 3
-    mul = {
-        (i, j): {k: c for k, c in good.mul_basis(i, j)}
-        for i in range(2)
-        for j in range(2)
-    }
-    basis = [(label, tuple(bd)) for label, bd in zip(good.labels, good.bidegrees)]
     bad = ModelAlgebra(1, basis, mul, fm, unit_index=0, star_unit_index=1)
     by_id = {s.id: s for s in run_verify_suite(bad, "rescaled fm").statements}
     assert by_id["prop-F_qmF_pn"] == Statement(
         "prop-F_qmF_pn", "fail", detail="(m, n)=(-2, -2)", witness="e0"
     )
     assert _composite_failures(bad, 1, 1) == ["e0", "e1"]
-
-
-@pytest.mark.parametrize("name,g", bundled_models(4))
-def test_star_table_matches_fourier_definition(name, g):
-    m = model(name, g)
-    basis = m.basis_elements()
-    samples = [
-        m.from_coords([(-1) ** i * (i + 1) for i in range(m.dim)]),
-        m.from_coords([F(i % 3, 2) for i in range(m.dim)]),
-    ]
-    pairs = [(x, y) for x in basis for y in basis] + [tuple(samples)]
-    for x, y in pairs:
-        assert star_product(x, y) == fourier_inverse(fourier(x) * fourier(y))
 
 
 def test_element_coerces_int_and_str_coordinates(theta2):

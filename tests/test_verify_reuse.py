@@ -9,7 +9,8 @@ must raise the same error).  The models are every builder at g = 2 and 3,
 theta(4), the perturbed documents of ``tests/test_failure_paths.py`` and a
 deterministic sweep of single-entry ``mul`` and ``fm`` edits of the g = 2
 documents (and ``mul`` constant edits at g = 3): an edit that breaks a
-product is where a wrongly skipped pair would hide a failure.
+product is where a wrongly skipped pair would hide a failure.  The oracle
+(``tests/oracle.py``) checks values, not the first failure of a walk order.
 """
 
 import json
@@ -31,8 +32,7 @@ from kring import (
     star_product,
 )
 from kring.adams import ADAMS_KINDS
-from kring.reports import Statement
-from tests.test_failure_paths import _fm00, _mul1, _rename_e1
+from tests.conftest import document, edits, fm00, mul1, outcome, rename_e1
 
 BUILDERS = ("theta", "antisym", "pathological", "violator")
 
@@ -146,26 +146,13 @@ CHECKS = {
 }
 
 
-def _outcome(sid, check, model):
-    run = reports._Run(model, model.default_series_order, model.basis_elements())
-    try:
-        s = Statement.first_failure(sid, check(run))
-    except Exception as exc:  # both versions must fail the same way
-        return type(exc).__name__, str(exc)
-    return s.status, s.detail, s.witness
-
-
 def _assert_same_outcomes(model):
     statuses = {}
     for sid, (old, new) in CHECKS.items():
-        want = _outcome(sid, old, model)
-        assert _outcome(sid, new, model) == want, sid
+        want = outcome(sid, old, model)
+        assert outcome(sid, new, model) == want, sid
         statuses[sid] = want[0]
     return statuses
-
-
-def _document(builder, g):
-    return json.loads(modelio.export_model(modelio.build_model(builder, g)))
 
 
 @pytest.mark.parametrize(
@@ -178,41 +165,13 @@ def test_bundled_models(builder, g):
 
 @pytest.mark.parametrize(
     "builder,edit",
-    [("pathological", _fm00), ("theta", _mul1), ("theta", _fm00), ("theta", _rename_e1)],
+    [("pathological", fm00), ("theta", mul1), ("theta", fm00), ("theta", rename_e1)],
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_perturbed_documents(builder, edit):
-    doc = _document(builder, 2)
+    doc = document(builder, 2)
     edit(doc)
     _assert_same_outcomes(modelio.import_model(json.dumps(doc)))
-
-
-def _rational(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
-
-
-def _edits(doc, where):
-    """Single-entry edits of ``doc``: each mul constant or fm entry raised
-    by one, or one mul triple added to a pair i <= j that has none."""
-    if where == "mul":
-        for n, (_, _, _, raw) in enumerate(doc["mul"]):
-            yield lambda d, n=n, raw=raw: d["mul"][n].__setitem__(
-                3, _rational(Fraction(raw) + 1)
-            )
-    elif where == "new-mul":
-        dim = len(doc["basis"])
-        present = {(i, j) for i, j, _, _ in doc["mul"]}
-        for i in range(dim):
-            for j in range(i, dim):
-                if (i, j) not in present:
-                    k = (i + j) % dim
-                    yield lambda d, t=[i, j, k, "1/1"]: d["mul"].append(t)
-    else:
-        for r, row in enumerate(doc["fm"]):
-            for c, raw in enumerate(row):
-                yield lambda d, r=r, c=c, raw=raw: d["fm"][r].__setitem__(
-                    c, _rational(Fraction(raw) + 1)
-                )
 
 
 # the g = 3 constant edits add models whose addition law holds for the
@@ -223,9 +182,9 @@ def _edits(doc, where):
 )
 @pytest.mark.parametrize("builder", BUILDERS)
 def test_single_entry_edits(builder, g, where):
-    base = _document(builder, g)
+    base = document(builder, g)
     failing = 0
-    for edit in _edits(base, where):
+    for edit in edits(base, where):
         doc = json.loads(json.dumps(base))
         edit(doc)
         statuses = _assert_same_outcomes(modelio.import_model(json.dumps(doc)))
@@ -249,5 +208,5 @@ def test_fourier_images_are_taken_once(builder, g, monkeypatch):
     monkeypatch.setattr(reports, "fourier", counted)
     for sid, per_vector in (("prop-F_qmF_pn", 10), ("exchange-law", 8)):
         calls.clear()
-        assert _outcome(sid, CHECKS[sid][1], model) == ("pass", "", "")
+        assert outcome(sid, CHECKS[sid][1], model) == ("pass", "", "")
         assert len(calls) == per_vector * model.dim
