@@ -4,6 +4,7 @@ import importlib
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -235,7 +236,7 @@ def test_only_the_statements_that_read_a_verdict_check_the_augmentation(
 # -- skipped products and buckets: the oracle as the reference -------------------
 
 
-BROKEN = ("bidegree-breach", "breach-to-unit", "rescaled-e1e2", "one-sided")
+BROKEN = {"bidegree-breach": 2, "breach-to-unit": 2, "rescaled-e1e2": 4, "one-sided": 2}  # name: g
 
 
 def _broken_table(name):
@@ -247,11 +248,11 @@ def _broken_table(name):
     stages and the gamma and pi witnesses of ``breach-to-unit``, and an
     augmentation test of the pairs (i, j) with j < i too finds a gamma
     witness on ``one-sided``."""
-    g, change = {
-        "bidegree-breach": (2, {(2, 2): {2: F(1)}}),
-        "breach-to-unit": (2, {(2, 2): {0: F(1)}}),
-        "rescaled-e1e2": (4, {(1, 2): {3: F(4)}, (2, 1): {3: F(4)}}),
-        "one-sided": (2, {(2, 1): {0: F(1)}}),
+    g, change = BROKEN[name], {
+        "bidegree-breach": {(2, 2): {2: F(1)}},
+        "breach-to-unit": {(2, 2): {0: F(1)}},
+        "rescaled-e1e2": {(1, 2): {3: F(4)}, (2, 1): {3: F(4)}},
+        "one-sided": {(2, 1): {0: F(1)}},
     }[name]
     basis, mul, fm = theta_raw(g)
     mul.update(change)
@@ -334,29 +335,32 @@ def test_filtration_tables_rows_and_products(name, rows, products, monkeypatch):
     assert (counts["rows"], counts["products"]) == (rows, products)
 
 
-def _bucket_cases(m):
-    """(n_max, order) pairs over n_max in {0, 1, 2, g, g + 2, g^2 + 2} and
-    order in {n_max, g + 2, g^2 + 2}, order >= n_max."""
-    g, top = m.g, m.default_series_order
-    return sorted({
-        (n_max, order)
-        for n_max in (0, 1, 2, g, g + 2, top)
-        for order in (n_max, g + 2, top)
-        if order >= n_max
-    })
+def _n_max_grid(g):
+    return sorted({0, 1, 2, g, g + 2, g * g + 2})
+
+
+_shared_broken_table = lru_cache(maxsize=None)(_broken_table)
 
 
 @pytest.mark.parametrize("kind", FILTRATION_KINDS)
-@pytest.mark.parametrize("name,g", bundled_models(4) + [(name, None) for name in BROKEN])
-def test_saturation_matches_the_definition(name, g, kind):
-    # the oracle spans words in the gamma images of more kernel elements than
-    # the c e_k with no mask or bucket; its stages do not depend on n_max, as
-    # the conjecture suite reads stages 0..g off a filtration at n_max = order
-    m = _broken_table(name) if g is None else model(name, g)
-    for n_max, order in _bucket_cases(m):
+@pytest.mark.parametrize(
+    "name,g,n_max",
+    [
+        pytest.param(name, g, n_max, id=f"{name}-{g}-n{n_max}" if g else f"{name}-n{n_max}")
+        for name, g in bundled_models(4) + [(name, None) for name in BROKEN]
+        for n_max in _n_max_grid(g or BROKEN[name])
+    ],
+)
+def test_saturation_matches_the_definition(name, g, n_max, kind):
+    # each order in {n_max, g + 2, g^2 + 2} >= n_max: the oracle spans words in
+    # the gamma images of more kernel elements than the c e_k with no mask or
+    # bucket; its stages do not depend on n_max, as the conjecture suite reads
+    # stages 0..g off a filtration at n_max = order
+    m = _shared_broken_table(name) if g is None else model(name, g)
+    for order in sorted({n_max, max(n_max, m.g + 2), m.default_series_order}):
         res = compute_filtration(m, kind, n_max, order=order)
         want = oracle.stages(m, kind, order, order)
-        assert tuple(s.basis for s in res.stages) == want[: len(res.stages)], (n_max, order)
+        assert tuple(s.basis for s in res.stages) == want[: len(res.stages)], order
         assert res.rounds == (res.dims,)
 
 
