@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, SeriesOrderError
-from .linalg import Subspace
+from .linalg import Subspace, _integer_row
 from .model import Element, ModelAlgebra
 from .operators import DiagonalOperator, star_product
 from .series import Ring, TruncatedSeries
@@ -200,9 +200,8 @@ def _gamma_table(d: int, order: int, m_max: int) -> tuple[tuple, tuple[int, ...]
     rows[i][m] = [t^i] s^m and dens[m] = D^m m!."""
     if order < 1 or m_max < 1:
         raise DomainError("order and m_max must be at least 1")
-    coeffs = _substituted_log(d - 1, order).coeffs
-    den = lcm(*(c.denominator for c in coeffs))
-    s = [(k, c.numerator * (den // c.denominator)) for k, c in enumerate(coeffs) if c]
+    nums, den = _integer_row(_substituted_log(d - 1, order).coeffs)
+    s = [(k, c) for k, c in enumerate(nums) if c]
     power = [1] + [0] * order
     columns = [power]
     for m in range(1, m_max + 1):

@@ -166,10 +166,11 @@ def _saturation_stages(
     """Stages 0..n_max spanned by products of the gamma images of
     ``generators`` (and of their products with the augmentation subring).
 
-    The images of weight top = max(n_max, 1) and above are spanned as one
-    bucket: each enters M[n] as a generator and through its products with
-    M[1], both linear in the image (see ``compute_filtration``).  Zero
-    images are left out before they reach ``Subspace.span``.
+    At n_max = 0 that is the whole space.  The images of weight n_max and
+    above are spanned as one bucket: each enters M[n] as a generator and
+    through its products with M[1], both linear in the image (see
+    ``compute_filtration``).  Zero images are left out before they reach
+    ``Subspace.span``.
 
     x . y is skipped when reach(x) & support(y) == 0, reach(x) being the OR
     of the partner masks over the support of x: then no table pair (i, j)
@@ -178,9 +179,10 @@ def _saturation_stages(
     product = kind_ring(model, spec.family).mul
     partners = spec.partners(model)
     dim = model.dim
+    if n_max == 0:
+        return [Subspace.full(dim)]
 
     images = [gamma_images(model, spec.family, x, order) for x in generators]
-    top = max(n_max, 1)
 
     def reached_basis(weights: range) -> list[tuple[Element, int]]:
         """Basis of the span of the nonzero gamma images of the given
@@ -190,9 +192,9 @@ def _saturation_stages(
             (v, reach(partners, s)) for v, s in _supported(model, Subspace.span(dim, nonzero))
         ]
 
-    # weight_basis[i] spans the gamma images of weight i < top; the last
-    # entry, the bucket, spans those of every weight top .. order together
-    weights = [range(i, i + 1) for i in range(1, top)] + [range(top, order + 1)]
+    # weight_basis[i] spans the gamma images of weight i < n_max; the last
+    # entry, the bucket, spans those of every weight n_max .. order together
+    weights = [range(i, i + 1) for i in range(1, n_max)] + [range(n_max, order + 1)]
     weight_basis = [[]] + [reached_basis(w) for w in weights]
 
     # monomial spans: M[n] = span of products of gamma images of total weight >= n
@@ -200,7 +202,7 @@ def _saturation_stages(
     m_basis = {1: _supported(model, _close_under_products(model, product, all_gamma))}
     for n in range(2, n_max + 1):
         vectors: list[Element] = []
-        for i in range(1, top + 1):
+        for i in range(1, n_max + 1):
             if i >= n:
                 vectors.extend(v for v, _ in weight_basis[i])
             vectors.extend(_products(product, weight_basis[i], m_basis[max(n - i, 1)]))

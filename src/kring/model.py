@@ -91,27 +91,22 @@ class ValidationReport(NamedTuple):
 class Element:
     """An exact rational coordinate vector over a model's basis.
 
-    ``Element(model, coords)`` coerces ``int``, ``str`` or ``Fraction``
-    coordinates; ``Element(model, nums, den)`` takes ``int`` numerators over
-    a nonzero ``int`` denominator.  Either way the vector is stored as
-    ``nums`` over ``den`` in lowest terms (see the module docstring).
+    ``Element(model, nums, den)`` takes ``int`` numerators over a nonzero
+    ``int`` denominator and stores them in lowest terms (see the module
+    docstring); ``ModelAlgebra.from_coords`` and ``element`` coerce
+    ``int``, ``str`` or ``Fraction`` coordinates.
     """
 
     __slots__ = ("model", "nums", "den")
 
-    def __init__(self, model: "ModelAlgebra", coords: Sequence, den: int | None = None):
-        if den is None:
-            cs = [c if type(c) is Fraction else Fraction(c) for c in coords]
-            den = lcm(*(c.denominator for c in cs))
-            nums = tuple(c.numerator * (den // c.denominator) for c in cs)
-        else:
-            if not den:
-                raise DomainError("an element needs a nonzero denominator")
-            g = gcd(den, *coords)
-            if den < 0:
-                g = -g
-            nums = tuple(coords) if g == 1 else tuple(n // g for n in coords)
-            den //= g
+    def __init__(self, model: "ModelAlgebra", nums: Sequence[int], den: int):
+        if not den:
+            raise DomainError("an element needs a nonzero denominator")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        nums = tuple(nums) if g == 1 else tuple(n // g for n in nums)
+        den //= g
         if len(nums) != model.dim:
             raise StructureError("coordinate length does not match the model")
         self.model = model
@@ -473,13 +468,13 @@ class ModelAlgebra:
         return self.basis_element(self.star_unit_index)
 
     def element(self, coefficients: Mapping[str, object]) -> Element:
-        coords = [Fraction(0)] * self.dim
+        coords = [0] * self.dim
         for label, c in coefficients.items():
-            coords[self.index_of(label)] = Fraction(c)
-        return Element(self, coords)
+            coords[self.index_of(label)] = c
+        return self.from_coords(coords)
 
     def from_coords(self, coords: Sequence) -> Element:
-        return Element(self, coords)
+        return Element(self, *_integer_row(coords))
 
     def basis_elements(self) -> tuple[Element, ...]:
         return tuple(self.basis_element(i) for i in range(self.dim))

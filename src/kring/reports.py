@@ -43,6 +43,7 @@ import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -199,11 +200,18 @@ def _sample_elements(model: ModelAlgebra, count: int = 2) -> list:
     return out
 
 
-class _Timer:
-    """Wall-clock laps by name, in the order they end."""
+class _Run:
+    """What a suite check reads: the model, the series order, its basis
+    elements, and the filtrations the suite has computed so far, by kind;
+    and what a suite fills: its report and its wall-clock laps by name, in
+    the order they end."""
 
-    def __init__(self):
+    def __init__(self, model: ModelAlgebra, order: int, report: VerificationReport | None = None):
+        self.model = model
+        self.order = order
+        self.report = report
         self.laps: dict[str, float] = {}
+        self.fil: dict[str, FiltrationResult] = {}
 
     @contextmanager
     def lap(self, name: str) -> Iterator[None]:
@@ -211,27 +219,36 @@ class _Timer:
         yield
         self.laps[name] = round(time.perf_counter() - start, 6)
 
-
-def _filtration(
-    timer: _Timer, model: ModelAlgebra, kind: str, n_max: int, order: int
-) -> FiltrationResult:
-    with timer.lap(f"filtration-{kind}"):
-        return compute_filtration(model, kind, n_max, order=order)
-
-
-class _Run:
-    """What a suite check reads: the model, its basis elements, the series
-    order, and the filtrations the suite has computed so far, by kind."""
-
-    def __init__(self, model: ModelAlgebra, order: int, basis: tuple[Element, ...]):
-        self.model = model
-        self.order = order
-        self.basis = basis
-        self.fil: dict[str, FiltrationResult] = {}
+    @cached_property
+    def basis(self) -> tuple[Element, ...]:
+        return self.model.basis_elements()
 
     @property
     def g(self) -> int:
         return self.model.g
+
+
+@contextmanager
+def _suite(
+    command: str, model: ModelAlgebra, source: str, order: int | None,
+    with_timings: bool, **config,
+) -> Iterator[_Run]:
+    """The frame of a report runner: default the series order, open the
+    report with ``order`` first in its config, and lap the body as
+    ``total``; the laps reach the report only ``with_timings``."""
+    if order is None:
+        order = model.default_series_order
+    config = {"order": order, **config}
+    run = _Run(model, order, VerificationReport(command, _model_descriptor(model, source), config))
+    with run.lap("total"):
+        yield run
+    if with_timings:
+        run.report.timings = run.laps
+
+
+def _filtration(run: _Run, kind: str, n_max: int) -> None:
+    with run.lap(f"filtration-{kind}"):
+        run.fil[kind] = compute_filtration(run.model, kind, n_max, order=run.order)
 
 
 def _model_validate(run: _Run) -> Failures:
@@ -547,14 +564,14 @@ _AFTER_FILTRATIONS = (
 )
 
 
-def _run_checks(report: VerificationReport, timer: _Timer, run: _Run, table) -> None:
+def _run_checks(run: _Run, table) -> None:
     for sid, check, skip in table:
-        with timer.lap(sid):
+        with run.lap(sid):
             reason = skip(run) if skip else None
             if reason:
-                report.add(Statement(sid, "skipped", detail=reason))
+                run.report.add(Statement(sid, "skipped", detail=reason))
             else:
-                report.add(Statement.first_failure(sid, check(run)))
+                run.report.add(Statement.first_failure(sid, check(run)))
 
 
 def run_verify_suite(
@@ -567,23 +584,14 @@ def run_verify_suite(
     with_timings: bool = False,
 ) -> VerificationReport:
     """Every identity the theory proves, checked exactly on one model."""
-    if order is None:
-        order = model.default_series_order
-    report = VerificationReport(
-        command="verify",
-        model=_model_descriptor(model, source),
-        config={"order": order, "seed": seed, "max_rounds": max_rounds},
-    )
-    timer = _Timer()
-    with timer.lap("total"):
-        run = _Run(model, order, model.basis_elements())
-        _run_checks(report, timer, run, _BEFORE_FILTRATIONS)
+    with _suite(
+        "verify", model, source, order, with_timings, seed=seed, max_rounds=max_rounds
+    ) as run:
+        _run_checks(run, _BEFORE_FILTRATIONS)
         for kind in FILTRATION_KINDS:
-            run.fil[kind] = _filtration(timer, model, kind, model.g + 2, order)
-        _run_checks(report, timer, run, _AFTER_FILTRATIONS)
-    if with_timings:
-        report.timings = timer.laps
-    return report
+            _filtration(run, kind, model.g + 2)
+        _run_checks(run, _AFTER_FILTRATIONS)
+    return run.report
 
 
 def _pi_outside_gamma(run: _Run, stages: Sequence[int]) -> Iterator[tuple[int, Element]]:
@@ -782,26 +790,16 @@ def run_conjecture_suite(
     with_timings: bool = False,
 ) -> VerificationReport:
     """The conjecture checkers and the conditional composed-structure suite."""
-    g = model.g
-    if order is None:
-        order = model.default_series_order
-    report = VerificationReport(
-        command="conjecture",
-        model=_model_descriptor(model, source),
-        config={"order": order, "seed": seed, "max_rounds": max_rounds},
-    )
-    timer = _Timer()
-    with timer.lap("total"):
-        run = _Run(model, order, model.basis_elements())
+    with _suite(
+        "conjecture", model, source, order, with_timings, seed=seed, max_rounds=max_rounds
+    ) as run:
         # stages 0..g do not depend on n_max, so one gamma filtration serves
         # both the containment check (q <= g) and the equivalence criteria
         # (i <= order)
-        for kind, n_max in (("pi", g), ("gamma", order), ("Gamma", g + 2)):
-            run.fil[kind] = _filtration(timer, model, kind, n_max, order)
-        _run_checks(report, timer, run, _CONJECTURE)
-    if with_timings:
-        report.timings = timer.laps
-    return report
+        for kind, n_max in (("pi", run.g), ("gamma", run.order), ("Gamma", run.g + 2)):
+            _filtration(run, kind, n_max)
+        _run_checks(run, _CONJECTURE)
+    return run.report
 
 
 def run_filtration_tables(
@@ -819,52 +817,42 @@ def run_filtration_tables(
     """Dimension tables per kind and method, plus the containment comparison."""
     if n_max is None:
         n_max = model.g + 2
-    if order is None:
-        order = model.default_series_order
-    report = VerificationReport(
-        command="filtration",
-        model=_model_descriptor(model, source),
-        config={
-            "order": order,
-            "seed": seed,
-            "max_rounds": max_rounds,
-            "n_max": n_max,
-        },
-    )
-    timer = _Timer()
-    with timer.lap("total"):
+    with _suite(
+        "filtration", model, source, order, with_timings,
+        seed=seed, max_rounds=max_rounds, n_max=n_max,
+    ) as run:
         for kind in kinds:
-            with timer.lap(f"augmentation-{kind}"):
+            with run.lap(f"augmentation-{kind}"):
                 morphism_ok, witness = FiltrationSpec(kind).augmentation_is_morphism(model)
             note = f"; augmentation is not a ring morphism here (witness {witness})"
             results = {}
             for method in methods:
                 sid = f"filtration-{kind}-{method}"
-                with timer.lap(sid):
-                    res = compute_filtration(model, kind, n_max, method, order=order)
+                with run.lap(sid):
+                    res = compute_filtration(model, kind, n_max, method, order=run.order)
                     results[method] = res
                     detail = f"dims {list(res.dims)}" + ("" if morphism_ok else note)
-                    report.add(Statement(sid, "pass", detail=detail))
+                    run.report.add(Statement(sid, "pass", detail=detail))
             if len(results) == 2:
                 sid = f"filtration-{kind}-method-comparison"
-                with timer.lap(sid):
+                with run.lap(sid):
                     sat, eig = results["saturation"], results["eigen_sum"]
                     contained = all(
                         s.is_subspace_of(e) for s, e in zip(sat.stages, eig.stages)
                     )
                     equal = sat.stages == eig.stages
                     detail = f"saturation within eigen_sum: {contained}; equal: {equal}"
-                    report.add(Statement(sid, "pass", detail=detail))
-    if with_timings:
-        report.timings = timer.laps
-    return report
+                    run.report.add(Statement(sid, "pass", detail=detail))
+    return run.report
+
+
+# the model descriptor of a report that runs on no model
+_UNIVERSAL = {"source": "universal", "g": 0, "dim": 0, "fingerprint": ""}
 
 
 def run_gamma_coeff_report(i_max: int, d_max: int, m_max: int) -> VerificationReport:
     report = VerificationReport(
-        command="gamma-coeffs",
-        model={"source": "universal", "g": 0, "dim": 0, "fingerprint": ""},
-        config={"i_max": i_max, "d_max": d_max, "m_max": m_max},
+        "gamma-coeffs", dict(_UNIVERSAL), {"i_max": i_max, "d_max": d_max, "m_max": m_max}
     )
     for d in range(1, d_max + 1):
         table = universal_gamma_coefficients(d, i_max, m_max)
@@ -885,11 +873,7 @@ def run_series_report(weight: int, order: int) -> VerificationReport:
     if order < 1:
         raise DomainError("order must be at least 1")
     targets = [harmonic_firstkind(n) for n in range(1, order + 1)]
-    report = VerificationReport(
-        command="series",
-        model={"source": "universal", "g": 0, "dim": 0, "fingerprint": ""},
-        config={"weight": weight, "order": order},
-    )
+    report = VerificationReport("series", dict(_UNIVERSAL), {"weight": weight, "order": order})
     report.add(
         Statement(
             "series-targets",

@@ -263,7 +263,7 @@ def edits(doc, where):
 
 def outcome(sid, check, model):
     """(status, detail, witness) of a suite check on ``model``, or (error, message)."""
-    run = reports._Run(model, model.default_series_order, model.basis_elements())
+    run = reports._Run(model, model.default_series_order)
     try:
         s = Statement.first_failure(sid, check(run))
     except Exception as exc:  # both versions must fail the same way

@@ -85,6 +85,27 @@ def test_conjugate_keeps_every_verdict(spec):
         assert got == want
 
 
+PATHOLOGICAL_PRODUCT = (("pathological", 2), ("theta", 1))
+
+
+@pytest.mark.parametrize(
+    "spec", TENSORS + [PATHOLOGICAL_PRODUCT],
+    ids=[f"{a[0]}{a[1]}x{b[0]}{b[1]}" for a, b in TENSORS + [PATHOLOGICAL_PRODUCT]],
+)
+def test_verdicts_follow_the_factors(spec):
+    # the proved identities hold on every product; the conjecture fails
+    # exactly when a factor breaks it, and on every statement that factor
+    # fails on its own
+    verify, conj, _ = _verdicts(spec_model(spec))
+    assert "fail" not in verify.values()
+    failing = {sid for sid, status in conj.items() if status == "fail"}
+    bad = [f for f in spec if f[0] in ("violator", "pathological")]
+    assert bool(failing) == bool(bad)
+    for factor in bad:
+        alone = _verdicts(spec_model(factor))[1]
+        assert {sid for sid, status in alone.items() if status == "fail"} <= failing
+
+
 entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).map(Fraction)
 
 

@@ -360,7 +360,8 @@ def test_saturation_matches_the_definition(name, g, n_max, kind):
     for order in sorted({n_max, max(n_max, m.g + 2), m.default_series_order}):
         res = compute_filtration(m, kind, n_max, order=order)
         want = oracle.stages(m, kind, order, order)
-        assert tuple(s.basis for s in res.stages) == want[: len(res.stages)], order
+        assert len(res.stages) == n_max + 1
+        assert tuple(s.basis for s in res.stages) == want[: n_max + 1], order
         assert res.rounds == (res.dims,)
 
 
@@ -488,7 +489,7 @@ def test_pi_subset_gamma_pathological2_fails_at_two(pathological2):
 
 def _run_with(m, **fil):
     """A suite ``_Run`` on ``m`` holding the given filtrations by kind."""
-    run = reports._Run(m, m.default_series_order, m.basis_elements())
+    run = reports._Run(m, m.default_series_order)
     run.fil.update(fil)
     return run
 
@@ -569,7 +570,7 @@ def test_equivalences_read_the_order_of_their_filtration(theta2):
         report = run_conjecture_suite(theta2, "theta(g=2)", order=order)
         s = {s.id: s for s in report.statements}["lem-conjecture-equivalences"]
         assert s.status == "pass"
-        run = reports._Run(theta2, order, theta2.basis_elements())
+        run = reports._Run(theta2, order)
         run.fil["gamma"] = compute_filtration(theta2, "gamma", order, order=order)
         assert list(reports._equivalences(run)) == []
 

@@ -14,19 +14,25 @@ GOLDENS = json.loads(
 )
 
 
-# the benchmark's filtration job runs every kind by both methods: the defaults
-RUNNERS = {
-    "verify": reports.run_verify_suite,
-    "conjecture": reports.run_conjecture_suite,
-    "filtration": reports.run_filtration_tables,
-}
-
-
 def _report_sha(suite: str, builder: str, g: int) -> str:
+    """The hash of a report called with the keywords the benchmark's job
+    passes: timed model suites, and every kind by both methods at the
+    default n_max for the tables; the laps are dropped before hashing."""
     model = modelio.build_model(builder, g)
-    report = RUNNERS[suite](
-        model, f"{builder}(g={g})", order=None, seed=0, max_rounds=8
-    )
+    source, common = f"{builder}(g={g})", {"order": None, "seed": 0, "max_rounds": 8}
+    if suite == "filtration":
+        report = reports.run_filtration_tables(
+            model, source, kinds=("gamma", "star", "pi", "Gamma"),
+            methods=("saturation", "eigen_sum"), n_max=None, **common,
+        )
+    else:
+        runner = {
+            "verify": reports.run_verify_suite,
+            "conjecture": reports.run_conjecture_suite,
+        }[suite]
+        report = runner(model, source, with_timings=True, **common)
+        assert report.timings
+    report.timings = None
     return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
 
 

@@ -89,7 +89,7 @@ def test_linear_operations_are_canonical_and_exact(case, q):
     _check(-x, [-s for s in a])
     _check(q * x, [q * s for s in a])
     _check(x * q, [q * s for s in a])
-    assert Element(m, x.coords) == x
+    assert m.from_coords(x.coords) == x
 
 
 @PROPERTY

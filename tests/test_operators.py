@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from kring import (
-    Element,
     ModelAlgebra,
     euler_char,
     fourier,
@@ -268,6 +267,6 @@ def test_composite_check_reports_first_failing_vector():
 
 
 def test_element_coerces_int_and_str_coordinates(theta2):
-    x = Element(theta2, [1, "1/2", F(-3, 4)])
+    x = theta2.from_coords([1, "1/2", F(-3, 4)])
     assert x.coords == (F(1), F(1, 2), F(-3, 4))
     assert all(type(c) is Fraction for c in x.coords)
