@@ -231,7 +231,7 @@ def gamma_pi_coeff(i: int, d: int, m: int) -> Fraction:
         raise DomainError("the pi weight d must be at least 1")
     if i < 1 or m < 1:
         raise DomainError("i and m must be at least 1")
-    table = universal_gamma_coefficients(d, max(i, 1), max(m, 1))
+    table = universal_gamma_coefficients(d, i, m)
     return table[i][m]
 
 

@@ -27,8 +27,9 @@ in the support of x and j in that of y, has an entry in the product table
 (the model's partner masks): it is the zero vector, on every model, as the
 rule reads the table and assumes no bigrading.  The other layers read the
 tables with no elimination or product at all: stage 1 and the eigen_sum
-stages are coordinate subspaces (``Subspace.coordinate``), and whether the
-augmentation is a ring morphism is read off the product table's entries.
+stages are coordinate subspaces (``Subspace.coordinate``), and the
+augmentation test walks the product table's entries with the subring's 0/1
+projection, as ``prop-omega-n`` walks them with the Adams operators.
 
 This module computes stages only.  Every verdict that reads them, the
 four-way equivalence criterion among them, is a check of a suite in
@@ -43,6 +44,7 @@ from .adams import adams_weight, gamma_images, kind_ring
 from .errors import DomainError, SeriesOrderError
 from .linalg import Subspace
 from .model import Element, ModelAlgebra, reach, support
+from .operators import DiagonalOperator
 
 FILTRATION_KINDS = ("gamma", "star", "pi", "Gamma")
 
@@ -86,19 +88,16 @@ class FiltrationSpec:
         return model.star_partners if self.kind == "star" else model.mul_partners
 
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
-        """Whether the augmentation, the projection onto the subring,
-        respects the family's product on the basis; returns a witness pair
-        when it does not.  Read off the family's product table, with no
-        product made: for each entry (i, j), j >= i, every output index lies
-        in the subring when i and j both do, and none does otherwise.  Each
-        call checks anew: a suite asks once per kind it reads."""
-        rows = kind_ring(model, self.family).kernel.table.rows
+        """Whether the augmentation, the 0/1 projection onto the subring,
+        respects the family's product on the basis; when it does not, the
+        first failing entry (i, j), j >= i, of the family's product table is
+        the witness pair.  No product is made.  Each call checks anew: a
+        suite asks once per kind it reads."""
         keep = set(self.subring_indices(model))
-        for i, row in enumerate(rows):
-            for j, entries in row:
-                inside = i in keep and j in keep
-                if j >= i and any((k in keep) != inside for k, _ in entries):
-                    return False, f"({model.labels[i]}, {model.labels[j]})"
+        projection = DiagonalOperator(model, tuple(int(i in keep) for i in range(model.dim)), 1)
+        for i, j, entries in kind_ring(model, self.family).kernel.table.upper_entries():
+            if not projection.respects(i, j, entries):
+                return False, f"({model.labels[i]}, {model.labels[j]})"
         return True, None
 
 

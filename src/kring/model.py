@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, StructureError
 from .linalg import _bareiss, _integer_row, _rref_rows
@@ -226,6 +226,13 @@ class ScaledTable(NamedTuple):
 
     rows: tuple
     den: int
+
+    def upper_entries(self) -> Iterator[tuple[int, int, tuple]]:
+        """(i, j, ((k, c), ...)) for each entry (i, j), j >= i, of a bilinear table, by rows."""
+        for i, row in enumerate(self.rows):
+            for j, entries in row:
+                if j >= i:
+                    yield i, j, entries
 
 
 def _scaled_table(

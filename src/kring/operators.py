@@ -71,6 +71,12 @@ class DiagonalOperator(NamedTuple):
             raise StructureError(FOREIGN)
         return Element(self.model, [a * n for a, n in zip(self.nums, x.nums)], self.den * x.den)
 
+    def respects(self, i: int, j: int, entries) -> bool:
+        """Whether D(e_i e_j) = D e_i . D e_j on the table entry (i, j) with
+        outputs ``entries``: lambda_k = lambda_i lambda_j for every k."""
+        nums, den = self.nums, self.den
+        return all(nums[k] * den == nums[i] * nums[j] for k, _ in entries)
+
     def compose(self, other: "DiagonalOperator") -> "DiagonalOperator":
         return self._reduced(
             self.model, [a * b for a, b in zip(self.nums, other.nums)], self.den * other.den

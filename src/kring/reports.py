@@ -18,19 +18,19 @@ filtrations first and then runs one table.  A check is a generator over
 the suite's ``_Run``: it yields a ``(detail, witness)`` pair for each
 failure and may return a pass detail; ``Statement.first_failure`` keeps
 the first pair and never resumes the check.  A check computes each
-distinct value once (a product, a Fourier image, a gamma series) and may
-leave out a basis pair that has no entry in the product table it tests:
-there both sides of a diagonal operator's multiplicativity are zero, and
-a product of two basis vectors is zero exactly there.  ``thm-fm-iso``
-walks every pair, because its zero right-hand sides are part of what it
-proves.  A skip is data: ``skip(run)`` returns the reason a statement
-does not apply (negative-index classes, no class labelled ``e1``, a
-violated index-product hypothesis) or ``None``.  Each entry and each
-filtration is one ``--timings`` lap, and ``total`` covers them all; the
-``filtration`` tables lap each statement, after one ``augmentation-{kind}``
-lap per kind.  Checks call the traced layers (``fourier``,
-``star_product``, ``gamma_images``, ``validate``, ...) through this
-module's globals, which a tracer may rebind.
+distinct value once (a product, a Fourier image, a gamma series).  Whether
+a diagonal operator respects a product (``prop-omega-n``,
+``pushforward-star-hom``) is read off the product table with no product
+made: one walk of its entries (i, j), j >= i, tests lambda_k = lambda_i
+lambda_j for every output k.  ``thm-fm-iso`` multiplies every pair, because
+its zero right-hand sides are part of what it proves.  A skip is data:
+``skip(run)`` returns the reason a statement does not apply (negative-index
+classes, no class labelled ``e1``, a violated index-product hypothesis) or
+``None``.  Each entry and each filtration is one ``--timings`` lap, and
+``total`` covers them all; the ``filtration`` tables lap each statement,
+after one ``augmentation-{kind}`` lap per kind.  Checks call the traced
+layers (``fourier``, ``star_product``, ``gamma_images``, ``validate``, ...)
+through this module's globals, which a tracer may rebind.
 
 The model suites still accept ``seed`` and ``max_rounds`` and quote them in
 the report's ``config``, so recorded reports keep their bytes; the
@@ -341,31 +341,14 @@ def _adams_semigroup(run: _Run) -> Failures:
                     yield f"{name}, {k}*{l}", ""
 
 
-def _entry_products(
-    run: _Run, partners: tuple[int, ...], mul: Callable[[Element, Element], Element]
-) -> list[tuple[int, int, Element]]:
-    """(i, j, mul(e_i, e_j)) for the pairs i <= j with an entry in the table
-    that ``partners`` masks.  Any other pair multiplies to zero, and so do
-    its images under a diagonal operator, so a multiplicativity check of a
-    diagonal operator cannot fail on it."""
-    basis, dim = run.basis, run.model.dim
-    return [
-        (i, j, mul(basis[i], basis[j]))
-        for i in range(dim)
-        for j in range(i, dim)
-        if partners[i] >> j & 1
-    ]
-
-
 def _omega(run: _Run) -> Failures:
     model, basis, labels = run.model, run.basis, run.model.labels
-    products = _entry_products(run, model.mul_partners, model.multiply)
+    table = kind_ring(model, "usual").kernel.table
     for n in range(1, 5):
-        for i, j, xy in products:
-            for kind in ("composed", "pi_star"):
-                if adams(model, kind, n, xy) != adams(model, kind, n, basis[i]) * adams(
-                    model, kind, n, basis[j]
-                ):
+        ops = [(kind, adams_operator(model, kind, n)) for kind in ("composed", "pi_star")]
+        for i, j, entries in table.upper_entries():
+            for kind, op in ops:
+                if not op.respects(i, j, entries):
                     yield f"{kind}, n={n}", f"({labels[i]}, {labels[j]})"
         for e in basis:
             if rank(adams(model, "pi_star", n, e)) != rank(e):
@@ -377,13 +360,11 @@ def _omega(run: _Run) -> Failures:
 
 
 def _push_star_hom(run: _Run) -> Failures:
-    model, basis, labels = run.model, run.basis, run.model.labels
-    products = _entry_products(run, model.star_partners, star_product)
+    model, labels = run.model, run.model.labels
     for m in range(-2, 3):
         push = pushforward(model, m)
-        images = [push.apply(e) for e in basis]
-        for i, j, z in products:
-            if push.apply(z) != star_product(images[i], images[j]):
+        for i, j, entries in model.star_table.upper_entries():
+            if not push.respects(i, j, entries):
                 yield f"m={m}", f"({labels[i]}, {labels[j]})"
 
 

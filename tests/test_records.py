@@ -108,9 +108,9 @@ def test_mutable_report_classes():
     assert first.timings is None
     first.timings = {"total": 0.5}
     assert first.to_dict()["timings"] == {"total": 0.5}
-    run = _Run(model("theta", 1), 3, ())
+    run = _Run(model("theta", 1), 3)
     run.fil["gamma"] = None
-    assert _Run(run.model, 3, ()).fil == {}
+    assert _Run(run.model, 3).fil == {}
 
 
 GUARDED = ("dataclasses", "inspect", "ast")

@@ -1,16 +1,23 @@
-"""The seven ``verify`` checks that reuse values or leave out pairs with no
-table entry reach the same first failure as the plain loops they replace.
+"""The seven ``verify`` checks that reuse values or read a product table
+instead of multiplying reach the same first failure as the plain loops
+they replace.
 
 The plain loops are kept here as test-local copies: each recomputes every
-product, Fourier image and gamma series and walks every basis pair.  For
-each model, ``Statement.first_failure`` must give the same status, detail
-and witness for the copy and for the check in ``kring.reports`` (or both
-must raise the same error).  The models are every builder at g = 2 and 3,
-theta(4), the perturbed documents of ``tests/test_failure_paths.py`` and a
-deterministic sweep of single-entry ``mul`` and ``fm`` edits of the g = 2
-documents (and ``mul`` constant edits at g = 3): an edit that breaks a
-product is where a wrongly skipped pair would hide a failure.  The oracle
-(``tests/oracle.py``) checks values, not the first failure of a walk order.
+product, Fourier image and gamma series and walks every basis pair.
+``prop-omega-n`` and ``pushforward-star-hom`` instead walk the entries
+(i, j), j >= i, of their product's table once and test lambda_k =
+lambda_i lambda_j for every output k, so their copies are the product
+route.  For each model, ``Statement.first_failure`` must give the same
+status, detail and witness for the copy and for the check in
+``kring.reports`` (or both must raise the same error).  The models are
+every builder at g = 2 and 3, theta(4), the perturbed documents of
+``tests/test_failure_paths.py`` and a deterministic sweep of single-entry
+``mul`` and ``fm`` edits of the g = 2 documents (and ``mul`` constant
+edits at g = 3): an edit that breaks a product is where a wrong table walk
+would hide a failure.  The two table walks also run on the ``TENSORS``
+products and their ``basis_change`` conjugates, whose tables are denser.
+The oracle (``tests/oracle.py``) checks values, not the first failure of
+a walk order.
 """
 
 import json
@@ -32,7 +39,16 @@ from kring import (
     star_product,
 )
 from kring.adams import ADAMS_KINDS
-from tests.conftest import document, edits, fm00, mul1, outcome, rename_e1
+from tests.conftest import (
+    TENSORS,
+    document,
+    edits,
+    fm00,
+    mul1,
+    outcome,
+    presented_model,
+    rename_e1,
+)
 
 BUILDERS = ("theta", "antisym", "pathological", "violator")
 
@@ -191,6 +207,17 @@ def test_single_entry_edits(builder, g, where):
         failing += "fail" in statuses.values()
     # the sweep reaches failures, so a hidden one would show
     assert failing
+
+
+# the basis_change conjugates have non-permutation Fourier matrices, and
+# their product tables have more entries, some with several outputs k
+@pytest.mark.parametrize("sid", ["prop-omega-n", "pushforward-star-hom"])
+@pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conj"])
+@pytest.mark.parametrize("spec", TENSORS, ids=[f"{a[0]}{a[1]}x{b[0]}{b[1]}" for a, b in TENSORS])
+def test_table_walks_on_tensor_products(spec, conjugated, sid):
+    model = presented_model(spec, conjugated)
+    old, new = CHECKS[sid]
+    assert outcome(sid, new, model) == outcome(sid, old, model)
 
 
 @pytest.mark.parametrize("builder,g", [("theta", 4), ("violator", 3), ("antisym", 2)])
