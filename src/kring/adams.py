@@ -83,11 +83,17 @@ def kind_ring(model: ModelAlgebra, kind: str) -> Ring:
     product for ``star``, the ordinary product for every other family.
     Sums, series products and ``exp`` run on the product's kernel
     (``ModelAlgebra._kernel``), which the ring names rather than recognising
-    it from ``mul``; rings built twice compare equal, and the star ring
-    builds ``star_table``."""
-    if kind == "star":
-        return Ring(star_product, model.zero(), model.star_unit(), model._kernel(True))
-    return Ring(model.multiply, model.zero(), model.one(), model._kernel(False))
+    it from ``mul``.  Each ring is built once per model and kept on it, and
+    the star ring builds ``star_table``."""
+    star = kind == "star"
+    ring = model._rings.get(star)
+    if ring is None:
+        if star:
+            ring = Ring(star_product, model.zero(), model.star_unit(), model._kernel(True))
+        else:
+            ring = Ring(model.multiply, model.zero(), model.one(), model._kernel(False))
+        model._rings[star] = ring
+    return ring
 
 
 def _weighted_log(

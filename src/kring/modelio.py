@@ -6,7 +6,9 @@ with i <= j, and the Fourier matrix as dense rows of "num/den" strings.
 Export is canonical (fixed key order, sorted triples, lowest-terms
 rationals with an explicit denominator), so export -> import -> export is
 byte-identical and the SHA-256 of the exported bytes serves as the model
-fingerprint.
+fingerprint.  Import reads the exact text "0/1", most of the dense Fourier
+entries, as one shared zero without the regex; every other spelling of a
+rational meets the canonical check.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ BUILDERS = {
 }
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_ZERO = Fraction(0)
 
 # Size caps on documents (MAX_G also bounds the CLI's --g): the bundled
 # builders reach dim 17 at g = 6, the largest size the tests and the
@@ -61,6 +64,8 @@ def _format_rational(x: Fraction) -> str:
 
 
 def _parse_rational(text: str, field: str) -> Fraction:
+    if text == "0/1":
+        return _ZERO
     if not isinstance(text, str):
         raise ModelParseError(f"{field}: rational must be a 'num/den' string", field)
     m = _RATIONAL_RE.match(text)
@@ -184,9 +189,10 @@ def import_model(text: str) -> ModelAlgebra:
         raise ModelParseError("missing or wrongly sized 'fm'", field="fm")
     fm_rows = []
     for r, row in enumerate(fm_raw):
+        field = f"fm[{r}]"
         if not (isinstance(row, list) and len(row) == dim):
-            raise ModelParseError(f"fm row {r} has the wrong length", field=f"fm[{r}]")
-        fm_rows.append([_parse_rational(c, f"fm[{r}]") for c in row])
+            raise ModelParseError(f"fm row {r} has the wrong length", field=field)
+        fm_rows.append([_parse_rational(c, field) for c in row])
     return ModelAlgebra(
         g, basis, mul, fm_rows, unit_index=doc["unit"], star_unit_index=doc["star_unit"]
     )

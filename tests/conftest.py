@@ -119,7 +119,8 @@ def conjugate(m, P) -> ModelAlgebra:
     Q = inverse(P)  # e_c = sum_l Q[c][l] f_l
 
     def in_f(x: list[Fraction]) -> list[Fraction]:
-        return [sum(x[c] * Q[c][l] for c in range(n)) for l in range(n)]
+        terms = [(c, xc) for c, xc in enumerate(x) if xc]
+        return [sum(xc * Q[c][l] for c, xc in terms) for l in range(n)]
 
     nonzero = [[(a, c) for a, c in enumerate(row) if c] for row in P]
     mul = {}
@@ -183,14 +184,25 @@ TENSORS = [
     (("antisym", 2), ("theta", 1)),
     VIOLATOR_PRODUCT,
 ]
+# theta(1)^⊗5 and theta(1)^⊗6, of dim 32 and 64, as nested pairs
+THETA1 = ("theta", 1)
+THETA1_POWER5 = (((THETA1, THETA1), (THETA1, THETA1)), THETA1)
+THETA1_POWER6 = (((THETA1, THETA1), (THETA1, THETA1)), (THETA1, THETA1))
 
 
 @lru_cache(maxsize=None)
 def spec_model(spec):
-    """A bundled model (name, g), or the tensor product of two of them."""
+    """A bundled model (name, g), or the tensor product of two specs."""
     if isinstance(spec[0], tuple):
-        return tensor(model(*spec[0]), model(*spec[1]))
+        return tensor(spec_model(spec[0]), spec_model(spec[1]))
     return model(*spec)
+
+
+def spec_id(spec) -> str:
+    """``theta2`` for ("theta", 2), ``theta2xtheta1`` for a product."""
+    if isinstance(spec[0], tuple):
+        return "x".join(map(spec_id, spec))
+    return f"{spec[0]}{spec[1]}"
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +245,7 @@ def rename_e1(doc: dict) -> None:
             entry["label"] = "h"
 
 
-def _rational(c: Fraction) -> str:
+def rational_text(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
@@ -243,7 +255,7 @@ def edits(doc, where):
     if where == "mul":
         for n, (_, _, _, raw) in enumerate(doc["mul"]):
             yield lambda d, n=n, raw=raw: d["mul"][n].__setitem__(
-                3, _rational(Fraction(raw) + 1)
+                3, rational_text(Fraction(raw) + 1)
             )
     elif where == "new-mul":
         dim = len(doc["basis"])
@@ -257,7 +269,7 @@ def edits(doc, where):
         for r, row in enumerate(doc["fm"]):
             for c, raw in enumerate(row):
                 yield lambda d, r=r, c=c, raw=raw: d["fm"][r].__setitem__(
-                    c, _rational(Fraction(raw) + 1)
+                    c, rational_text(Fraction(raw) + 1)
                 )
 
 

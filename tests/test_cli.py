@@ -10,8 +10,10 @@ from kring import (
 )
 from kring.cli import MAX_COEFF_INDEX, MAX_ORDER, MAX_SERIES_ORDER
 from kring.errors import ModelParseError
-from kring.modelio import MAX_G, MAX_MODEL_DIM
-from tests.conftest import run_cli
+from kring.modelio import BUILDERS, MAX_G, MAX_MODEL_DIM
+from tests.conftest import (
+    TENSORS, THETA1_POWER5, THETA1_POWER6, presented_model, run_cli, spec_id,
+)
 
 
 def test_verify_theta_passes():
@@ -244,6 +246,48 @@ def test_import_requires_canonical_rationals(text):
     with pytest.raises(ModelParseError) as info:
         import_model(json.dumps(doc))
     assert info.value.field == "mul[0]"
+
+
+@pytest.mark.parametrize(
+    "value", ["0/2", "-0/1", "00/1", "0/01", "0/1 ", 0],
+    ids=["unreduced", "negative", "numerator-zero-padded", "denominator-zero-padded",
+         "trailing-space", "json-int"],
+)
+@pytest.mark.parametrize("where", ["fm", "mul"])
+def test_import_reads_only_the_exact_zero_text_as_zero(where, value):
+    # "0/1" is read without the regex; every other spelling of zero still
+    # meets the canonical check and is refused, naming its field
+    doc = json.loads(export_model(theta_model(2)))
+    if where == "fm":
+        assert doc["fm"][1][0] == "0/1"
+        doc["fm"][1][0], field = value, "fm[1]"
+    else:
+        doc["mul"][0][3], field = value, "mul[0]"
+    with pytest.raises(ModelParseError) as info:
+        import_model(json.dumps(doc))
+    assert info.value.field == field
+
+
+# every builder at g <= 6, and tensor products up to dim 64, conjugated up
+# to dim 32 (rational entries in both tables)
+ROUND_TRIPS = (
+    [
+        ((name, g), False)
+        for name in sorted(BUILDERS)
+        for g in range(1 if name == "theta" else 2, 7)
+    ]
+    + [(spec, conjugated) for spec in TENSORS + [THETA1_POWER5] for conjugated in (False, True)]
+    + [(THETA1_POWER6, False)]
+)
+
+
+@pytest.mark.parametrize(
+    "spec,conjugated", ROUND_TRIPS,
+    ids=[spec_id(spec) + ("-conjugated" if c else "") for spec, c in ROUND_TRIPS],
+)
+def test_export_import_export_is_byte_identical(spec, conjugated):
+    text = export_model(presented_model(spec, conjugated))
+    assert export_model(import_model(text)) == text
 
 
 def test_import_rejects_a_repeated_mul_triple():

@@ -304,9 +304,14 @@ def test_cancelled_sums_are_the_ring_zero(kind):
 
 @pytest.mark.parametrize("name,g", MODELS)
 def test_kind_rings_built_twice_are_equal(name, g):
-    m = model(name, g)
+    # the two rings live on the model: every family reads the same ring of
+    # its product, and another model of the same name has its own rings
+    m, other = model(name, g), build_model(name, g)
+    rings = {kind: kind_ring(m, kind) for kind in ADAMS_KINDS}
     for kind in ADAMS_KINDS:
-        assert kind_ring(m, kind) == kind_ring(m, kind)
+        assert kind_ring(m, kind) is rings[kind]
+        assert kind_ring(other, kind) != rings[kind]
+    assert len({id(ring) for ring in rings.values()}) == 2
 
 
 @PROPERTY

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kring.model
 from kring import (
     Element,
     ModelAlgebra,
@@ -26,7 +28,16 @@ from kring import (
 )
 from kring.errors import DomainError, StructureError
 from kring.model import ValidationReport, Violation, _inversion_sign
-from tests.conftest import bundled_models, model, raw_tables, theta_raw
+from tests.conftest import (
+    THETA1_POWER5,
+    TENSORS,
+    bundled_models,
+    model,
+    presented_model,
+    rational_text,
+    raw_tables,
+    theta_raw,
+)
 from tests.oracle import fm_rows, rref
 
 F = Fraction
@@ -384,13 +395,16 @@ def _dense_validate(model: ModelAlgebra) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def _perturbed(name, g, change, rng):
-    """A bundled model with one seeded change to its exported document (or,
-    for ``one-sided``, to one side of a product, which no document can
-    express since import mirrors every product, and for ``bidegree``, to
-    one bidegree).  A bidegree outside 0..g must be refused by the
-    constructor, as import refuses it; that draw returns None."""
-    m = model(name, g)
+def _perturbed(m, change, rng):
+    """``m`` with seeded changes to its exported document (or, for
+    ``one-sided``, to one side of a product, which no document can express
+    since import mirrors every product, and for ``bidegree``, to one
+    bidegree).  A bidegree outside 0..g must be refused by the constructor,
+    as import refuses it; that draw returns None.  ``mul-several`` makes
+    three to five product edits, ``fm-square`` rescales one Fourier row
+    (F stays invertible) and ``fm-singular`` makes one row a multiple of
+    another."""
+    g = m.g
     if change in ("one-sided", "bidegree"):
         basis, mul, fm = raw_tables(m)
         if change == "one-sided":
@@ -403,44 +417,79 @@ def _perturbed(name, g, change, rng):
             label, bd = basis[n]
             basis[n] = (label, (degree, bd[1]) if side == 0 else (bd[0], degree))
             if not 0 <= degree <= g:
-                with pytest.raises(StructureError, match=f"basis vector {label} has bidegree"):
+                with pytest.raises(StructureError, match=f"basis vector {re.escape(label)} has bidegree"):
                     ModelAlgebra(g, basis, mul, fm, m.unit_index, m.star_unit_index)
                 return None
         return ModelAlgebra(
             g, basis, mul, fm, unit_index=m.unit_index, star_unit_index=m.star_unit_index
         )
     doc = json.loads(export_model(m))
-    if change == "mul-coefficient":
-        triple = rng.choice(doc["mul"])
-        c = F(triple[3]) + rng.choice((1, -1, F(1, 2), F(-3, 2)))
-        triple[3] = f"{c.numerator}/{c.denominator}"
-    elif change == "mul-target":
-        rng.choice(doc["mul"])[2] = rng.randrange(m.dim)
-    else:
-        row = doc["fm"][rng.randrange(m.dim)]
-        row[rng.randrange(m.dim)] = rng.choice(("0/1", "1/1", "-1/1", "2/1", "1/2"))
+    rows = doc["fm"]
+    for _ in range(rng.randint(3, 5) if change == "mul-several" else 1):
+        if change in ("mul-coefficient", "mul-several") and rng.random() < 0.7:
+            triple = rng.choice(doc["mul"])
+            triple[3] = rational_text(F(triple[3]) + rng.choice((1, -1, F(1, 2), F(-3, 2))))
+        elif change in ("mul-target", "mul-several"):
+            triple, k = rng.choice(doc["mul"]), rng.randrange(m.dim)
+            if [*triple[:2], k] not in (t[:3] for t in doc["mul"]):  # import refuses a repeat
+                triple[2] = k
+        elif change == "fm-square":
+            r, c = rng.randrange(m.dim), rng.choice((2, F(1, 2), -3))
+            rows[r] = [rational_text(c * F(x)) for x in rows[r]]
+        elif change == "fm-singular":
+            r, s = rng.sample(range(m.dim), 2)
+            rows[r] = [rational_text(rng.choice((1, -1, 2)) * F(x)) for x in rows[s]]
+        else:
+            row = rows[rng.randrange(m.dim)]
+            row[rng.randrange(m.dim)] = rng.choice(("0/1", "1/1", "-1/1", "2/1", "1/2"))
     return import_model(json.dumps(doc))
 
 
+# (spec, conjugated, draws): every bundled model at g <= 4, and the tensor
+# products of TENSORS and theta(1)^⊗5 (dim 32), plain and conjugated
+PERTURBED = (
+    [(spec, False, 3) for spec in bundled_models(4)]
+    + [(spec, conjugated, 2) for spec in TENSORS for conjugated in (False, True)]
+    + [(THETA1_POWER5, conjugated, 1) for conjugated in (False, True)]
+)
+
+
 @pytest.mark.parametrize(
-    "change", ["mul-coefficient", "mul-target", "fm-entry", "bidegree", "one-sided"]
+    "change",
+    [
+        "mul-coefficient", "mul-target", "mul-several", "fm-entry", "fm-square",
+        "fm-singular", "bidegree", "one-sided",
+    ],
 )
 def test_validate_matches_dense_reference_on_perturbed_models(change):
     rng = random.Random(f"validate-{change}")
     flagged = 0
     out_of_range = 0
-    for name, g in bundled_models(4):
-        for _ in range(3):
-            m = _perturbed(name, g, change, rng)
+    most_associators = 0
+    for spec, conjugated, draws in PERTURBED:
+        for _ in range(draws):
+            m = _perturbed(presented_model(spec, conjugated), change, rng)
             if m is None:  # an out-of-range bidegree, refused at construction
                 out_of_range += 1
                 continue
             report = validate(m)
-            assert report == _dense_validate(m), (name, g, change)
+            assert report == _dense_validate(m), (spec, conjugated, change)
             flagged += not report.ok
+            codes = report.codes()
+            most_associators = max(most_associators, codes.count("mul-associativity"))
+            # the Fourier edits reach the case they are drawn for: a broken
+            # square law with F invertible, so no elimination decides it,
+            # and a singular F
+            if change == "fm-square":
+                assert "fm-involution" in codes and "fm-invertible" not in codes
+            if change == "fm-singular":
+                assert "fm-invertible" in codes
     assert flagged  # the perturbations do reach the checks
     # the bidegree draws reach both the constructor's refusal and validate
     assert bool(out_of_range) == (change == "bidegree")
+    if change == "mul-several":
+        # several associators on one document, so their order is compared
+        assert most_associators >= 3
 
 
 def test_validate_stays_sparse(monkeypatch):
@@ -454,6 +503,17 @@ def test_validate_stays_sparse(monkeypatch):
     for name, g in bundled_models(4):
         assert validate(build_model(name, g)).ok
     assert validate(load_model(NONASSOCIATIVE)).codes() == ("mul-associativity",)
+
+
+def test_validate_eliminates_only_when_the_square_law_fails(monkeypatch):
+    # a Fourier matrix that squares to a signed diagonal is invertible, so
+    # an admissible model needs no rank computation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate ran the elimination on a square-law F")
+
+    monkeypatch.setattr(kring.model, "_bareiss", forbidden)
+    for spec, conjugated, _ in PERTURBED:
+        assert validate(presented_model(spec, conjugated)).ok, (spec, conjugated)
 
 
 @pytest.mark.parametrize(
