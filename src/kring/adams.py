@@ -25,24 +25,27 @@ For an eigenvector x of weight d the substituted log-lambda series is
 S_d(t) x with S_d(t) = sum_n (-1)^{n-1} n^{d-1} (t/(1-t))^n, so the gamma
 series exp(S_d(t) x) has the closed form sum_m S_d(t)^m x^m / m!, and
 ``universal_gamma_coefficients`` reads a(i; d, m) = [t^i] S_d(t)^m / m!
-off the powers of one rational series, taken on its integer numerators
-(``_gamma_table``, integer rows over one denominator per power).
-Column m = 1 is S_d itself, whose coefficients the ``series`` report of
-``kring.reports`` reads.
-``gamma_images`` sums those integer rows (together with the
-multiplicativity of the gamma series over sums) as a fast exact route that
-the series-engine route must agree with.
+off the powers of S_d, taken on its integer numerators (``_gamma_table``,
+integer rows over one denominator per power).  The two routes read S_d
+apart: the table from its closed-form integer coefficients, the series
+engine (``gamma_series``, ``lambda_series``) by substituting t/(1-t) into a
+``TruncatedSeries``.  Column m = 1 is S_d itself, whose coefficients the
+``series`` report of ``kring.reports`` reads.
+``gamma_images`` makes each gamma^i of an eigencomponent one integer
+combination of its powers by those rows, and multiplies the components'
+series (the gamma series is multiplicative over sums): a fast exact route
+that the series-engine route must agree with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, gcd, lcm
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, SeriesOrderError
-from .linalg import Subspace, _integer_row
+from .linalg import Subspace
 from .model import Element, ModelAlgebra
 from .operators import DiagonalOperator, star_product
 from .series import Ring, TruncatedSeries
@@ -147,9 +150,9 @@ def gamma_series(
     Substituting t/(1-t) into the logarithm first and exponentiating after
     is exact: the substitution is a ring map on truncated series.  The
     substituted series is sum_w S_w(t) x_w with the rational series
-    S_w = ``_substituted_log(w - 1, order)`` (see ``lambda_series``); only
-    that scalar series is shared with ``universal_gamma_coefficients``,
-    while ``exp`` and its products run on the model.
+    S_w = ``_substituted_log(w - 1, order)`` (see ``lambda_series``), made
+    by series substitution; ``universal_gamma_coefficients`` reads its own
+    closed form of S_w, so the two routes share no code for it.
     """
     return _weighted_log(model, kind, x, order, _substituted_log).exp()
 
@@ -201,13 +204,20 @@ def _substituted_log(exponent: int, order: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def _gamma_table(d: int, order: int, m_max: int) -> tuple[tuple, tuple[int, ...]]:
     """Integer rows and column denominators of ``universal_gamma_coefficients``:
-    the powers of S_d run on its integer numerators s over their lcm D, as a
-    truncated integer convolution, so a(i; d, m) = rows[i][m] / dens[m] with
-    rows[i][m] = [t^i] s^m and dens[m] = D^m m!."""
+    the powers of S_d run on its integer numerators s over their least
+    denominator D, as a truncated integer convolution, so
+    a(i; d, m) = rows[i][m] / dens[m] with rows[i][m] = [t^i] s^m and
+    dens[m] = D^m m!.  S_d comes in closed form, not from
+    ``_substituted_log``: [t^k] S_d = sum_{n <= k} (-1)^(n-1) n^(d-1) C(k-1, n-1),
+    (t/(1-t))^n expanded term by term, over lcm(n^(1-d)) when d <= 0."""
     if order < 1 or m_max < 1:
         raise DomainError("order and m_max must be at least 1")
-    nums, den = _integer_row(_substituted_log(d - 1, order).coeffs)
-    s = [(k, c) for k, c in enumerate(nums) if c]
+    den = lcm(*(n ** (1 - d) for n in range(1, order + 1))) if d < 1 else 1
+    terms = [(-1) ** n * int(den * Fraction(n + 1) ** (d - 1)) for n in range(order)]
+    nums = [sum(c * comb(k, n) for n, c in enumerate(terms[: k + 1])) for k in range(order)]
+    common = gcd(den, *nums)  # D is the least denominator
+    den //= common
+    s = [(k + 1, c // common) for k, c in enumerate(nums) if c]
     power = [1] + [0] * order
     columns = [power]
     for m in range(1, m_max + 1):
@@ -275,11 +285,18 @@ def gamma_images(
         if not powers:  # order 0
             continue
         rows, dens = _gamma_table(w, order, len(powers))
-        scales = [dens[-1] // den for den in dens[1:]]  # a(i; w, m) over dens[-1]
-        coeffs = [unit] + [
-            ring.sum([(n * f, xm) for n, f, xm in zip(rows[i][1:], scales, powers) if n], dens[-1])
-            for i in range(1, order + 1)
-        ]
+        # a(i; w, m) x^m over dens[-1] and one denominator L of the powers,
+        # so gamma^i is one integer combination of them over dens[-1] L
+        common = lcm(*(xm.den for xm in powers))
+        scaled = [[dens[-1] // den * (common // xm.den) * n for n in xm.nums]
+                  for den, xm in zip(dens[1:], powers)]
+        coeffs = [unit]
+        for row in rows[1:]:
+            out = None
+            for n, vec in zip(row[1:], scaled):
+                if n:
+                    out = [o + n * c for o, c in zip(out or [0] * len(vec), vec)]
+            coeffs.append(zero if out is None else Element(model, out, dens[-1] * common))
         factor = TruncatedSeries(coeffs, ring)
         result = factor if result is None else result * factor
     return [unit] + [zero] * order if result is None else list(result.coeffs)

@@ -169,7 +169,9 @@ def _saturation_stages(
     above are spanned as one bucket: each enters M[n] as a generator and
     through its products with M[1], both linear in the image (see
     ``compute_filtration``).  Zero images are left out before they reach
-    ``Subspace.span``.
+    ``Subspace.span``.  M[n] takes the products W_i x M[max(n - i, 1)] of
+    the weight-i basis W_i; W_i x M[1] serves every stage n <= i + 1 and
+    is made once per weight.
 
     x . y is skipped when reach(x) & support(y) == 0, reach(x) being the OR
     of the partner masks over the support of x: then no table pair (i, j)
@@ -199,12 +201,13 @@ def _saturation_stages(
     # monomial spans: M[n] = span of products of gamma images of total weight >= n
     all_gamma = [pair for basis in weight_basis for pair in basis]
     m_basis = {1: _supported(model, _close_under_products(model, product, all_gamma))}
+    with_m1 = [_products(product, basis, m_basis[1]) for basis in weight_basis] if n_max > 1 else []
     for n in range(2, n_max + 1):
         vectors: list[Element] = []
-        for i in range(1, n_max + 1):
+        for i, basis in enumerate(weight_basis[1:], 1):
             if i >= n:
-                vectors.extend(v for v, _ in weight_basis[i])
-            vectors.extend(_products(product, weight_basis[i], m_basis[max(n - i, 1)]))
+                vectors.extend(v for v, _ in basis)
+            vectors.extend(with_m1[i] if n - i <= 1 else _products(product, basis, m_basis[n - i]))
         m_basis[n] = _supported(model, Subspace.span(dim, vectors))
 
     # close each stage under multiplication by the augmentation subring

@@ -35,7 +35,7 @@ from kring.adams import adams_weight, universal_gamma_coefficients
 from kring.errors import DomainError, SeriesOrderError
 from kring.series import TruncatedSeries
 from tests import oracle
-from tests.conftest import bundled_models, model, series_values
+from tests.conftest import TENSORS, bundled_models, model, presented_model, series_values, spec_id
 
 F = Fraction
 
@@ -155,19 +155,29 @@ def test_gamma_beyond_order_raises(theta2):
         gamma_op(theta2, "usual", 9, theta2.basis_element(1), order=4)
 
 
-@pytest.mark.parametrize("name,g", [("theta", 2), ("antisym", 2), ("pathological", 2), ("violator", 2)])
-def test_gamma_images_match_the_oracle(name, g):
-    # order well above the algebra's nilpotency degree, so non-nilpotent
-    # components (those meeting the unit line) are exercised too
-    m = model(name, g)
+@pytest.mark.parametrize(
+    "spec,conjugated",
+    [pytest.param((name, g), False, id=f"{name}-{g}") for name, g in bundled_models(3) if g > 1]
+    + [
+        pytest.param(spec, c, id=spec_id(spec) + ("-conjugated" if c else ""))
+        for spec in TENSORS
+        for c in (False, True)
+    ],
+)
+def test_gamma_images_match_the_oracle(spec, conjugated):
+    # at g = 2 the order is well above the algebra's nilpotency degree, and
+    # at g >= 3 it is g + 2, where the dense oracle stays cheap; 1 + e1 has a
+    # component on the unit line, which is not nilpotent, and coordinates
+    # such as 1/2 and -2/3 give the powers of a component different
+    # denominators, which gamma_images brings to one
+    m = presented_model(spec, conjugated)
     rng = random.Random(11)
-    elements = list(m.basis_elements())
+    coords = (F(0), F(0), F(1), F(-2), F(1, 2), F(-2, 3), F(3, 4))
+    elements = list(m.basis_elements()) if m.g == 2 else []
     elements.append(m.one() + m.basis_element(1))
     for _ in range(2):
-        elements.append(
-            m.from_coords([F(rng.randint(-2, 2)) for _ in range(m.dim)])
-        )
-    order = 2 * g + 4
+        elements.append(m.from_coords([rng.choice(coords) for _ in range(m.dim)]))
+    order = 2 * m.g + 4 if m.g == 2 else m.g + 2
     for kind in ADAMS_KINDS:
         for x in elements:
             fast = [v.coords for v in gamma_images(m, kind, x, order)]
@@ -260,15 +270,19 @@ def test_universal_gamma_coefficients_table_entries():
     assert universal_gamma_coefficients(2, 4, 2)[2][2] == F(1, 2)  # a(2; 2, 2)
 
 
-@pytest.mark.parametrize("d", range(-3, 9))
+@pytest.mark.parametrize("d", range(-5, 10))
 def test_integer_scalar_tables_match_the_oracle(d):
     # every table is a corner of the oracle's at order 20: entry [i][m]
-    # reads the terms up to t^i only; column m = 1 is S_d, the substituted
-    # ``_adams_log``, so it checks that series too
+    # reads the terms up to t^i only; column m = 1 is S_d in closed form,
+    # which must also equal the series engine's S_d, ``_adams_log`` with
+    # t/(1-t) substituted
     full = oracle.gamma_coefficients(d, 20, 20)
     for order in range(1, 21):
-        log = adams_module._adams_log(d - 1, order).coeffs
-        assert all(type(c) is F for c in log)
+        log = adams_module._adams_log(d - 1, order)
+        assert all(type(c) is F for c in log.coeffs)
+        assert tuple(row[1] for row in universal_gamma_coefficients(d, order, 1)) == (
+            log.substitute_gamma().coeffs
+        )
         for m_max in sorted(set(range(1, 7)) | ({order} if d == 0 else set())):
             table = universal_gamma_coefficients(d, order, m_max)
             assert table == tuple(row[: m_max + 1] for row in full[: order + 1])
@@ -279,6 +293,20 @@ def test_integer_scalar_tables_match_the_oracle(d):
             rows, dens = adams_module._gamma_table(d, order, m_max)
             assert all(type(n) is int for row in rows for n in row)
             assert dens == tuple(dens[1] ** m * factorial(m) for m in range(m_max + 1))
+
+
+def test_gamma_table_shares_no_code_with_the_series_route(monkeypatch):
+    # the series engine and gamma_images are two routes that must agree,
+    # so the table must not read S_w through the series engine's substitution
+    def refuse(*args):
+        raise AssertionError("the table read the series route")
+
+    monkeypatch.setattr(adams_module, "_substituted_log", refuse)
+    monkeypatch.setattr(TruncatedSeries, "substitute_gamma", refuse)
+    monkeypatch.setattr(adams_module, "_gamma_table", adams_module._gamma_table.__wrapped__)
+    for d in range(-6, 10):
+        for order in (1, 2, 7, 20):
+            assert adams_module.universal_gamma_coefficients.__wrapped__(d, order, 3)
 
 
 def test_scalar_table_reports_match_the_oracle(monkeypatch):
