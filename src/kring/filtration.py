@@ -15,11 +15,11 @@ span, over the augmentation subring, of all products of gamma operations of
 kernel elements with total weight at least n.  The saturation method builds
 that span exactly, in one deterministic pass, from the gamma images of the
 scaled kernel basis vectors c . e_k, c = 1 .. nu_k (see
-``compute_filtration``).  A stage n <= n_max uses a gamma image of
-weight i >= n_max only linearly: as a generator, and as a factor of its
-products with the kernel's monomials of weight >= 1.  So the images of all
-weights from n_max up to the series order are spanned as one bucket, not
-one span per weight.  The eigen_sum method sums the Adams eigenspaces of
+``compute_filtration``).  A word of weight at least n_max lies in every
+stage up to n_max, and so does every product with it, so weights are
+capped at n_max: the gamma images of all weights from n_max up to the
+series order are spanned together, at the capped weight n_max, not one
+span per weight.  The eigen_sum method sums the Adams eigenspaces of
 weight >= n, stage by stage.
 
 The saturation skips each product x . y for which no basis pair (i, j), i
@@ -38,11 +38,11 @@ four-way equivalence criterion among them, is a check of a suite in
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .adams import adams_weight, gamma_images, kind_ring
 from .errors import DomainError, SeriesOrderError
-from .linalg import Subspace
+from .linalg import Subspace, _insert
 from .model import Element, ModelAlgebra, reach, support
 from .operators import DiagonalOperator
 
@@ -114,34 +114,6 @@ class FiltrationResult(NamedTuple):
         return self.stages[n]
 
 
-def _supported(model: ModelAlgebra, space: Subspace) -> list[tuple[Element, int]]:
-    """The canonical basis of ``space``, each vector with its support bitmask."""
-    basis = [Element(model, nums, den) for nums, den in space.rows]
-    return [(x, support(x)) for x in basis]
-
-
-def _products(product: Callable, xs: Sequence, ys: Sequence) -> list[Element]:
-    """The nonzero x . y over the (x, reach) in ``xs`` and (y, support) in
-    ``ys``, skipping the pairs with reach & support == 0."""
-    prods = (product(x, y) for x, reach in xs for y, support in ys if reach & support)
-    return [prod for prod in prods if not prod.is_zero()]
-
-
-def _close_under_products(
-    model: ModelAlgebra,
-    product: Callable[[Element, Element], Element],
-    multipliers: Sequence[tuple[Element, int]],
-) -> Subspace:
-    """Span of all words in the (element, reach) ``multipliers``."""
-    space = Subspace.span(model.dim, [m for m, _ in multipliers])
-    while True:
-        found = _products(product, multipliers, _supported(model, space))
-        new_vectors = [prod for prod in found if not space.contains(prod)]
-        if not new_vectors:
-            return space
-        space = space + Subspace.span(model.dim, new_vectors)
-
-
 def _scaled_kernel_basis(
     model: ModelAlgebra, spec: FiltrationSpec, order: int
 ) -> list[Element]:
@@ -162,61 +134,59 @@ def _saturation_stages(
     n_max: int,
     order: int,
 ) -> list[Subspace]:
-    """Stages 0..n_max spanned by products of the gamma images of
-    ``generators`` (and of their products with the augmentation subring).
+    """Stages 0..n_max spanned by the words in the gamma images of
+    ``generators`` (and by their products with the augmentation subring).
 
-    At n_max = 0 that is the whole space.  The images of weight n_max and
-    above are spanned as one bucket: each enters M[n] as a generator and
-    through its products with M[1], both linear in the image (see
-    ``compute_filtration``).  Zero images are left out before they reach
-    ``Subspace.span``.  M[n] takes the products W_i x M[max(n - i, 1)] of
-    the weight-i basis W_i; W_i x M[1] serves every stage n <= i + 1 and
-    is made once per weight.
+    At n_max <= 1 they are the whole space and the augmentation kernel.
+    Otherwise the nonzero images of each weight below n_max are spanned
+    apart, and those of weights n_max .. order together, at the capped
+    weight n_max (see ``compute_filtration``).  A worklist grows one echelon
+    of words per capped weight w: a new direction x of weight w is
+    multiplied by each basis vector g of each capped weight i, and g . x
+    enters the echelon of weight min(i + w, n_max).  Every word is g times a
+    shorter word and the product is bilinear, so a basis of each weight's
+    words is enough; no associativity is assumed.  The loop ends, since
+    every product comes from a pop that raised an echelon's rank, which is
+    at most dim.  Stage n >= 2 is the canonical span of the words of capped
+    weight >= n and their products with the subring, whatever the pop order.
 
-    x . y is skipped when reach(x) & support(y) == 0, reach(x) being the OR
-    of the partner masks over the support of x: then no table pair (i, j)
-    has i in the support of x and j in that of y, so x . y is zero.
+    g . x is skipped when reach(g) & support(x) == 0, reach(g) being the OR
+    of the partner masks over the support of g: then no table pair (i, j)
+    has i in the support of g and j in that of x, so g . x is zero.
     """
+    dim = model.dim
+    stages = [Subspace.full(dim), Subspace.coordinate(dim, spec.kernel_indices(model))]
+    if n_max <= 1:
+        return stages[: n_max + 1]
     product = kind_ring(model, spec.family).mul
     partners = spec.partners(model)
-    dim = model.dim
-    if n_max == 0:
-        return [Subspace.full(dim)]
 
+    # (capped weight, basis vector, reach) of the gamma images
     images = [gamma_images(model, spec.family, x, order) for x in generators]
-
-    def reached_basis(weights: range) -> list[tuple[Element, int]]:
-        """Basis of the span of the nonzero gamma images of the given
-        weights, each vector with its reach."""
-        nonzero = [img[i] for img in images for i in weights if not img[i].is_zero()]
-        return [
-            (v, reach(partners, s)) for v, s in _supported(model, Subspace.span(dim, nonzero))
-        ]
-
-    # weight_basis[i] spans the gamma images of weight i < n_max; the last
-    # entry, the bucket, spans those of every weight n_max .. order together
     weights = [range(i, i + 1) for i in range(1, n_max)] + [range(n_max, order + 1)]
-    weight_basis = [[]] + [reached_basis(w) for w in weights]
+    basis = []
+    for w, ws in enumerate(weights, 1):
+        nonzero = [img[i] for img in images for i in ws if not img[i].is_zero()]
+        gens = [Element(model, *row) for row in Subspace.span(dim, nonzero).rows]
+        basis += [(w, g, reach(partners, support(g))) for g in gens]
 
-    # monomial spans: M[n] = span of products of gamma images of total weight >= n
-    all_gamma = [pair for basis in weight_basis for pair in basis]
-    m_basis = {1: _supported(model, _close_under_products(model, product, all_gamma))}
-    with_m1 = [_products(product, basis, m_basis[1]) for basis in weight_basis] if n_max > 1 else []
-    for n in range(2, n_max + 1):
-        vectors: list[Element] = []
-        for i, basis in enumerate(weight_basis[1:], 1):
-            if i >= n:
-                vectors.extend(v for v, _ in basis)
-            vectors.extend(with_m1[i] if n - i <= 1 else _products(product, basis, m_basis[n - i]))
-        m_basis[n] = _supported(model, Subspace.span(dim, vectors))
+    words = {w: ([], []) for w in range(1, n_max + 1)}  # capped weight -> echelon
+    todo = [(w, g) for w, g, _ in basis]
+    while todo:
+        w, v = todo.pop()
+        if (new := _insert(*words[w], v, dim)) is not None:
+            x = Element(model, new, 1)
+            s = support(x)
+            todo += [(min(i + w, n_max), product(g, x)) for i, g, r in basis if r & s]
 
-    # close each stage under multiplication by the augmentation subring
     subring = [(model.basis_element(i), partners[i]) for i in spec.subring_indices(model)]
-    stages = [Subspace.full(dim), Subspace.coordinate(dim, spec.kernel_indices(model))]
-    for n in range(2, n_max + 1):
-        closed = [v for v, _ in m_basis[n]] + _products(product, subring, m_basis[n])
-        stages.append(Subspace.span(dim, closed))
-    return stages
+    closed, top = [], []
+    for n in range(n_max, 1, -1):
+        for x in (Element(model, *row) for row in words[n][0]):
+            s = support(x)
+            closed += [x] + [product(e, x) for e, r in subring if r & s]
+        top.append(Subspace.span(dim, closed))
+    return stages + top[::-1]
 
 
 def compute_filtration(
@@ -242,11 +212,11 @@ def compute_filtration(
     the same stages as the gamma images of all kernel elements, and one
     pass over the generators c . e_k yields the stages.
 
-    Weights from n_max on are spanned as one bucket.  For a stage n <= n_max
-    an image of weight i >= n_max is a generator of M[n], as i >= n, and
-    multiplies M[max(n - i, 1)] = M[1]; both uses are linear in the image,
-    so the span of all those images gives the same M[n] as the images of
-    each weight spanned apart.
+    Weights are capped at n_max.  A word of weight i >= n_max lies in every
+    stage n <= n_max, and so does its product with any word, so only the
+    capped weight min(i, n_max) matters; the words are built linearly from
+    the images, so the span of all images of capped weight n_max gives the
+    same stages as the images of each weight spanned apart.
     """
     if isinstance(spec, str):
         spec = FiltrationSpec(spec)

@@ -137,6 +137,40 @@ def _integer_kernel(rows: list[Sequence[int]], ncols: int) -> list[tuple[list[in
     return out
 
 
+def _reduce(
+    rows: Sequence[Row], pivots: Sequence[int], v, ncols: int
+) -> tuple[Sequence[int], int]:
+    """Integer numerators and a positive denominator of ``v`` minus its part
+    in the span of ``rows``, each a row (numerators, denominator) whose
+    numerator at its pivot equals its denominator and which is zero at the
+    pivots of the rows before it."""
+    out, den = _integer_row(v)
+    if len(out) != ncols:
+        raise StructureError("vector length does not match ambient dimension")
+    for (row, row_den), p in zip(rows, pivots):
+        c = out[p]
+        if c:
+            # out/den - (c/den) (row/row_den), over den * row_den
+            out = [row_den * a - c * b for a, b in zip(out, row)]
+            den *= row_den
+    return out, den
+
+
+def _insert(rows: list[Row], pivots: list[int], v, ncols: int) -> tuple[int, ...] | None:
+    """Append to the echelon ``rows`` / ``pivots`` (see ``_reduce``) the
+    remainder of ``v``, made primitive with a positive pivot at its first
+    nonzero entry, and return its numerators; None if ``v`` is in the span."""
+    out = _reduce(rows, pivots, v, ncols)[0]
+    p = next((k for k, a in enumerate(out) if a), None)
+    if p is None:
+        return None
+    g = gcd(*out) if out[p] > 0 else -gcd(*out)
+    row = tuple(a // g for a in out)
+    rows.append((row, row[p]))
+    pivots.append(p)
+    return row
+
+
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF basis) form: ``rows``
     holds one canonical integer row (numerators, denominator) per basis
@@ -200,15 +234,7 @@ class Subspace:
         """Canonical representative of v (an ``Element`` or a rational
         sequence) modulo this subspace, as integer numerators over one
         positive denominator in lowest terms."""
-        out, den = _integer_row(v)
-        if len(out) != self.ambient_dim:
-            raise StructureError("vector length does not match ambient dimension")
-        for (row, row_den), p in zip(self.rows, self.pivots):
-            c = out[p]
-            if c:
-                # out/den - (c/den) (row/row_den), over den * row_den
-                out = [row_den * a - c * b for a, b in zip(out, row)]
-                den *= row_den
+        out, den = _reduce(self.rows, self.pivots, v, self.ambient_dim)
         g = gcd(den, *out)
         return tuple(a // g for a in out), den // g
 

@@ -4,7 +4,7 @@ every filtration dimension must stay the same.
 
 The conjugates of ``tests.conftest.basis_change`` have denser product and
 Fourier tables than the bundled builders, which is where the partner
-masks, the weight >= n_max bucket and the ``verify`` reuse keys are least
+masks, the capped weight n_max and the ``verify`` reuse keys are least
 likely to fire.  The tensor products of ``tests.conftest.tensor`` have
 bidegree blocks several vectors wide, so their conjugates are the densest.
 Besides that fixed P, ``hypothesis`` draws block-diagonal ones.

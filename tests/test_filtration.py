@@ -32,6 +32,7 @@ from kring.series import TruncatedSeries
 from tests import oracle
 from tests.conftest import (
     TENSORS,
+    THETA1_POWER5,
     VIOLATOR_PRODUCT,
     basis_change,
     bundled_models,
@@ -45,6 +46,8 @@ from tests.conftest import (
     outcome,
     presented_model,
     run_python,
+    spec_id,
+    spec_model,
     theta_raw,
 )
 
@@ -233,7 +236,7 @@ def test_only_the_statements_that_read_a_verdict_check_the_augmentation(
         assert sorted(calls) == sorted(FILTRATION_KINDS)
 
 
-# -- skipped products and buckets: the oracle as the reference -------------------
+# -- skipped products and capped weights: the oracle as the reference ------------
 
 
 BROKEN = {"bidegree-breach": 2, "breach-to-unit": 2, "rescaled-e1e2": 4, "one-sided": 2}  # name: g
@@ -310,15 +313,8 @@ def test_saturation_skips_the_vanishing_products(kind, monkeypatch):
     assert len(calls) <= 300
 
 
-@pytest.mark.parametrize("name,rows,products", [("violator", 268, 437), ("antisym", 159, 349)])
-def test_filtration_tables_rows_and_products(name, rows, products, monkeypatch):
-    # deterministic counts, not times: eliminating every row handed to
-    # Subspace.span and testing the augmentation by products took 918 / 617
-    # rows and 680 / 538 products; one row per direction, coordinate stages
-    # and the table walk took 488 / 386 products, and making each W_i x M[1]
-    # once per weight, not once per stage, takes the pinned counts
-    m = build_model(name, 4)
-    m.star_table  # built once per model, before counting
+def _count_rows_and_products(monkeypatch) -> Counter:
+    """Count the rows handed to the elimination and the model products."""
     linalg, model_module = (importlib.import_module(f"kring.{n}") for n in ("linalg", "model"))
     rref, bilinear, counts = linalg._rref_rows, model_module._bilinear, Counter()
 
@@ -332,8 +328,41 @@ def test_filtration_tables_rows_and_products(name, rows, products, monkeypatch):
 
     monkeypatch.setattr(linalg, "_rref_rows", counted_rref)
     monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name,rows,products",
+    [
+        pytest.param("violator", 160, 342, id="violator-4"),
+        pytest.param("antisym", 99, 271, id="antisym-4"),
+    ],
+)
+def test_filtration_tables_rows_and_products(name, rows, products, monkeypatch):
+    # deterministic counts, not times: eliminating every row handed to
+    # Subspace.span and testing the augmentation by products took 918 / 617
+    # rows and 680 / 538 products; one row per direction, coordinate stages
+    # and the table walk took 488 / 386 products; making each W_i x M[1]
+    # once per weight took 268 / 159 rows and 437 / 349 products, and one
+    # worklist that multiplies each new word once takes the pinned counts
+    m = build_model(name, 4)
+    m.star_table  # built once per model, before counting
+    counts = _count_rows_and_products(monkeypatch)
     run_filtration_tables(m, name)
     assert (counts["rows"], counts["products"]) == (rows, products)
+
+
+def test_theta1_power5_rows_and_products(monkeypatch):
+    # deterministic counts, not times, at dim 32 over the four kinds at
+    # n_max = g + 2: the M[n] recursion with its product closure took 627
+    # rows and 2,928 products; one worklist that multiplies each new word
+    # once takes the pinned counts
+    m = spec_model(THETA1_POWER5)
+    m.star_table  # built once per model, before counting
+    counts = _count_rows_and_products(monkeypatch)
+    for kind in FILTRATION_KINDS:
+        compute_filtration(m, kind, m.g + 2)
+    assert (counts["rows"], counts["products"]) == (387, 1953)
 
 
 def _n_max_grid(g):
@@ -345,20 +374,30 @@ _shared_broken_table = lru_cache(maxsize=None)(_broken_table)
 
 @pytest.mark.parametrize("kind", FILTRATION_KINDS)
 @pytest.mark.parametrize(
-    "name,g,n_max",
+    "spec,conjugated,n_max",
     [
-        pytest.param(name, g, n_max, id=f"{name}-{g}-n{n_max}" if g else f"{name}-n{n_max}")
+        pytest.param((name, g), False, n_max, id=f"{name}-{g}-n{n_max}" if g else f"{name}-n{n_max}")
         for name, g in bundled_models(4) + [(name, None) for name in BROKEN]
         for n_max in _n_max_grid(g or BROKEN[name])
+    ]
+    + [
+        pytest.param((a, b), conj, n, id=f"{spec_id((a, b))}{'-conj' * conj}-n{n}")
+        for a, b in TENSORS
+        for n in [a[1] + b[1] + 2]
+        for conj in (False, True)
     ],
 )
-def test_saturation_matches_the_definition(name, g, n_max, kind):
+def test_saturation_matches_the_definition(spec, conjugated, n_max, kind):
     # each order in {n_max, g + 2, g^2 + 2} >= n_max: the oracle spans words in
     # the gamma images of more kernel elements than the c e_k with no mask or
-    # bucket; its stages do not depend on n_max, as the conjecture suite reads
-    # stages 0..g off a filtration at n_max = order
-    m = _shared_broken_table(name) if g is None else model(name, g)
-    for order in sorted({n_max, max(n_max, m.g + 2), m.default_series_order}):
+    # capped weight; its stages do not depend on n_max, as the conjecture
+    # suite reads stages 0..g off a filtration at n_max = order.  The denser
+    # tables of the tensor products and their conjugates are read at
+    # n_max = order = g + 2 only
+    tensor = isinstance(spec[0], tuple)
+    m = _shared_broken_table(spec[0]) if spec[1] is None else presented_model(spec, conjugated)
+    orders = {n_max} if tensor else {n_max, max(n_max, m.g + 2), m.default_series_order}
+    for order in sorted(orders):
         res = compute_filtration(m, kind, n_max, order=order)
         want = oracle.stages(m, kind, order, order)
         assert len(res.stages) == n_max + 1

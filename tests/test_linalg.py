@@ -18,7 +18,7 @@ from kring import (
     vandermonde_matrix,
 )
 from kring.errors import DomainError, StructureError
-from kring.linalg import _bareiss, _integer_kernel, _integer_row, _rref_rows
+from kring.linalg import _bareiss, _insert, _integer_kernel, _integer_row, _rref_rows
 from tests import oracle
 from tests.conftest import bundled_models, model
 
@@ -364,6 +364,27 @@ def test_reduce_and_contains_match_the_reference(case):
     assert den > 0 and gcd(den, *nums) == 1
     assert _fraction_row((nums, den)) == want
     assert s.contains(v) == (not any(want))
+
+
+@CORE
+@given(awkward_rows(max_rows=8))
+def test_echelon_insert_matches_the_reference(case):
+    # awkward rows repeat, negate and scale earlier rows, so both outcomes
+    # of the insert occur
+    ncols, vectors = case
+    rows, pivots = [], []
+    for k, v in enumerate(vectors):
+        basis, ref_pivots = oracle.span(vectors[:k], ncols)
+        new = _insert(rows, pivots, v, ncols)
+        assert (new is None) == (not any(oracle.reduce(basis, ref_pivots, v)))
+        if new is not None:
+            p = next(k for k, c in enumerate(new) if c)
+            assert rows[-1] == (new, new[p]) and pivots[-1] == p
+            assert gcd(*new) == 1 and new[p] > 0
+    assert len(rows) == len(pivots) == len(oracle.span(vectors, ncols)[1])
+    for k, (row, _) in enumerate(rows):
+        assert all(row[p] == 0 for p in pivots[:k])
+    assert Subspace.span(ncols, [row for row, _ in rows]) == Subspace.span(ncols, vectors)
 
 
 @CORE
