@@ -14,13 +14,12 @@ Stage 1 of each filtration is the augmentation kernel; stage n >= 2 is the
 span, over the augmentation subring, of all products of gamma operations of
 kernel elements with total weight at least n.  The saturation method builds
 that span exactly, in one deterministic pass, from the gamma images of the
-scaled kernel basis vectors c . e_k, c = 1 .. nu_k (see
-``compute_filtration``).  A word of weight at least n_max lies in every
-stage up to n_max, and so does every product with it, so weights are
-capped at n_max: the gamma images of all weights from n_max up to the
-series order are spanned together, at the capped weight n_max, not one
-span per weight.  The eigen_sum method sums the Adams eigenspaces of
-weight >= n, stage by stage.
+kernel basis vectors (see ``compute_filtration``).  A word of weight at
+least n_max lies in every stage up to n_max, and so does every product
+with it, so weights are capped at n_max: the gamma images of all weights
+from n_max up to the series order are spanned together, at the capped
+weight n_max, not one span per weight.  The eigen_sum method sums the
+Adams eigenspaces of weight >= n, stage by stage.
 
 The saturation skips each product x . y for which no basis pair (i, j), i
 in the support of x and j in that of y, has an entry in the product table
@@ -38,7 +37,7 @@ four-way equivalence criterion among them, is a check of a suite in
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .adams import adams_weight, gamma_images, kind_ring
 from .errors import DomainError, SeriesOrderError
@@ -114,28 +113,13 @@ class FiltrationResult(NamedTuple):
         return self.stages[n]
 
 
-def _scaled_kernel_basis(
-    model: ModelAlgebra, spec: FiltrationSpec, order: int
-) -> list[Element]:
-    """The vectors c . e_k for each kernel basis vector e_k and c = 1 .. nu_k,
-    where nu_k counts the nonzero powers of e_k, capped at ``order``."""
-    ring = kind_ring(model, spec.family)
-    out = []
-    for k in spec.kernel_indices(model):
-        e = model.basis_element(k)
-        out.extend(c * e for c in range(1, len(ring.powers(e, order)) + 1))
-    return out
-
-
 def _saturation_stages(
-    model: ModelAlgebra,
-    spec: FiltrationSpec,
-    generators: Sequence[Element],
-    n_max: int,
-    order: int,
+    model: ModelAlgebra, spec: FiltrationSpec, n_max: int, order: int
 ) -> list[Subspace]:
-    """Stages 0..n_max spanned by the words in the gamma images of
-    ``generators`` (and by their products with the augmentation subring).
+    """Stages 0..n_max spanned by the words in the gamma images of the
+    kernel basis vectors e_k (and by their products with the augmentation
+    subring).  Under the ring laws ``validate`` checks, these words span
+    those in the gamma images of all kernel elements.
 
     At n_max <= 1 they are the whole space and the augmentation kernel.
     Otherwise the nonzero images of each weight below n_max are spanned
@@ -145,9 +129,9 @@ def _saturation_stages(
     multiplied by each basis vector g of each capped weight i, and g . x
     enters the echelon of weight min(i + w, n_max).  Every word is g times a
     shorter word and the product is bilinear, so a basis of each weight's
-    words is enough; no associativity is assumed.  The loop ends, since
-    every product comes from a pop that raised an echelon's rank, which is
-    at most dim.  Stage n >= 2 is the canonical span of the words of capped
+    words is enough; the worklist assumes no associativity.  The loop ends,
+    since every product comes from a pop that raised an echelon's rank,
+    which is at most dim.  Stage n >= 2 is the canonical span of the words of capped
     weight >= n and their products with the subring, whatever the pop order.
 
     g . x is skipped when reach(g) & support(x) == 0, reach(g) being the OR
@@ -162,7 +146,10 @@ def _saturation_stages(
     partners = spec.partners(model)
 
     # (capped weight, basis vector, reach) of the gamma images
-    images = [gamma_images(model, spec.family, x, order) for x in generators]
+    images = [
+        gamma_images(model, spec.family, model.basis_element(k), order)
+        for k in spec.kernel_indices(model)
+    ]
     weights = [range(i, i + 1) for i in range(1, n_max)] + [range(n_max, order + 1)]
     basis = []
     for w, ws in enumerate(weights, 1):
@@ -201,16 +188,15 @@ def compute_filtration(
     whether the augmentation is a ring morphism is a separate question,
     ``FiltrationSpec.augmentation_is_morphism``.
 
-    The saturation method is exact.  Every Adams family is diagonal on the
-    bigraded basis, and gamma_t(x + y) = gamma_t(x) gamma_t(y) (Fulton &
-    Lang, Riemann-Roch Algebra, 1985), so gamma_t of a kernel element
-    sum_k c_k e_k is the product of the gamma_t(c_k e_k); and for e of
-    weight w, gamma^i(c e) = sum_m c^m a(i; w, m) e^m over the nu nonzero
-    powers e^m of e.  The scalings c = 1 .. nu give an invertible
-    Vandermonde system, so the gamma^i(c e) span the same space as the
-    separate terms a(i; w, m) e^m.  Products of those terms therefore span
+    The saturation method is exact on a model that keeps the ring laws
+    ``ModelAlgebra.validate`` checks.  Then gamma_t(x + y) =
+    gamma_t(x) gamma_t(y) (Fulton & Lang, Riemann-Roch Algebra, 1985), so
+    gamma_t(c e) = gamma_t(e)^c for every rational c, and gamma_t of a
+    kernel element sum_k c_k e_k is the product of the gamma_t(e_k)^(c_k).
+    Its t^i coefficient is a combination of words of total weight i in the
+    gamma^j(e_k).  The words in the gamma images of the e_k therefore span
     the same stages as the gamma images of all kernel elements, and one
-    pass over the generators c . e_k yields the stages.
+    pass over the kernel basis yields the stages.
 
     Weights are capped at n_max.  A word of weight i >= n_max lies in every
     stage n <= n_max, and so does its product with any word, so only the
@@ -229,8 +215,7 @@ def compute_filtration(
             f"series order {order} is below the requested stage {n_max}"
         )
     if method == "saturation":
-        generators = _scaled_kernel_basis(model, spec, order)
-        stages = _saturation_stages(model, spec, generators, n_max, order)
+        stages = _saturation_stages(model, spec, n_max, order)
     elif method == "eigen_sum":
         weights = [spec.weight(model, i) for i in range(model.dim)]
         stages = [Subspace.full(model.dim)] + [
