@@ -13,7 +13,7 @@ All lambda and gamma operations are produced from the Adams action through
 the exponential of the weighted power series and the substitution
 t -> t/(1-t), as whole truncated series (``lambda_series``,
 ``gamma_series``); no alternating-power semantics exists in the model.  The
-products inside the exponential run on the kernel of the family's
+products inside the exponential run on the ``Product`` of the family's
 ``kind_ring``: convolution for the star family, the ordinary product for
 the others.  The weighted series sum_w L_w(t) x_w over the Adams
 eigencomponents x_w, with rational L_w, is made from that presentation
@@ -83,20 +83,17 @@ def adams(model: ModelAlgebra, kind: str, n: int, x: Element) -> Element:
 
 def kind_ring(model: ModelAlgebra, kind: str) -> Ring:
     """The product the Adams family is a ring map for: the convolution
-    product for ``star``, the ordinary product for every other family.
-    Sums, series products and ``exp`` run on the product's kernel
-    (``ModelAlgebra._kernel``), which the ring names rather than recognising
-    it from ``mul``.  Each ring is built once per model and kept on it, and
-    the star ring builds ``star_table``."""
+    product for ``star``, the ordinary product for every other family.  Its
+    kernel, on which sums, series products and ``exp`` run, is the model's
+    ``Product`` record, named rather than recognised from ``mul``.  Each ring
+    is built once per model and kept on it; the star ring builds ``star_table``."""
     star = kind == "star"
-    ring = model._rings.get(star)
-    if ring is None:
-        if star:
-            ring = Ring(star_product, model.zero(), model.star_unit(), model._kernel(True))
-        else:
-            ring = Ring(model.multiply, model.zero(), model.one(), model._kernel(False))
-        model._rings[star] = ring
-    return ring
+    if star not in model._rings:
+        model._rings[star] = (
+            Ring(star_product, model.zero(), model.star_unit(), model.convolution) if star
+            else Ring(model.multiply, model.zero(), model.one(), model.usual)
+        )
+    return model._rings[star]
 
 
 def _weighted_log(

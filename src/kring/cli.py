@@ -60,8 +60,7 @@ def _add_run_config(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_model(args) -> tuple:
     if args.model_file is not None:
-        model = modelio.load_model(args.model_file)
-        return model, str(args.model_file)
+        return modelio.load_model(args.model_file), str(args.model_file)
     if args.builder is None:
         raise ModelParseError("need --builder with --g, or --model-file", "builder")
     if args.g is None or args.g < 1:

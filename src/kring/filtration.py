@@ -82,10 +82,6 @@ class FiltrationSpec:
         subring = set(self.subring_indices(model))
         return tuple(i for i in range(model.dim) if i not in subring)
 
-    def partners(self, model: ModelAlgebra) -> tuple[int, ...]:
-        """The partner masks of the family's product table (``kind_ring``)."""
-        return model.star_partners if self.kind == "star" else model.mul_partners
-
     def augmentation_is_morphism(self, model: ModelAlgebra) -> tuple[bool, str | None]:
         """Whether the augmentation, the 0/1 projection onto the subring,
         respects the family's product on the basis; when it does not, the
@@ -142,8 +138,8 @@ def _saturation_stages(
     stages = [Subspace.full(dim), Subspace.coordinate(dim, spec.kernel_indices(model))]
     if n_max <= 1:
         return stages[: n_max + 1]
-    product = kind_ring(model, spec.family).mul
-    partners = spec.partners(model)
+    ring = kind_ring(model, spec.family)
+    product, partners = ring.mul, ring.kernel.partners
 
     # (capped weight, basis vector, reach) of the gamma images
     images = [

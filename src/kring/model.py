@@ -39,7 +39,7 @@ table is the Fourier operator's only form: the constructor scales the dense
 rows it is given straight into it, the inverse is the RREF of the integer
 rows [F * den | den * I], and export writes the dense rows back from it.
 ``Element.coords`` hands the coordinates out as ``Fraction``s.  On first use
-each product table also gets partner masks and a check of its unit law.
+each product gets its ``Product`` record: its table, partner masks and unit.
 """
 
 from __future__ import annotations
@@ -268,11 +268,6 @@ def _dense(table: ScaledTable, width: int) -> list[list[int]]:
     return out
 
 
-def _partner_masks(table: ScaledTable) -> tuple[int, ...]:
-    """Entry i: the bitmask of the j for which (i, j) has an entry in ``table``."""
-    return tuple(sum(1 << j for j, _ in row) for row in table.rows)
-
-
 def support(x: Element) -> int:
     """The bitmask of the indices where x has a nonzero coordinate."""
     return sum(1 << i for i, n in enumerate(x.nums) if n)
@@ -286,15 +281,6 @@ def reach(partners: Sequence[int], mask: int) -> int:
         if mask >> i & 1:
             out |= partner
     return out
-
-
-def _two_sided_unit(table: ScaledTable, u: int) -> tuple[int, ...] | None:
-    """The numerators of e_u if ``table`` has e_u e_i = e_i = e_i e_u for all i."""
-    rows, den = table
-    ones = tuple((i, ((i, den),)) for i in range(len(rows)))
-    if rows[u] == ones and all(dict(row).get(u) == c for row, (_, c) in zip(rows, ones)):
-        return tuple(int(i == u) for i in range(len(ones)))
-    return None
 
 
 def _accumulate(
@@ -319,28 +305,41 @@ def _accumulate(
                         out[k] += fxy * c
 
 
-def _bilinear(
-    model: "ModelAlgebra", table: ScaledTable, x: Element, y: Element, unit=None
-) -> Element:
-    """One product of ``_accumulate`` as an ``Element``, or its other factor."""
-    out = [0] * model.dim
-    other = _accumulate(model, table, out, 1, x, y, unit)
-    return other if other is not None else Element(model, out, x.den * y.den * table.den)
-
-
-class _Kernel(NamedTuple):
-    """A model product for the series engine: ``accumulate`` runs
-    ``_accumulate`` on ``table``, whose products are over x.den * y.den * ``den``."""
+class Product(NamedTuple):
+    """One model product: its table, the numerators of its two-sided unit
+    (or None) and its partner masks (entry i: the bitmask of the j with a
+    table entry (i, j)).  It multiplies, and it is the series engine's
+    kernel, whose ``accumulate`` adds products over x.den * y.den * ``den``."""
 
     model: "ModelAlgebra"
     table: ScaledTable
     unit: tuple[int, ...] | None
-    den: int
+    partners: tuple[int, ...]
+
+    @classmethod
+    def of(cls, model: "ModelAlgebra", table: ScaledTable, u: int) -> "Product":
+        """The product of ``table``; its unit is e_u if e_u e_i = e_i = e_i e_u for all i."""
+        rows, den = table
+        ones = tuple((i, ((i, den),)) for i in range(len(rows)))
+        unital = rows[u] == ones and all(dict(r).get(u) == c for r, (_, c) in zip(rows, ones))
+        unit = tuple(int(i == u) for i in range(len(rows))) if unital else None
+        return cls(model, table, unit, tuple(sum(1 << j for j, _ in row) for row in rows))
+
+    @property
+    def den(self) -> int:
+        return self.table.den
+
+    def multiply(self, x: Element, y: Element) -> Element:
+        """One product of ``_accumulate`` as an ``Element``, or its other factor."""
+        model, table = self.model, self.table
+        out = [0] * model.dim
+        other = _accumulate(model, table, out, 1, x, y, self.unit)
+        return other if other is not None else Element(model, out, x.den * y.den * table.den)
 
     def accumulate(self, out: list[int], f: int, x: Element, y: Element) -> None:
         other = _accumulate(self.model, self.table, out, f, x, y, self.unit)
         for k, n in enumerate(other.nums if other is not None else ()):
-            out[k] += f * self.den * n
+            out[k] += f * self.table.den * n
 
     def split(self, x: Element) -> tuple[tuple[int, ...], int]:
         if x.model is not self.model:
@@ -434,8 +433,7 @@ class ModelAlgebra:
             raise StructureError("Fourier matrix must be square of the basis size")
         self._fm = _scaled_rows(fm_rows)
         self._index_of = {label: i for i, label in enumerate(self.labels)}
-        # the ``Ring`` of each product, keyed by ``star``: ``adams.kind_ring``
-        # builds each once and keeps it here, so it lives as long as the model
+        # the ``Ring`` of each product by ``star``, built once by ``adams.kind_ring``
         self._rings: dict[bool, object] = {}
 
     # -- basic accessors -------------------------------------------------
@@ -501,31 +499,21 @@ class ModelAlgebra:
         return self._mul.get((i, j), ())
 
     def multiply(self, x: Element, y: Element) -> Element:
-        return _bilinear(self, self._table, x, y, self._mul_unit)
+        return self.usual.multiply(x, y)
 
     def star_multiply(self, x: Element, y: Element) -> Element:
         """Convolution product, read off ``star_table``."""
-        return _bilinear(self, self.star_table, x, y, self._star_unit)
-
-    def _kernel(self, star: bool) -> _Kernel:
-        table, unit = (self.star_table, self._star_unit) if star else (self._table, self._mul_unit)
-        return _Kernel(self, table, unit, table.den)
+        return self.convolution.multiply(x, y)
 
     @cached_property
-    def _mul_unit(self) -> tuple[int, ...] | None:
-        return _two_sided_unit(self._table, self.unit_index)
+    def usual(self) -> Product:
+        """The ordinary product, over the multiplication table."""
+        return Product.of(self, self._table, self.unit_index)
 
     @cached_property
-    def _star_unit(self) -> tuple[int, ...] | None:
-        return _two_sided_unit(self.star_table, self.star_unit_index)
-
-    @cached_property
-    def mul_partners(self) -> tuple[int, ...]:
-        return _partner_masks(self._table)
-
-    @cached_property
-    def star_partners(self) -> tuple[int, ...]:
-        return _partner_masks(self.star_table)
+    def convolution(self) -> Product:
+        """The convolution product, over ``star_table``."""
+        return Product.of(self, self.star_table, self.star_unit_index)
 
     def fourier(self, x: Element) -> Element:
         """Image under the Fourier operator (row i of ``_fm`` = image of e_i)."""
@@ -556,18 +544,18 @@ class ModelAlgebra:
         F^-1(F e_i . F e_j).  Both sides are bilinear, so the convolution of
         any two elements is exactly the table's bilinear form.  Built on
         first use and owned by the model, so it lives as long as the model.
-        A pair whose F e_i reaches (by ``mul_partners``) no index in the
-        support of F e_j has no product table entry to sum, so it is skipped
-        as zero."""
+        A pair whose F e_i reaches (by the partner masks of ``usual``) no
+        index in the support of F e_j has no product table entry to sum, so
+        it is skipped as zero."""
         images = [self.fourier(self.basis_element(i)) for i in range(self.dim)]
         supports = [support(f) for f in images]
-        reaches = [reach(self.mul_partners, s) for s in supports]
+        reaches = [reach(self.usual.partners, s) for s in supports]
         table = {}
         for i, fi in enumerate(images):
             for j, fj in enumerate(images):
                 if not reaches[i] & supports[j]:
                     continue
-                z = self.fourier_inverse(_bilinear(self, self._table, fi, fj))
+                z = self.fourier_inverse(self.usual.multiply(fi, fj))
                 entries = tuple((k, z.coefficient(k)) for k, n in enumerate(z.nums) if n)
                 if entries:
                     table[(i, j)] = entries

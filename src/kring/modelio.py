@@ -71,10 +71,12 @@ def _parse_rational(text: str, field: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ModelParseError(f"{field}: malformed rational {text!r}", field)
-    num, den = int(m.group(1)), int(m.group(2))
-    if den == 0:
-        raise ModelParseError(f"{field}: zero denominator", field)
-    value = Fraction(num, den)
+    try:
+        value = Fraction(int(m.group(1)), int(m.group(2)))
+    except ZeroDivisionError:
+        raise ModelParseError(f"{field}: zero denominator", field) from None
+    except ValueError:  # more digits than int() converts from text
+        raise ModelParseError(f"{field}: rational has too many digits", field) from None
     # only the spelling export writes: lowest terms, ASCII digits, no
     # leading zeros, no "-0", nothing after the denominator
     if text != _format_rational(value):
@@ -123,7 +125,7 @@ def export_model(model: ModelAlgebra) -> str:
 def import_model(text: str) -> ModelAlgebra:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ModelParseError(f"not valid JSON: {exc}", field="document") from None
     if not isinstance(doc, dict):
         raise ModelParseError("document must be a JSON object", field="document")
@@ -203,4 +205,7 @@ def fingerprint(model: ModelAlgebra) -> str:
 
 
 def load_model(path: str | Path) -> ModelAlgebra:
-    return import_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        return import_model(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"not UTF-8 text: {exc}", field="document") from None

@@ -343,7 +343,7 @@ def _adams_semigroup(run: _Run) -> Failures:
 
 def _omega(run: _Run) -> Failures:
     model, basis, labels = run.model, run.basis, run.model.labels
-    table = kind_ring(model, "usual").kernel.table
+    table = model.usual.table
     for n in range(1, 5):
         ops = [(kind, adams_operator(model, kind, n)) for kind in ("composed", "pi_star")]
         for i, j, entries in table.upper_entries():
@@ -640,7 +640,7 @@ def _index_products(run: _Run) -> Failures:
             continue
         for k in range(model.dim):
             jk = model.beauville_index_of(k)
-            if jk < 0 and model.mul_partners[i] >> k & 1:
+            if jk < 0 and model.usual.partners[i] >> k & 1:
                 yield f"index {ji} class times index {jk} class is nonzero", _pair(model, i, k)
 
 
@@ -651,7 +651,7 @@ def _bloch_products(run: _Run) -> Failures:
         if q1 != g or p1 < 1:
             continue
         for k in range(model.dim):
-            if p1 >= model.bidegrees[k].q + 1 and model.mul_partners[i] >> k & 1:
+            if p1 >= model.bidegrees[k].q + 1 and model.usual.partners[i] >> k & 1:
                 yield "a K^r_g class with r > n meets a K^s_n class", _pair(model, i, k)
 
 

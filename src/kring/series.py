@@ -198,7 +198,7 @@ class TruncatedSeries:
         """Cauchy product: per coefficient, one accumulation of unreduced products."""
         self._check_compatible(other)
         zero, kernel = self.ring.zero, self.ring.kernel
-        width = len(kernel.split(zero)[0])
+        width, kden = len(kernel.split(zero)[0]), kernel.den
         left = [(i, a, kernel.split(a)[1]) for i, a in enumerate(self.coeffs) if a != zero]
         right = {j: (b, kernel.split(b)[1]) for j, b in enumerate(other.coeffs) if b != zero}
         out = []
@@ -207,7 +207,7 @@ class TruncatedSeries:
             common, acc = lcm(*(da * db for _, _, db, da in pairs)), [0] * width
             for a, b, db, da in pairs:
                 kernel.accumulate(acc, common // (da * db), a, b)
-            out.append(kernel.build(acc, common * kernel.den) if pairs else zero)
+            out.append(kernel.build(acc, common * kden) if pairs else zero)
         return self.like(out)
 
     def exp(self) -> "TruncatedSeries":
@@ -225,7 +225,7 @@ class TruncatedSeries:
         zero, one, kernel = self.ring.zero, self.ring.one, self.ring.kernel
         if self._coeffs is not None and self._coeffs[0] != zero:
             raise DomainError("exp needs a zero constant term")
-        n, width = self.order, len(kernel.split(zero)[0])
+        n, width, kden = self.order, len(kernel.split(zero)[0]), kernel.den
         generators = [(x, *kernel.split(x), scaled) for x, scaled in self.presentation or [
             (f, ((k, k),)) for k, f in enumerate(self.coeffs) if k and f != zero]]
         pushed, out = [[] for _ in range(n + 1)], [one]
@@ -236,7 +236,7 @@ class TruncatedSeries:
                     continue
                 nums, d = x_nums, x_den
                 if j:
-                    nums, d = [0] * width, x_den * kernel.split(a)[1] * kernel.den
+                    nums, d = [0] * width, x_den * kernel.split(a)[1] * kden
                     kernel.accumulate(nums, 1, x, a)
                 entries = [(i, v) for i, v in enumerate(nums) if v]
                 for k, c in scaled if entries else ():

@@ -202,6 +202,29 @@ def test_model_parse_error_names_field(tmp_path):
         import_model("{not json")
 
 
+THETA2 = export_model(theta_model(2))
+
+
+@pytest.mark.parametrize(
+    "content,field",
+    [
+        pytest.param(b"\xff\xfe" + THETA2.encode(), "document", id="not-utf-8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "document", id="nested-100000-deep"),
+        pytest.param(THETA2.replace('"g": 2', '"g": 1' + "0" * 4300).encode(), "document",
+                     id="integer-of-4301-digits"),
+        pytest.param(THETA2.replace('"1/1"', f'"{"1" * 4301}/1"', 1).encode(), "mul[0]",
+                     id="rational-of-4301-digits"),
+    ],
+)
+def test_unreadable_documents_are_parse_errors(tmp_path, content, field):
+    # each failed in the decoder or int() with a traceback and exit 1
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    res = run_cli("verify", "--model-file", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error [{field}]: ") and "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize(
     "path,value,field",
     [
@@ -237,8 +260,9 @@ def test_import_requires_string_labels(value):
 
 
 @pytest.mark.parametrize(
-    "text", ["-1/1\n", "\u0661/\u0661", "01/2", "-0/1"],
-    ids=["trailing-newline", "unicode-digits", "leading-zero", "negative-zero"],
+    "text", ["-1/1\n", "\u0661/\u0661", "01/2", "-0/1", "1/" + "1" * 4301],
+    ids=["trailing-newline", "unicode-digits", "leading-zero", "negative-zero",
+         "denominator-of-4301-digits"],
 )
 def test_import_requires_canonical_rationals(text):
     doc = json.loads(export_model(theta_model(2)))

@@ -307,8 +307,8 @@ def test_partner_masks_match_the_tables(name, g):
     star = [dict(row) for row in m.star_table.rows]
     for i in range(m.dim):
         for j in range(m.dim):
-            assert bool(m.mul_partners[i] >> j & 1) == bool(m.mul_basis(i, j))
-            assert bool(m.star_partners[i] >> j & 1) == (j in star[i])
+            assert bool(m.usual.partners[i] >> j & 1) == bool(m.mul_basis(i, j))
+            assert bool(m.convolution.partners[i] >> j & 1) == (j in star[i])
 
 
 @pytest.mark.parametrize("kind", ["gamma", "star", "pi", "Gamma"])
@@ -317,14 +317,14 @@ def test_saturation_skips_the_vanishing_products(kind, monkeypatch):
     # 1,365-2,013 per kind here, skipping the vanishing ones 160-203
     m = build_model("violator", 4)
     m.star_table  # built once per model, before counting
-    model_module = importlib.import_module("kring.model")
-    bilinear, calls = model_module._bilinear, []
+    product = importlib.import_module("kring.model").Product
+    multiply, calls = product.multiply, []
 
     def counted(*args):
         calls.append(args)
-        return bilinear(*args)
+        return multiply(*args)
 
-    monkeypatch.setattr(model_module, "_bilinear", counted)
+    monkeypatch.setattr(product, "multiply", counted)
     compute_filtration(m, kind, 6)
     assert len(calls) <= 300
 
@@ -332,18 +332,18 @@ def test_saturation_skips_the_vanishing_products(kind, monkeypatch):
 def _count_rows_and_products(monkeypatch) -> Counter:
     """Count the rows handed to the elimination and the model products."""
     linalg, model_module = (importlib.import_module(f"kring.{n}") for n in ("linalg", "model"))
-    rref, bilinear, counts = linalg._rref_rows, model_module._bilinear, Counter()
+    rref, multiply, counts = linalg._rref_rows, model_module.Product.multiply, Counter()
 
     def counted_rref(rows, ncols):
         counts["rows"] += len(rows)
         return rref(rows, ncols)
 
-    def counted_bilinear(*args):
+    def counted_multiply(*args):
         counts["products"] += 1
-        return bilinear(*args)
+        return multiply(*args)
 
     monkeypatch.setattr(linalg, "_rref_rows", counted_rref)
-    monkeypatch.setattr(model_module, "_bilinear", counted_bilinear)
+    monkeypatch.setattr(model_module.Product, "multiply", counted_multiply)
     return counts
 
 
@@ -530,15 +530,15 @@ def test_star_table_multiplies_only_reaching_pairs(monkeypatch):
     # a deterministic count: multiplying every pair of Fourier images of
     # violator(4) took 169 products, the pairs that can meet in the table 45
     m = build_model("violator", 4)
-    m.mul_partners  # read off the multiplication table before counting
-    model_module = importlib.import_module("kring.model")
-    bilinear, calls = model_module._bilinear, []
+    m.usual  # read off the multiplication table before counting
+    product = importlib.import_module("kring.model").Product
+    multiply, calls = product.multiply, []
 
     def counted(*args):
         calls.append(args)
-        return bilinear(*args)
+        return multiply(*args)
 
-    monkeypatch.setattr(model_module, "_bilinear", counted)
+    monkeypatch.setattr(product, "multiply", counted)
     m.star_table
     assert len(calls) <= 60
 

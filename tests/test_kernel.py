@@ -365,9 +365,9 @@ def _foreign_calls():
         ("multiply, foreign unit", lambda: a.multiply(b.one(), a.basis_element(1))),
         ("multiply, foreign unit right", lambda: a.multiply(a.basis_element(1), b.one())),
         ("star_multiply, foreign unit", lambda: a.star_multiply(b.star_unit(), a.one())),
-        ("accumulate", lambda: a._kernel(False).accumulate([0] * a.dim, 1, x, y)),
-        ("accumulate, foreign unit", lambda: a._kernel(False).accumulate([0] * 3, 1, b.one(), x)),
-        ("accumulate, star", lambda: a._kernel(True).accumulate([0] * 3, 1, a.one(), y)),
+        ("accumulate", lambda: a.usual.accumulate([0] * a.dim, 1, x, y)),
+        ("accumulate, foreign unit", lambda: a.usual.accumulate([0] * 3, 1, b.one(), x)),
+        ("accumulate, star", lambda: a.convolution.accumulate([0] * 3, 1, a.one(), y)),
         ("series product", lambda: _square(TruncatedSeries([x, y], kind_ring(a, "usual")))),
         ("series exp", lambda: TruncatedSeries([a.zero(), x], kind_ring(a, "star")).exp()),
     ]
@@ -471,7 +471,7 @@ def test_verify_model_products(name, g, multiply, star, monkeypatch):
 
 def _count_products(monkeypatch) -> dict:
     """Count the ring products: the calls of the accumulation kernel, which
-    both ``_bilinear`` and the series engine run on."""
+    both ``Product.multiply`` and the series engine run on."""
     model_module = importlib.import_module("kring.model")
     accumulate = model_module._accumulate
     counts = {"products": 0}

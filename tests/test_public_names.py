@@ -4,9 +4,11 @@ the package or is library API kept on purpose.
 An ``ast`` scan collects the public (no leading underscore) module-level
 functions and class methods, and every name and attribute read in the
 package's modules other than ``__init__.py``, whose re-exports are no
-caller.  A definition's own body does not count as its caller.  Names are
-matched by spelling only, so a method sharing its name with another
-function counts as used: the scan can miss an orphan, never invent one.
+caller.  A definition's own body does not count as its caller.  A
+module-level function counts as called only when its bare name or
+``<module>.<name>`` is read, so a method of the same name is no caller.
+Methods are matched by spelling only, so a method sharing its name with
+another counts as used: the scan can miss an orphan, never invent one.
 ``DELIBERATE`` mirrors the deliberate-API paragraph of README.md.
 """
 
@@ -33,6 +35,7 @@ DELIBERATE = {
     "model.ValidationReport.codes": "the violated constraint codes",
     "operators.DiagonalOperator.eigenvalues": "the eigenvalues as Fractions",
     "operators.PushforwardRelation.integral": "whether the coefficients are integers",
+    "operators.fourier_inverse": "the inverse Fourier image of an element",
     "operators.pushforward_relation": "a pushforward in the basis of pushforwards by 0 .. 2g",
     "series.TruncatedSeries.log": "the logarithm of a unipotent series",
 }
@@ -49,11 +52,26 @@ def _definitions(tree: ast.Module, module: str):
 
 
 def _names_read(node: ast.AST) -> Counter:
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    )
+    """Each bare name read under its spelling, each attribute under
+    ``.attr``, and each attribute of a bare name under ``name.attr``."""
+    reads = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            reads[f".{n.attr}"] += 1
+            if isinstance(n.value, ast.Name):
+                reads[f"{n.value.id}.{n.attr}"] += 1
+    return reads
+
+
+def _callers(qualname: str) -> tuple[str, ...]:
+    """The keys of ``_names_read`` that call ``qualname``: a module-level
+    function's bare name and ``<module>.<name>``, a method's spelling."""
+    parts = qualname.split(".")
+    if len(parts) == 2:
+        return parts[1], qualname
+    return parts[-1], f".{parts[-1]}"
 
 
 def _scan() -> tuple[dict, Counter]:
@@ -70,10 +88,10 @@ def test_every_public_name_has_a_caller_or_is_deliberate():
     definitions, reads = _scan()
     orphans = []
     for qualname, node in definitions.items():
-        name = qualname.rsplit(".", 1)[1]
-        if name.startswith("_") or qualname in DELIBERATE:
+        if qualname.rsplit(".", 1)[1].startswith("_") or qualname in DELIBERATE:
             continue
-        if reads[name] - _names_read(node)[name] <= 0:
+        own = _names_read(node)
+        if sum(reads[key] - own[key] for key in _callers(qualname)) <= 0:
             orphans.append(qualname)
     assert not orphans, (
         f"public names without a caller in src/kring: {orphans}; delete them, "
